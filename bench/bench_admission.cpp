@@ -30,6 +30,7 @@
 namespace {
 
 using nova::Table;
+using nova::serve::outcome_fingerprint;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -114,24 +115,6 @@ ModeResult run_mode(const std::vector<nova::serve::InferenceRequest>& stream,
   return result;
 }
 
-/// Bit-strict serialization of every outcome field that pricing or dispatch
-/// produces; two runs are "byte-identical" iff these strings match.
-std::string fingerprint(const nova::serve::ServeReport& report) {
-  std::string out;
-  char buf[128];
-  for (const auto& outcome : report.outcomes) {
-    std::snprintf(buf, sizeof(buf), "%d|%lld|%lld|%d|%d|%d|%a|%a|%a\n",
-                  outcome.request.id,
-                  static_cast<long long>(outcome.approx_ops),
-                  static_cast<long long>(outcome.service_cycles),
-                  outcome.wave_latency_cycles, outcome.instance,
-                  outcome.batch_id, outcome.service_us, outcome.start_us,
-                  outcome.finish_us);
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -177,8 +160,8 @@ int main(int argc, char** argv) {
   // outcomes, same dispatch, same audit verdict.
   const auto hybrid_mt =
       run_mode(stream, nova::serve::PricingMode::kHybrid, 8, cap);
-  const bool thread_identical =
-      fingerprint(hybrid.report) == fingerprint(hybrid_mt.report);
+  const bool thread_identical = outcome_fingerprint(hybrid.report) ==
+                                outcome_fingerprint(hybrid_mt.report);
 
   const double speedup = exact.seconds > 0.0 && surrogate.seconds > 0.0
                              ? exact.seconds / surrogate.seconds

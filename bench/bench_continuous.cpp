@@ -30,6 +30,7 @@
 namespace {
 
 using nova::Table;
+using nova::serve::outcome_fingerprint;
 
 constexpr int kInstances = 1;
 constexpr std::uint64_t kSeed = 7;
@@ -90,24 +91,6 @@ nova::serve::ServeReport run(
   const nova::serve::BatchScheduler scheduler(
       make_config(continuous, threads));
   return scheduler.run(stream);
-}
-
-/// Bit-strict serialization of every field dispatch produces, the session
-/// fields included; two runs are "byte-identical" iff these match.
-std::string fingerprint(const nova::serve::ServeReport& report) {
-  std::string out;
-  char buf[192];
-  for (const auto& outcome : report.outcomes) {
-    std::snprintf(buf, sizeof(buf), "%d|%s|%d|%d|%d|%d|%lld|%a|%a|%a|%a\n",
-                  outcome.request.id, nova::serve::to_string(outcome.status),
-                  outcome.attempts, outcome.instance, outcome.batch_id,
-                  outcome.session_steps,
-                  static_cast<long long>(outcome.service_cycles),
-                  outcome.service_us, outcome.start_us, outcome.finish_us,
-                  outcome.first_finish_us);
-    out += buf;
-  }
-  return out;
 }
 
 double mean_ttft_us(const nova::serve::ServeReport& report) {
@@ -218,9 +201,9 @@ int main(int argc, char** argv) {
 
   // Gate 3: byte-identical continuous reports across pricing threads.
   const auto gate_stream = build_stream(count, overload_rps, deadline_us);
-  const auto t1 = fingerprint(run(gate_stream, true, 1));
-  const auto t2 = fingerprint(run(gate_stream, true, 2));
-  const auto t8 = fingerprint(run(gate_stream, true, 8));
+  const auto t1 = outcome_fingerprint(run(gate_stream, true, 1));
+  const auto t2 = outcome_fingerprint(run(gate_stream, true, 2));
+  const auto t8 = outcome_fingerprint(run(gate_stream, true, 8));
   const bool thread_identical = t1 == t2 && t1 == t8;
 
   Table checks("Gates");

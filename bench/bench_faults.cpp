@@ -35,6 +35,7 @@
 namespace {
 
 using nova::Table;
+using nova::serve::outcome_fingerprint;
 
 constexpr int kInstances = 4;
 constexpr std::uint64_t kSeed = 7;
@@ -91,22 +92,6 @@ nova::serve::FaultPlan draw_plan(
       2.0 * last_arrival + 4.0 * (profile.mtbf_us + profile.mttr_us);
   return nova::serve::draw_fault_plan(profile, kInstances, horizon_us,
                                       kSeed);
-}
-
-/// Bit-strict serialization of every field dispatch produces, status and
-/// attempts included; two runs are "byte-identical" iff these match.
-std::string fingerprint(const nova::serve::ServeReport& report) {
-  std::string out;
-  char buf[160];
-  for (const auto& outcome : report.outcomes) {
-    std::snprintf(buf, sizeof(buf), "%d|%s|%d|%d|%d|%lld|%a|%a|%a\n",
-                  outcome.request.id, nova::serve::to_string(outcome.status),
-                  outcome.attempts, outcome.instance, outcome.batch_id,
-                  static_cast<long long>(outcome.service_cycles),
-                  outcome.service_us, outcome.start_us, outcome.finish_us);
-    out += buf;
-  }
-  return out;
 }
 
 double mean_availability(const nova::serve::ServeReport& report) {
@@ -196,7 +181,7 @@ int main(int argc, char** argv) {
       std::vector<std::vector<nova::serve::FaultWindow>>(kInstances));
   const auto zero = run(gate_stream, zero_plan, 0.0, 1);
   const bool zero_fault_identical =
-      fingerprint(plain) == fingerprint(zero);
+      outcome_fingerprint(plain) == outcome_fingerprint(zero);
   nova::serve::FaultProfile calm;
   calm.mtbf_us = 1e12;
   calm.mttr_us = kMttrUs;
@@ -222,9 +207,12 @@ int main(int argc, char** argv) {
   // faults active.
   const auto chaos_stream = build_stream(count, saturating_rps, deadline_us);
   const auto chaos_plan = draw_plan(chaos_stream, 0.1);
-  const auto t1 = fingerprint(run(chaos_stream, chaos_plan, shed_us, 1));
-  const auto t2 = fingerprint(run(chaos_stream, chaos_plan, shed_us, 2));
-  const auto t8 = fingerprint(run(chaos_stream, chaos_plan, shed_us, 8));
+  const auto t1 =
+      outcome_fingerprint(run(chaos_stream, chaos_plan, shed_us, 1));
+  const auto t2 =
+      outcome_fingerprint(run(chaos_stream, chaos_plan, shed_us, 2));
+  const auto t8 =
+      outcome_fingerprint(run(chaos_stream, chaos_plan, shed_us, 8));
   const bool thread_identical = t1 == t2 && t1 == t8;
 
   Table checks("Gates");

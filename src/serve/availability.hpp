@@ -71,9 +71,11 @@ class AvailabilityHeap {
   /// Earliest-available instance among those `ok` accepts, as
   /// (availability, instance); nullopt when every instance is rejected.
   /// Valid-but-rejected entries are parked and restored, so the heap is
-  /// unchanged apart from discarded stale entries.
-  std::optional<std::pair<double, int>> peek_min_where(
-      const std::function<bool(int)>& ok) {
+  /// unchanged apart from discarded stale entries. `ok` is a template
+  /// parameter, not a std::function: both dispatch loops call this once per
+  /// dispatch, and the predicate inlines.
+  template <typename Pred>
+  std::optional<std::pair<double, int>> peek_min_where(const Pred& ok) {
     parked_.clear();
     std::optional<std::pair<double, int>> found;
     while (!heap_.empty()) {

@@ -91,6 +91,25 @@ double ServeReport::latency_percentile_us(double p) const {
   return hist == nullptr ? 0.0 : hist->percentile(p);
 }
 
+std::string outcome_fingerprint(const ServeReport& report) {
+  std::string out;
+  char buf[256];
+  for (const auto& outcome : report.outcomes) {
+    std::snprintf(buf, sizeof(buf),
+                  "%d|%s|%d|%d|%d|%d|%lld|%lld|%d|%a|%a|%a|%a\n",
+                  outcome.request.id, to_string(outcome.status),
+                  outcome.attempts, outcome.instance, outcome.batch_id,
+                  outcome.session_steps,
+                  static_cast<long long>(outcome.approx_ops),
+                  static_cast<long long>(outcome.service_cycles),
+                  outcome.wave_latency_cycles, outcome.service_us,
+                  outcome.start_us, outcome.finish_us,
+                  outcome.first_finish_us);
+    out += buf;
+  }
+  return out;
+}
+
 BatchScheduler::BatchScheduler(const ServeConfig& config) : config_(config) {
   NOVA_EXPECTS(config.instances >= 1);
   NOVA_EXPECTS(config.threads >= 1);
@@ -554,7 +573,11 @@ double BatchScheduler::dispatch_continuous(
     // steps) and -- unlike the whole-request FIFO run -- SKIPPING
     // mismatches, since step order inside one instant carries no FIFO
     // meaning at iteration granularity. Not-yet-started sessions fuse in
-    // only while slots remain, and claim theirs on success.
+    // only while slots remain, and claim theirs on success. The scan stops
+    // reading new_q once free_slots reaches 0: the count never rises inside
+    // the scan, so every later new_q entry would be skipped anyway. Under
+    // overload new_q holds the whole backlog, and walking it on every
+    // dispatch would make the loop quadratic in the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
     const SessionStep& head_step = step_of(head.id);
     std::vector<Pending> batch{head};
@@ -570,7 +593,8 @@ double BatchScheduler::dispatch_continuous(
       while (nit != new_q.end() && nit->id == head.id) ++nit;
       const bool p_ok =
           pit != pinned_q[instance].end() && pit->ready_us <= start;
-      const bool n_ok = nit != new_q.end() && nit->ready_us <= start;
+      const bool n_ok =
+          free_slots > 0 && nit != new_q.end() && nit->ready_us <= start;
       if (!p_ok && !n_ok) break;
       const bool take_pinned = p_ok && (!n_ok || *pit < *nit);
       const Pending cand = take_pinned ? *pit : *nit;
@@ -585,10 +609,7 @@ double BatchScheduler::dispatch_continuous(
           cstep.phase() != head_step.phase()) {
         continue;
       }
-      if (!take_pinned) {
-        if (free_slots <= 0) continue;
-        free_slots -= 1;
-      }
+      if (!take_pinned) free_slots -= 1;
       batch.push_back(cand);
       is_new.push_back(!take_pinned);
     }

@@ -76,6 +76,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/vector_unit.hpp"
@@ -256,6 +257,17 @@ struct ServeReport {
   /// 0.0 when nothing was served, matching the Histogram empty contract.
   [[nodiscard]] double latency_percentile_us(double p) const;
 };
+
+/// Bit-strict serialization of every per-request field pricing and
+/// dispatch produce: one line per outcome with id, status, attempts,
+/// instance, batch_id, session_steps, approx_ops, service_cycles,
+/// wave_latency_cycles, service_us, start_us, finish_us and
+/// first_finish_us, doubles printed as exact hex floats (%a). Two reports
+/// are byte-identical iff their fingerprints match. Not named plain
+/// `fingerprint`: perfbench/nova_perf.cpp keeps its own
+/// fingerprint(const ServeReport&) and calls it unqualified, which a
+/// library overload would make ambiguous through argument-dependent lookup.
+[[nodiscard]] std::string outcome_fingerprint(const ServeReport& report);
 
 /// Deterministic request-to-instance packing over a worker pool.
 class BatchScheduler {

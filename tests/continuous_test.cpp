@@ -2,10 +2,14 @@
 // chunking, kv-growing decode chains) and the step-clocked dispatch loop
 // (determinism across threads and pricing modes, whole-dispatch
 // equivalence on single-step streams, TTFT, and step-granular preemption
-// resume under fault windows).
+// resume under fault windows), plus golden fingerprint pins of the loop on
+// overloaded mixed streams with and without faults and shedding.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "core/overlay.hpp"
 #include "serve/faults.hpp"
@@ -279,6 +283,88 @@ TEST(ContinuousScheduler, PreemptedSessionResumesInsteadOfRestarting) {
   // cost is a plan property and must not change under retries.
   EXPECT_DOUBLE_EQ(outcome.service_us, service);
 }
+
+/// 64-bit FNV-1a over the bytes of serve::outcome_fingerprint.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// One golden-pin configuration: fault plan and admission policy on the
+/// shared overloaded stream below.
+struct GoldenCase {
+  const char* name;
+  bool faults;
+  bool shedding;
+  std::uint64_t pinned;
+};
+
+void PrintTo(const GoldenCase& golden, std::ostream* os) { *os << golden.name; }
+
+class ContinuousGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(ContinuousGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
+  // The continuous dispatch loop's decisions, pinned: a seeded stream that
+  // mixes all four functions and both phases arrives far faster than two
+  // instances with four session slots each can serve. The slots saturate
+  // while a backlog of not-yet-started sessions waits, so almost every
+  // fusion scan runs with no slot free and a long new-session queue. Any
+  // change to which steps fuse, where they run, or when changes the hash; a
+  // change meant only to make the loop faster must leave every pin as is.
+  const GoldenCase& golden = GetParam();
+  TrafficProfile profile;
+  profile.rate_rps = 2e6;
+  profile.max_steps = 8;
+  if (golden.shedding) profile.deadline_us = 16000.0;
+  auto requests = generate_poisson(480, profile, 23);
+  // Half the stream is best-effort, so both the deadline and the overload
+  // halves of the shedding policy have work to drop.
+  if (golden.shedding) {
+    for (auto& req : requests) {
+      if (req.id % 2 == 1) req.deadline_us = 0.0;
+    }
+  }
+
+  auto config = small_pool(2, 2);
+  config.continuous = true;
+  config.max_batch = 4;
+  config.chunk_tokens = 48;
+  config.pricing = PricingMode::kSurrogate;
+  if (golden.shedding) config.policy.overload_queue_us = 4000.0;
+  if (golden.faults) {
+    FaultProfile fault_profile;
+    fault_profile.mtbf_us = 2000.0;
+    fault_profile.mttr_us = 200.0;
+    config.faults =
+        draw_fault_plan(fault_profile, config.instances, 60000.0, 23);
+  }
+  const auto report = BatchScheduler(config).run(requests);
+
+  // Each case must still reach the mechanism it is named for.
+  if (golden.shedding) {
+    EXPECT_GT(report.status_count(RequestStatus::kShed), 0u);
+  }
+  if (golden.faults) {
+    EXPECT_GT(report.stats.counter("serve.preempted_steps"), 0u);
+  }
+  const std::uint64_t hash = fnv1a(outcome_fingerprint(report));
+  EXPECT_EQ(hash, golden.pinned) << "fingerprint hash 0x" << std::hex << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, ContinuousGolden,
+    ::testing::Values(
+        GoldenCase{"plain", false, false, 0x7e58a57b05d74262ULL},
+        GoldenCase{"shedding", false, true, 0xb883a431e4913c85ULL},
+        GoldenCase{"faults", true, false, 0x4809586da6243097ULL},
+        GoldenCase{"faultsShedding", true, true, 0x0577068cbbbc909fULL}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ContinuousSchedulerDeathTest, RejectsNegativeGenSteps) {
   std::vector<InferenceRequest> requests(1);
