@@ -19,16 +19,6 @@ InterpCurve InterpCurve::fit(std::vector<double> xs, std::vector<double> ys) {
   return curve;
 }
 
-InterpCurve InterpCurve::fit_monotone(std::vector<double> xs,
-                                      std::vector<double> ys) {
-  // Isotonic clamp: the curve promises monotonicity, the measurements only
-  // approximate it (cycle-accurate calibration carries per-shape noise).
-  for (std::size_t i = 1; i < ys.size(); ++i) {
-    ys[i] = std::max(ys[i], ys[i - 1]);
-  }
-  return fit(std::move(xs), std::move(ys));
-}
-
 double InterpCurve::eval(double x) const {
   NOVA_EXPECTS(!xs_.empty());
   if (x <= xs_.front()) return ys_.front();

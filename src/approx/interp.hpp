@@ -1,9 +1,9 @@
-// Monotone piecewise-linear interpolation through sampled anchor points.
+// Piecewise-linear interpolation through sampled anchor points.
 //
 // This is the PwlTable idiom applied to *measured* data instead of an
 // analytic function: a handful of (x, y) anchors -- e.g. cycle-accurate
-// pricing runs at log-spaced sequence lengths -- define a non-decreasing
-// PWL curve, and every other x is priced by chord interpolation between its
+// calibration runs at log-spaced sequence lengths -- define a PWL curve,
+// and every other x is read off by chord interpolation between its
 // bracketing anchors. Evaluation at an anchor x returns the anchor y
 // exactly, so a surrogate built on InterpCurve is *exact* wherever it was
 // measured and interpolated only in between.
@@ -19,23 +19,15 @@ class InterpCurve {
   InterpCurve() = default;
 
   /// Fits the PWL through (xs[i], ys[i]) exactly as measured. `xs` must be
-  /// strictly increasing and non-empty. Use for quantities with no
-  /// monotonicity contract (e.g. measured calibration rates); anchors are
-  /// reproduced bit-exactly by eval. A single anchor yields a constant
-  /// curve.
+  /// strictly increasing and non-empty; `ys` carry no monotonicity contract
+  /// (e.g. measured calibration rates). Anchors are reproduced bit-exactly
+  /// by eval. A single anchor yields a constant curve.
   [[nodiscard]] static InterpCurve fit(std::vector<double> xs,
                                        std::vector<double> ys);
 
-  /// Like fit, but `ys` is isotonically clamped to a running maximum so
-  /// small measurement noise can never make the curve non-monotone
-  /// (service cost is monotone in shape size by construction of the
-  /// workloads).
-  [[nodiscard]] static InterpCurve fit_monotone(std::vector<double> xs,
-                                                std::vector<double> ys);
-
   /// Chord interpolation at x; clamped to the end anchors outside
-  /// [xs.front(), xs.back()] (extrapolating a cost curve past its measured
-  /// range would fabricate data, and clamping keeps the result monotone).
+  /// [xs.front(), xs.back()] (extrapolating past the measured range would
+  /// fabricate data).
   [[nodiscard]] double eval(double x) const;
 
   [[nodiscard]] int anchors() const { return static_cast<int>(xs_.size()); }

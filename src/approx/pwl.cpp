@@ -1,7 +1,9 @@
 #include "approx/pwl.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/assert.hpp"
 
@@ -48,7 +50,9 @@ void PwlTable::init_quant_boundaries() {
   // power of two only rescales the exponent, so the product and its ceil are
   // exact. Clamping to int32 preserves the verdict for boundaries outside
   // the Word16 range (always-below / never-below every representable word).
-  quant_boundaries_.reserve(boundaries_.size());
+  // The padding to 2^k - 1 entries lets the search halve a power-of-two
+  // window with no bounds test: a pad entry is never <= any word.
+  quant_boundaries_.reserve(std::bit_ceil(slopes_.size()) - 1);
   const double scale = static_cast<double>(1LL << Word16::kFracBits);
   for (const double b : boundaries_) {
     const double scaled = std::ceil(b * scale);
@@ -56,6 +60,8 @@ void PwlTable::init_quant_boundaries() {
         std::min(std::max(scaled, -2147483648.0), 2147483647.0);
     quant_boundaries_.push_back(static_cast<std::int32_t>(clamped));
   }
+  quant_boundaries_.resize(std::bit_ceil(slopes_.size()) - 1,
+                           std::numeric_limits<std::int32_t>::max());
 }
 
 int PwlTable::lookup_address(double x) const {

@@ -52,12 +52,18 @@ class PwlTable {
   /// Quantized-domain lookup: the address of a link word, bit-identical to
   /// lookup_address(x.to_double()) but comparing the raw integer against
   /// boundaries pre-scaled at construction -- no per-element fixed-point ->
-  /// double round trip on the wave-issue hot path.
+  /// double round trip on the wave-issue hot path. A branchless binary
+  /// search: each step adds its stride when the probed boundary is <= x, so
+  /// random words cost no mispredicted branches.
   [[nodiscard]] int lookup_address(Word16 x) const {
-    const auto it = std::upper_bound(quant_boundaries_.begin(),
-                                     quant_boundaries_.end(),
-                                     static_cast<std::int32_t>(x.raw()));
-    return static_cast<int>(it - quant_boundaries_.begin());
+    const std::int32_t raw = x.raw();
+    const std::int32_t* const bounds = quant_boundaries_.data();
+    std::size_t address = 0;
+    for (std::size_t step = (quant_boundaries_.size() + 1) / 2; step > 0;
+         step /= 2) {
+      address += bounds[address + step - 1] <= raw ? step : 0;
+    }
+    return static_cast<int>(address);
   }
 
   /// Approximated evaluation in double precision.
@@ -103,9 +109,12 @@ class PwlTable {
   std::vector<double> slopes_;      // N
   std::vector<double> biases_;      // N
   /// boundaries_ pre-scaled to the Word16 raw grid (ceil(b * 2^frac)):
-  /// b <= raw/2^frac iff quant_boundary <= raw, so the quantized lookup is
-  /// one integer upper_bound. int32 so out-of-range boundaries keep their
-  /// ordering instead of saturating onto representable words.
+  /// b <= raw/2^frac iff quant_boundary <= raw, so the quantized lookup
+  /// counts the scaled boundaries <= raw. int32 so out-of-range boundaries
+  /// keep their ordering instead of saturating onto representable words.
+  /// Padded with INT32_MAX (above every word) to 2^k - 1 entries, the shape
+  /// the branchless search needs. Built in the constructor and read-only
+  /// afterwards: concurrent sessions share it.
   std::vector<std::int32_t> quant_boundaries_;
 };
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <cstdint>
@@ -46,11 +47,18 @@ class Fixed {
 
   constexpr Fixed() = default;
 
-  /// Quantizes a real value (round-to-nearest, saturate on overflow).
+  /// Quantizes a real value (round half away from zero, saturate on
+  /// overflow): adds 0.5 carrying the sign of the scaled value, then
+  /// truncates. The sign is copied by a bit mask rather than a comparison,
+  /// so quantizing random-signed data costs no mispredicted branch; -0.0
+  /// gets -0.5 and truncates to 0 as +0.0 does.
   static constexpr Fixed from_double(double v) {
     const double scaled = v * static_cast<double>(1LL << FracBits);
-    const double rounded = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
-    return Fixed(saturate(static_cast<std::int64_t>(rounded)));
+    constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+    const double half =
+        std::bit_cast<double>(std::bit_cast<std::uint64_t>(0.5) |
+                              (std::bit_cast<std::uint64_t>(scaled) & kSignBit));
+    return Fixed(saturate(static_cast<std::int64_t>(scaled + half)));
   }
 
   /// Reinterprets a raw two's-complement bit pattern (must be in range).
@@ -95,13 +103,17 @@ class Fixed {
   }
 
   /// Fused multiply-add `a*x + b`: the exact operation performed by the NOVA
-  /// router MAC on (slope, input, bias). One rounding at the end.
+  /// router MAC on (slope, input, bias). One rounding at the end. Computed
+  /// in 32 bits when a full-range product plus the shifted bias and the
+  /// rounding half cannot leave int32 (Word16: below 2^30 + 2^25 + 2^10),
+  /// which lets a loop of MACs vectorize; wider formats use 64 bits.
   [[nodiscard]] static constexpr Fixed mac(Fixed a, Fixed x, Fixed b) {
-    const std::int64_t prod = static_cast<std::int64_t>(a.raw_) * x.raw_;
-    const std::int64_t bias = static_cast<std::int64_t>(b.raw_) << FracBits;
-    const std::int64_t sum = prod + bias;
-    const std::int64_t half = FracBits > 0 ? (1LL << (FracBits - 1)) : 0;
-    const std::int64_t shifted =
+    using Acc = std::conditional_t<kMacFitsInt32, std::int32_t, std::int64_t>;
+    const Acc prod = static_cast<Acc>(a.raw_) * static_cast<Acc>(x.raw_);
+    const Acc bias = static_cast<Acc>(b.raw_) << FracBits;
+    const Acc sum = prod + bias;
+    const Acc half = FracBits > 0 ? Acc{1} << (FracBits - 1) : Acc{0};
+    const Acc shifted =
         sum >= 0 ? (sum + half) >> FracBits : -((-sum + half) >> FracBits);
     return Fixed(saturate(shifted));
   }
@@ -115,9 +127,19 @@ class Fixed {
   static constexpr std::int64_t raw_min() {
     return -(1LL << (kTotalBits - 1));
   }
-  static constexpr storage_type saturate(std::int64_t v) {
-    return static_cast<storage_type>(std::clamp(v, raw_min(), raw_max()));
+  template <typename Wide>
+  static constexpr storage_type saturate(Wide v) {
+    return static_cast<storage_type>(std::clamp(
+        v, static_cast<Wide>(raw_min()), static_cast<Wide>(raw_max())));
   }
+
+  /// Whether an upper bound on |a*x + (b << FracBits)| plus the rounding
+  /// half, over all raw operands, fits int32. Evaluated in unsigned
+  /// arithmetic so no format can overflow the bound itself.
+  static constexpr bool kMacFitsInt32 =
+      (1ULL << (2 * kTotalBits - 2)) + (1ULL << (kTotalBits - 1 + FracBits)) +
+          (1ULL << FracBits) <=
+      0x7fffffffULL;
 
   constexpr explicit Fixed(storage_type raw) : raw_(raw) {}
 

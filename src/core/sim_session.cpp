@@ -25,11 +25,6 @@ int derive_hops_per_noc_cycle(const NovaConfig& config) {
 
 }  // namespace
 
-bool SimSession::Wave::complete() const {
-  return std::all_of(routers.begin(), routers.end(),
-                     [](const RouterWave& r) { return r.complete(); });
-}
-
 SimSession::SimSession(const NovaConfig& config,
                        const approx::PwlTable& table,
                        const std::vector<std::vector<double>>& inputs)
@@ -48,11 +43,32 @@ SimSession::SimSession(const NovaConfig& config,
             &result_.stats),
       cursor_(inputs.size(), 0) {
   NOVA_EXPECTS(static_cast<int>(inputs.size()) == config_.routers);
+  NOVA_EXPECTS(config_.neurons_per_router >= 1);
 
-  result_.outputs.resize(inputs_.size());
-  for (std::size_t r = 0; r < inputs_.size(); ++r) {
-    result_.outputs[r].reserve(inputs_[r].size());
+  routes_.resize(static_cast<std::size_t>(table_.breakpoints()));
+  for (std::size_t a = 0; a < routes_.size(); ++a) {
+    const int address = static_cast<int>(a);
+    routes_[a] = Route{schedule_.tag_of(address), schedule_.slot_of(address)};
   }
+
+  const std::size_t routers = inputs_.size();
+  std::size_t longest = 0;
+  result_.outputs.resize(routers);
+  for (std::size_t r = 0; r < routers; ++r) {
+    result_.outputs[r].resize(inputs_[r].size());
+    unissued_ += inputs_[r].size();
+    longest = std::max(longest, inputs_[r].size());
+  }
+  // No wave holds more than a full wave or the longest stream per router.
+  stride_ = std::min(longest,
+                     static_cast<std::size_t>(config_.neurons_per_router));
+  const auto m = static_cast<std::size_t>(schedule_.noc_clock_multiplier);
+  wave_x_.resize(routers * stride_);
+  wave_slope_.resize(routers * stride_);
+  wave_bias_.resize(routers * stride_);
+  wave_size_.resize(routers);
+  captures_.resize(routers * m * stride_);
+  bucket_size_.resize(routers * m);
 
   line_.set_sink(this);
   // The wave-issue callback advertises quiescence once the pipeline stages
@@ -64,124 +80,105 @@ SimSession::SimSession(const NovaConfig& config,
   engine_.add_component(noc_domain_, line_);
 }
 
-bool SimSession::all_inputs_consumed() const {
-  for (std::size_t r = 0; r < inputs_.size(); ++r) {
-    if (cursor_[r] < inputs_[r].size()) return false;
-  }
-  return true;
-}
-
 bool SimSession::pipeline_idle() const {
-  return !lookup_wave_.has_value() && !mac_wave_.has_value() &&
-         all_inputs_consumed();
+  return !wave_in_flight_ && unissued_ == 0;
 }
 
 bool SimSession::drained() const { return pipeline_idle() && line_.idle(); }
 
 void SimSession::on_observation(int router, const noc::Flit& flit,
                                 sim::Cycle /*noc_now*/) {
-  if (!lookup_wave_.has_value()) return;
-  auto& rw = lookup_wave_->routers[static_cast<std::size_t>(router)];
-  const auto tag = static_cast<std::size_t>(flit.tag());
-  // One bucket per tag, consumed whole on the tag's first observation:
-  // every entry in it selects its pair from this flit. (Flit trains repeat
-  // identical pairs each wave, so a leftover in-flight flit from the
-  // previous train delivers the same data the current train would.)
-  if (!rw.tag_pending[tag]) return;
-  rw.tag_pending[tag] = false;
-  const int begin = rw.tag_begin[tag];
-  const int end = rw.tag_begin[tag + 1];
-  for (int k = begin; k < end; ++k) {
-    const auto i = static_cast<std::size_t>(rw.plan_entries[k]);
-    rw.captured[i] = flit.pair(rw.slots[i]);
+  const auto m = static_cast<std::size_t>(schedule_.noc_clock_multiplier);
+  const std::size_t bucket = static_cast<std::size_t>(router) * m +
+                             static_cast<std::size_t>(flit.tag());
+  // One bucket per tag, captured whole on the tag's first observation:
+  // every entry in it selects its pair from this flit. An empty bucket --
+  // no wave in flight, no entry of this tag, or already captured -- ignores
+  // the flit. (Flit trains repeat identical pairs each wave, so a leftover
+  // in-flight flit from the previous train delivers the same data the
+  // current train would.)
+  int& size = bucket_size_[bucket];
+  if (size == 0) return;
+  const Capture* const captures = &captures_[bucket * stride_];
+  for (int k = 0; k < size; ++k) {
+    const auto i = static_cast<std::size_t>(captures[k].entry);
+    const noc::SlopeBiasPair& pair = flit.pair(captures[k].slot);
+    wave_slope_[i] = pair.slope;
+    wave_bias_[i] = pair.bias;
   }
-  rw.captured_count += end - begin;
+  size = 0;
+  --pending_buckets_;
 }
 
-// Accelerator-clock phase: MAC drain, capture->MAC move, wave issue.
+void SimSession::issue_wave(sim::Cycle now) {
+  const auto m = static_cast<std::size_t>(schedule_.noc_clock_multiplier);
+  const auto per_wave = static_cast<std::size_t>(config_.neurons_per_router);
+  std::uint64_t elements = 0;
+  for (std::size_t r = 0; r < inputs_.size(); ++r) {
+    const std::vector<double>& stream = inputs_[r];
+    const std::size_t start = cursor_[r];
+    const std::size_t take = std::min(stream.size() - start, per_wave);
+    cursor_[r] = start + take;
+    wave_size_[r] = static_cast<int>(take);
+    elements += take;
+    const std::size_t base = r * stride_;
+    // Every bucket is empty here: the previous wave was fully captured.
+    int* const sizes = &bucket_size_[r * m];
+    Capture* const captures = &captures_[r * m * stride_];
+    for (std::size_t i = 0; i < take; ++i) {
+      const Word16 xq = Word16::from_double(stream[start + i]);
+      const Route route =
+          routes_[static_cast<std::size_t>(table_.lookup_address(xq))];
+      wave_x_[base + i] = xq;
+      const auto t = static_cast<std::size_t>(route.tag);
+      captures[t * stride_ + static_cast<std::size_t>(sizes[t]++)] =
+          Capture{static_cast<int>(base + i), route.slot};
+    }
+    for (std::size_t t = 0; t < m; ++t) {
+      pending_buckets_ += sizes[t] != 0 ? 1 : 0;
+    }
+  }
+  unissued_ -= elements;
+  wave_elements_ = elements;
+  wave_in_flight_ = true;
+  issued_at_ = now;
+  for (const auto& flit : schedule_.flits) line_.inject(flit);
+  result_.stats.bump(id_comparator_ops_, elements);
+  result_.stats.bump(id_waves_);
+}
+
+void SimSession::execute_wave(sim::Cycle now) {
+  for (std::size_t r = 0; r < inputs_.size(); ++r) {
+    const auto size = static_cast<std::size_t>(wave_size_[r]);
+    if (size == 0) continue;
+    const std::size_t base = r * stride_;
+    const Word16* const x = &wave_x_[base];
+    const Word16* const slope = &wave_slope_[base];
+    const Word16* const bias = &wave_bias_[base];
+    // The wave holds the `size` stream elements just behind the cursor.
+    double* const out = &result_.outputs[r][cursor_[r] - size];
+    for (std::size_t i = 0; i < size; ++i) {
+      out[i] = Word16::mac(slope[i], x[i], bias[i]).to_double();
+    }
+  }
+  // The wave's pairs were all captured by the time it entered this stage;
+  // flush both per-wave aggregates with one bump each.
+  result_.stats.bump(id_mac_ops_, wave_elements_);
+  result_.stats.bump(id_pair_captures_, wave_elements_);
+  result_.wave_latency_cycles = static_cast<int>(now - issued_at_) + 1;
+  last_mac_cycle_ = now;
+  any_mac_done_ = true;
+  wave_in_flight_ = false;
+}
+
+// Accelerator-clock phase: MAC, then wave issue.
 void SimSession::accel_tick(sim::Cycle now) {
-  // (a) A wave whose pairs are all captured enters the MAC stage.
-  if (!mac_wave_.has_value() && lookup_wave_.has_value() &&
-      lookup_wave_->complete()) {
-    mac_wave_ = std::move(lookup_wave_);
-    lookup_wave_.reset();
-  }
-  // (b) The MAC stage executes: y = slope * x + bias per neuron.
-  if (mac_wave_.has_value()) {
-    std::uint64_t macs = 0;
-    for (std::size_t r = 0; r < mac_wave_->routers.size(); ++r) {
-      auto& rw = mac_wave_->routers[r];
-      auto& out = result_.outputs[r];
-      for (std::size_t i = 0; i < rw.inputs.size(); ++i) {
-        const Word16 y = Word16::mac(rw.captured[i].slope, rw.inputs[i],
-                                     rw.captured[i].bias);
-        out.push_back(y.to_double());
-      }
-      macs += rw.inputs.size();
-    }
-    // The wave's pairs were all captured by the time it entered this stage;
-    // flush both per-wave aggregates with one bump each.
-    result_.stats.bump(id_mac_ops_, macs);
-    result_.stats.bump(id_pair_captures_, macs);
-    result_.wave_latency_cycles =
-        static_cast<int>(now - mac_wave_->issued_at) + 1;
-    last_mac_cycle_ = now;
-    any_mac_done_ = true;
-    mac_wave_.reset();
-  }
-  // (c) Issue the next wave: comparators fire and the mapper launches the
-  // flit train (one flit per NoC cycle).
-  if (!lookup_wave_.has_value() && !all_inputs_consumed()) {
-    const auto m = static_cast<std::size_t>(schedule_.noc_clock_multiplier);
-    Wave wave;
-    wave.issued_at = now;
-    wave.routers.resize(inputs_.size());
-    std::uint64_t comparator_ops = 0;
-    for (std::size_t r = 0; r < inputs_.size(); ++r) {
-      auto& rw = wave.routers[r];
-      const std::size_t take =
-          std::min(inputs_[r].size() - cursor_[r],
-                   static_cast<std::size_t>(config_.neurons_per_router));
-      rw.inputs.reserve(take);
-      rw.slots.reserve(take);
-      if (tag_scratch_.size() < take) tag_scratch_.resize(take);
-      tag_fill_.assign(m + 1, 0);
-      for (std::size_t i = 0; i < take; ++i) {
-        const double x = inputs_[r][cursor_[r] + i];
-        const Word16 xq = Word16::from_double(x);
-        const int addr = table_.lookup_address(xq);
-        rw.inputs.push_back(xq);
-        rw.slots.push_back(schedule_.slot_of(addr));
-        const int tag = schedule_.tag_of(addr);
-        tag_scratch_[i] = tag;
-        ++tag_fill_[static_cast<std::size_t>(tag) + 1];
-      }
-      cursor_[r] += take;
-      comparator_ops += take;
-      // Counting sort of the entries by tag: tag_begin offsets, then a fill
-      // pass placing each entry in its bucket.
-      rw.tag_begin.assign(m + 1, 0);
-      for (std::size_t t = 0; t < m; ++t) {
-        rw.tag_begin[t + 1] = rw.tag_begin[t] + tag_fill_[t + 1];
-      }
-      std::copy(rw.tag_begin.begin(), rw.tag_begin.end(), tag_fill_.begin());
-      rw.plan_entries.resize(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        const auto t = static_cast<std::size_t>(tag_scratch_[i]);
-        rw.plan_entries[static_cast<std::size_t>(tag_fill_[t]++)] =
-            static_cast<int>(i);
-      }
-      rw.tag_pending.assign(m, false);
-      for (std::size_t t = 0; t < m; ++t) {
-        rw.tag_pending[t] = rw.tag_begin[t + 1] > rw.tag_begin[t];
-      }
-      rw.captured.resize(take);
-    }
-    lookup_wave_ = std::move(wave);
-    for (const auto& flit : schedule_.flits) line_.inject(flit);
-    result_.stats.bump(id_comparator_ops_, comparator_ops);
-    result_.stats.bump(id_waves_);
-  }
+  // A wave whose pairs are all captured enters the MAC stage and executes
+  // this cycle, which frees the lookup stage for the next wave.
+  if (wave_in_flight_ && pending_buckets_ == 0) execute_wave(now);
+  // Issue the next wave: comparators fire and the mapper launches the flit
+  // train (one flit per NoC cycle).
+  if (!wave_in_flight_ && unissued_ != 0) issue_wave(now);
 }
 
 ApproxResult SimSession::run() {
@@ -190,13 +187,11 @@ ApproxResult SimSession::run() {
 
   // Run until the pipeline drains. Guard bound: every wave needs at most
   // (broadcast latency + 2) accelerator cycles even fully serialized.
-  std::size_t total_elems = 0;
-  for (const auto& stream : inputs_) total_elems += stream.size();
+  const std::size_t total_elems = unissued_;
   const int m = schedule_.noc_clock_multiplier;
   const sim::Cycle guard =
       16 + 4 * (static_cast<sim::Cycle>(total_elems) /
-                    std::max<std::size_t>(1, static_cast<std::size_t>(
-                                                 config_.neurons_per_router)) +
+                    static_cast<std::size_t>(config_.neurons_per_router) +
                 2) *
                static_cast<sim::Cycle>(
                    m + config_.routers / std::max(1, hops_per_noc_cycle_) + 2);

@@ -16,14 +16,23 @@
 //   * The session attaches to the LineNoc as a noc::CaptureSink -- one
 //     virtual call per router observation, no std::function hop.
 //   * Each wave is issued with a tag-indexed capture plan: entries are
-//     bucketed by flit tag (counting sort) at issue time, so an observation
-//     captures exactly its matching entries instead of scanning every
-//     pending address on every flit.
+//     appended to a per-(router, tag) bucket at issue time, so an
+//     observation captures exactly its matching entries instead of scanning
+//     every pending address on every flit. Buckets have room for a full
+//     wave, so placing an entry needs no counting pass first.
+//   * The wave lives in session-owned flat buffers sized once for a full
+//     wave, router-major, so issuing a wave allocates nothing.
+//   * A lookup address maps to its (tag, slot) through a per-address table
+//     built at construction: no division by the clock multiplier per
+//     element.
+//   * The MAC stage reads structure-of-arrays operands and writes each
+//     output by index into its pre-sized stream, a loop the compiler can
+//     vectorize.
 //   * Statistic counters are interned once (sim::StatId) and bumped as
 //     per-wave aggregates, not once per element event.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "core/vector_unit.hpp"
@@ -48,40 +57,28 @@ class SimSession final : private noc::CaptureSink {
   [[nodiscard]] ApproxResult run();
 
  private:
-  /// Per-router slice of an in-flight wave, with its tag-indexed capture
-  /// plan: plan_entries holds the entry indices grouped by flit tag
-  /// (tag_begin[t] .. tag_begin[t+1]), so the observation for tag t touches
-  /// exactly its own entries.
-  struct RouterWave {
-    std::vector<Word16> inputs;
-    /// Flit slot (lookup address div multiplier) per entry.
-    std::vector<int> slots;
-    std::vector<noc::SlopeBiasPair> captured;
-    /// Entry indices grouped by tag; offsets in tag_begin (size m + 1).
-    std::vector<int> plan_entries;
-    std::vector<int> tag_begin;
-    /// Tag buckets not yet consumed; a bucket is captured whole on the
-    /// first observation of its tag and empty buckets start consumed.
-    std::vector<bool> tag_pending;
-    int captured_count = 0;
-
-    [[nodiscard]] bool complete() const {
-      return captured_count == static_cast<int>(inputs.size());
-    }
+  /// Where a lookup address sits in the flit train: tag = address mod m
+  /// selects the flit, slot = address div m the pair inside it.
+  struct Route {
+    int tag = 0;
+    int slot = 0;
   };
 
-  struct Wave {
-    std::vector<RouterWave> routers;
-    sim::Cycle issued_at = 0;
-
-    [[nodiscard]] bool complete() const;
+  /// One entry waiting for its pair: absolute entry index and the slot it
+  /// selects in the flit carrying its tag.
+  struct Capture {
+    int entry = 0;
+    int slot = 0;
   };
 
   /// noc::CaptureSink: router `router` sees `flit` on the line.
   void on_observation(int router, const noc::Flit& flit,
                       sim::Cycle noc_now) override;
   void accel_tick(sim::Cycle now);
-  [[nodiscard]] bool all_inputs_consumed() const;
+  /// Comparators of the next wave fire and the flit train is launched.
+  void issue_wave(sim::Cycle now);
+  /// The MAC stage: y = slope * x + bias for every entry of the wave.
+  void execute_wave(sim::Cycle now);
   /// Quiescence of the accelerator-side pipeline stages (the engine's idle
   /// fast-forward hook for the wave-issue callback).
   [[nodiscard]] bool pipeline_idle() const;
@@ -103,12 +100,32 @@ class SimSession final : private noc::CaptureSink {
   sim::StatId id_waves_;
   noc::LineNoc line_;
 
+  /// Indexed by lookup address; read-only after construction.
+  std::vector<Route> routes_;
+  /// Next unissued element of each router's stream.
   std::vector<std::size_t> cursor_;
-  /// Scratch for the per-wave counting sort (entry tags, bucket counts).
-  std::vector<int> tag_scratch_;
-  std::vector<int> tag_fill_;
-  std::optional<Wave> lookup_wave_;
-  std::optional<Wave> mac_wave_;
+  std::size_t unissued_ = 0;
+
+  // The in-flight wave (issued, capturing, then MAC), in buffers reused by
+  // every wave. Per entry, router-major with stride_ entries per router:
+  std::size_t stride_ = 0;
+  std::vector<Word16> wave_x_;
+  std::vector<Word16> wave_slope_;
+  std::vector<Word16> wave_bias_;
+  /// Per router: entries in this wave.
+  std::vector<int> wave_size_;
+  /// The capture plan: one bucket per (router, tag), bucket b holding
+  /// captures_[b * stride_ .. b * stride_ + bucket_size_[b]). A bucket is
+  /// captured whole on the first observation of its tag, which empties it,
+  /// so every bucket is empty again once a wave completes.
+  std::vector<Capture> captures_;
+  std::vector<int> bucket_size_;
+  /// Non-empty buckets of the in-flight wave; zero means all pairs are in.
+  int pending_buckets_ = 0;
+  std::uint64_t wave_elements_ = 0;
+  bool wave_in_flight_ = false;
+  sim::Cycle issued_at_ = 0;
+
   sim::Cycle last_mac_cycle_ = 0;
   bool any_mac_done_ = false;
   bool ran_ = false;

@@ -10,9 +10,4 @@ Flit::Flit(int tag, std::vector<SlopeBiasPair> pairs)
   NOVA_EXPECTS(!pairs_.empty());
 }
 
-const SlopeBiasPair& Flit::pair(int i) const {
-  NOVA_EXPECTS(i >= 0 && i < pair_count());
-  return pairs_[static_cast<std::size_t>(i)];
-}
-
 }  // namespace nova::noc

@@ -7,6 +7,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/fixed_point.hpp"
 
 namespace nova::noc {
@@ -28,7 +29,11 @@ class Flit {
   [[nodiscard]] int pair_count() const {
     return static_cast<int>(pairs_.size());
   }
-  [[nodiscard]] const SlopeBiasPair& pair(int i) const;
+  /// Inline: every pair capture in a simulation session goes through here.
+  [[nodiscard]] const SlopeBiasPair& pair(int i) const {
+    NOVA_EXPECTS(i >= 0 && i < pair_count());
+    return pairs_[static_cast<std::size_t>(i)];
+  }
 
   /// Width on the wire in bits: 2 words of 16 bits per pair + 1 tag bit.
   [[nodiscard]] int bits() const { return 32 * pair_count() + 1; }

@@ -20,8 +20,10 @@
 //      (fabric GEMM tiles overlapping NOVA waves) is the request's service
 //      time. In `surrogate` mode only a handful of log-spaced anchor
 //      shapes per (workload, phase, function, breakpoints) class run that
-//      path; everything else interpolates on the fitted monotone PWL cost
-//      curves (serve::PricingSurrogate). `hybrid` runs the surrogate and
+//      path; every other shape walks its own graph under a calibration read
+//      off plain PWL curves fitted through the anchors' calibration
+//      parameters (elements/cycle and wave latency), never through the
+//      cost (serve::PricingSurrogate). `hybrid` runs the surrogate and
 //      additionally re-prices a deterministic sample of distinct shapes
 //      exactly, reconciling the two within surrogate_tol (the audit lands
 //      in ServeReport::surrogate; CLI/bench drivers exit non-zero on

@@ -62,35 +62,34 @@ TEST(PwlTable, AddressesSaturateOutsideDomain) {
 
 TEST(PwlTable, QuantizedLookupMatchesDoubleDomainLookup) {
   // The Word16 overload (pre-scaled integer boundaries, no fixed-point ->
-  // double round trip) must agree with the double path on the quantized
-  // value for every representable input -- including values landing exactly
-  // on and either side of each boundary, and the saturated extremes.
+  // double round trip) must agree with the double path on every one of the
+  // 65,536 link words, for uniform and adaptive boundaries and for a table
+  // whose boundaries lie beyond the Word16 range on both sides.
+  std::vector<PwlTable> tables;
   for (const auto fn :
        {NonLinearFn::kGelu, NonLinearFn::kExp, NonLinearFn::kTanh,
         NonLinearFn::kRsqrt}) {
-    for (const int breakpoints : {8, 16, 32}) {
-      const PwlTable table = fit_uniform(fn, breakpoints);
-      const Domain d = table.domain();
-      Rng rng(77);
-      std::vector<double> probes;
-      for (int k = 0; k < 2000; ++k) {
-        probes.push_back(rng.uniform(d.lo - 1.0, d.hi + 1.0));
-      }
-      for (const double b : table.boundaries()) {
-        probes.push_back(b);
-        probes.push_back(b - Word16::resolution());
-        probes.push_back(b + Word16::resolution());
-      }
-      probes.push_back(Word16::min_value());
-      probes.push_back(Word16::max_value());
-      probes.push_back(-1e9);
-      probes.push_back(1e9);
-      for (const double x : probes) {
-        const Word16 xq = Word16::from_double(x);
-        EXPECT_EQ(table.lookup_address(xq), table.lookup_address(xq.to_double()))
-            << to_string(fn) << " bp=" << breakpoints << " x=" << x;
+    for (const int breakpoints : {8, 16, 32, 64}) {
+      tables.push_back(fit_uniform(fn, breakpoints));
+      tables.push_back(fit_adaptive(fn, breakpoints));
+    }
+  }
+  tables.emplace_back(NonLinearFn::kGelu, Domain{-64.0, 64.0},
+                      std::vector<double>{-1e12, -40.0, -0.5, 0.0, 0.25,
+                                          40.0, 1e12},
+                      std::vector<double>(8, 0.5), std::vector<double>(8, 0.0));
+  for (const PwlTable& table : tables) {
+    int mismatches = 0;
+    for (std::int32_t raw = -32768; raw <= 32767; ++raw) {
+      const Word16 xq = Word16::from_raw(raw);
+      if (table.lookup_address(xq) != table.lookup_address(xq.to_double()) &&
+          mismatches++ == 0) {
+        ADD_FAILURE() << table.label() << " bp=" << table.breakpoints()
+                      << " first mismatch at raw " << raw;
       }
     }
+    EXPECT_EQ(mismatches, 0) << table.label() << " bp="
+                             << table.breakpoints();
   }
 }
 
@@ -286,18 +285,12 @@ TEST(InterpCurve, ClampsOutsideTheMeasuredRange) {
   EXPECT_DOUBLE_EQ(curve.eval(1e9), 11.0);
 }
 
-TEST(InterpCurve, MonotoneFitClampsNoiseButPlainFitDoesNot) {
-  // A small downward wobble in measured ys: fit_monotone irons it flat,
-  // fit preserves it (calibration rates carry no monotonicity contract).
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const std::vector<double> ys = {10.0, 9.5, 12.0};
-  const auto monotone = InterpCurve::fit_monotone(xs, ys);
-  EXPECT_DOUBLE_EQ(monotone.eval(2.0), 10.0);
-  for (double x = 1.0; x <= 3.0; x += 0.125) {
-    EXPECT_GE(monotone.eval(x + 0.125), monotone.eval(x));
-  }
-  const auto plain = InterpCurve::fit(xs, ys);
-  EXPECT_DOUBLE_EQ(plain.eval(2.0), 9.5);
+TEST(InterpCurve, FitKeepsNonMonotoneAnchors) {
+  // A small downward wobble in measured ys survives the fit: calibration
+  // rates carry no monotonicity contract.
+  const auto curve = InterpCurve::fit({1.0, 2.0, 3.0}, {10.0, 9.5, 12.0});
+  EXPECT_DOUBLE_EQ(curve.eval(2.0), 9.5);
+  EXPECT_DOUBLE_EQ(curve.eval(1.5), 9.75);
 }
 
 TEST(InterpCurve, SingleAnchorYieldsAConstantCurve) {

@@ -1,8 +1,11 @@
-// Unit tests for the common substrate: fixed-point arithmetic, RNG
-// determinism, and table rendering.
+// Unit tests for the common substrate: fixed-point arithmetic (pinned
+// against int64 reference formulas), RNG determinism, and table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/fixed_point.hpp"
 #include "common/rng.hpp"
@@ -44,6 +47,68 @@ TEST(FixedPoint, MultiplicationRoundsToNearest) {
 TEST(FixedPoint, NegationIsExactInsideRange) {
   const auto v = Word16::from_double(3.75);
   EXPECT_DOUBLE_EQ((-v).to_double(), -3.75);
+}
+
+// Reference Q6.10 quantizer and MAC, computed in int64 exactly as the link
+// datapath is specified: round half away from zero, then saturate.
+std::int64_t reference_from_double(double v) {
+  const double scaled = v * 1024.0;
+  const double rounded = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
+  return std::clamp<std::int64_t>(static_cast<std::int64_t>(rounded), -32768,
+                                  32767);
+}
+
+std::int64_t reference_mac(std::int64_t a, std::int64_t x, std::int64_t b) {
+  const std::int64_t sum = a * x + b * 1024;
+  const std::int64_t shifted =
+      sum >= 0 ? (sum + 512) >> 10 : -((-sum + 512) >> 10);
+  return std::clamp<std::int64_t>(shifted, -32768, 32767);
+}
+
+TEST(FixedPoint, FromDoubleMatchesInt64Reference) {
+  std::vector<double> probes = {0.0,    -0.0,   1e9,     -1e9,   32.0,
+                                -32.0,  31.9995, -31.9995, 31.99951171875,
+                                -32.00048828125};
+  // Exact ties on the 2^-10 grid, both signs, across the whole range.
+  for (int k = -32800; k <= 32800; k += 7) {
+    probes.push_back((k + 0.5) / 1024.0);
+    probes.push_back(k / 1024.0);
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 100000; ++i) probes.push_back(rng.uniform(-40.0, 40.0));
+  for (const double v : probes) {
+    ASSERT_EQ(Word16::from_double(v).raw(), reference_from_double(v))
+        << "v=" << v;
+  }
+  EXPECT_EQ(Word16::from_double((2.0 + 0.5) / 1024.0).raw(), 3);
+  EXPECT_EQ(Word16::from_double(-(2.0 + 0.5) / 1024.0).raw(), -3);
+}
+
+TEST(FixedPoint, MacMatchesInt64Reference) {
+  const auto check = [](std::int64_t a, std::int64_t x, std::int64_t b) {
+    const Word16 got = Word16::mac(Word16::from_raw(a), Word16::from_raw(x),
+                                   Word16::from_raw(b));
+    return got.raw() == reference_mac(a, x, b);
+  };
+  // Every triple of int16 extremes and rounding-sensitive values.
+  const std::int64_t edges[] = {-32768, -32767, -16384, -1025, -1024, -513,
+                                -512,   -511,   -1,     0,      1,     511,
+                                512,    513,    1023,   1024,   16383, 32766,
+                                32767};
+  for (const auto a : edges) {
+    for (const auto x : edges) {
+      for (const auto b : edges) {
+        ASSERT_TRUE(check(a, x, b)) << a << " * " << x << " + " << b;
+      }
+    }
+  }
+  Rng rng(0x3ac);
+  for (int i = 0; i < 1000000; ++i) {
+    const auto a = static_cast<std::int64_t>(rng.next_below(65536)) - 32768;
+    const auto x = static_cast<std::int64_t>(rng.next_below(65536)) - 32768;
+    const auto b = static_cast<std::int64_t>(rng.next_below(65536)) - 32768;
+    ASSERT_TRUE(check(a, x, b)) << a << " * " << x << " + " << b;
+  }
 }
 
 TEST(Rng, IsDeterministicForEqualSeeds) {
