@@ -52,7 +52,9 @@ void validate(const FailurePolicy& policy) {
       policy.overload_queue_us < 0.0) {
     fail_policy("overload_queue_us must be finite and >= 0");
   }
-  if (policy.overload_shed_factor < 1.0) {
+  // Negated so NaN fails too: NaN < 1.0 is false, and a NaN factor would
+  // silently disable overload shedding.
+  if (!(policy.overload_shed_factor >= 1.0)) {
     fail_policy("overload_shed_factor must be >= 1");
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -217,6 +218,13 @@ bool parse_trace(std::istream& in, std::vector<InferenceRequest>& out,
     } else if (fields.size() == 9) {
       error = "trace line " + std::to_string(line_no) +
               ": steps must be >= 0 (total generation length)";
+      return false;
+    }
+    if (!kv_chain_fits(req)) {
+      error = "trace line " + std::to_string(line_no) +
+              ": the decode chain overflows: seq_len (prefill) or kv_len "
+              "(decode) plus the generation length must stay <= " +
+              std::to_string(std::numeric_limits<int>::max());
       return false;
     }
     out.push_back(req);

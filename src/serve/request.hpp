@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,21 @@ struct InferenceRequest {
 /// generation, small enough that a corrupt trace cannot explode the
 /// dispatch loop into billions of steps.
 inline constexpr int kMaxGenSteps = 1 << 16;
+
+/// True when every KV-cache length the request's session plan chains
+/// (serve/session.hpp) fits in an int: a prefill request decodes its
+/// gen_steps tokens at kv_len seq_len .. seq_len + gen_steps - 1, a decode
+/// request runs at kv_len .. kv_len + gen_steps. A length near INT_MAX
+/// plus a generation would overflow that chain.
+[[nodiscard]] inline bool kv_chain_fits(const InferenceRequest& req) {
+  // The chain's last kv_len, in 64 bits so the check itself cannot
+  // overflow.
+  const std::int64_t last =
+      req.phase == pipeline::Phase::kDecode
+          ? std::int64_t{req.kv_len} + req.gen_steps
+          : std::int64_t{req.seq_len} + req.gen_steps - 1;
+  return last <= std::numeric_limits<int>::max();
+}
 
 /// Shape of the synthetic open-loop traffic the Poisson generator emits.
 struct TrafficProfile {

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <optional>
-#include <queue>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -16,6 +14,7 @@
 #include "approx/mlp_fitter.hpp"
 #include "common/assert.hpp"
 #include "serve/availability.hpp"
+#include "serve/ready_queue.hpp"
 
 namespace nova::serve {
 
@@ -63,26 +62,12 @@ void validate_stream(const std::vector<InferenceRequest>& requests) {
       fail("gen_steps must be in [0, kMaxGenSteps] (decode steps chained "
            "onto the request)");
     }
+    if (!kv_chain_fits(req)) {
+      fail("the decode chain overflows: seq_len (prefill) or kv_len "
+           "(decode) plus gen_steps exceeds INT_MAX");
+    }
   }
 }
-
-/// One queued dispatch attempt: a session step waiting to be
-/// (re)dispatched. Ordered by (ready time, id) so the initial queue
-/// replays arrival order exactly and retries merge back deterministically.
-/// Under continuous batching a session has exactly one Pending entry alive
-/// at a time (its next step), so id doubles as the session identity.
-struct Pending {
-  double ready_us = 0.0;
-  int id = 0;
-  /// 1-based attempt number this entry represents (per step under
-  /// continuous batching: the retry budget is per step, not per session).
-  int attempt = 1;
-
-  friend bool operator<(const Pending& a, const Pending& b) {
-    if (a.ready_us != b.ready_us) return a.ready_us < b.ready_us;
-    return a.id < b.id;
-  }
-};
 
 }  // namespace
 
@@ -129,12 +114,48 @@ BatchScheduler::BatchScheduler(const ServeConfig& config) : config_(config) {
   validate(config.policy);
 }
 
-void BatchScheduler::price_requests(
+BatchScheduler::StepTable BatchScheduler::plan_steps(
     const std::vector<InferenceRequest>& requests,
-    const std::vector<SessionPlan>& plans,
-    std::vector<RequestOutcome>& outcomes,
-    std::vector<std::vector<StepCost>>& step_costs,
-    SurrogateAudit& audit) const {
+    std::vector<RequestOutcome>& outcomes) const {
+  // The step decomposition of every request (one chunk + its decode chain
+  // under whole-request dispatch, chunked under continuous batching),
+  // folded into the table as each plan is built, so no plan stays
+  // resident. Each step's shape is looked up once: try_emplace allocates a
+  // map node only for a new shape (emplace would build one per call), and
+  // hands out provisional first-seen ids that are renumbered into ShapeKey
+  // order below.
+  StepTable table;
+  table.first.reserve(requests.size() + 1);
+  table.steps.reserve(requests.size());  // at least one step per request
+  std::map<ShapeKey, std::uint32_t> provisional;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const SessionPlan plan =
+        build_session_plan(requests[i], config_.continuous,
+                           config_.chunk_tokens);
+    table.first.push_back(table.steps.size());
+    for (const auto& step : plan.steps) {
+      const auto next_id = static_cast<std::uint32_t>(provisional.size());
+      const auto slot = provisional.try_emplace(step.shape, next_id);
+      table.steps.push_back({slot.first->second, step.share});
+    }
+    outcomes[i].session_steps = plan.total_steps();
+    outcomes[i].prefill_chunks = plan.prefill_chunks;
+  }
+  table.first.push_back(table.steps.size());
+
+  std::vector<std::uint32_t> sorted(provisional.size());
+  table.shapes.reserve(provisional.size());
+  for (const auto& [shape, id] : provisional) {
+    sorted[id] = static_cast<std::uint32_t>(table.shapes.size());
+    table.shapes.push_back(shape);
+  }
+  for (auto& step : table.steps) step.slot = sorted[step.slot];
+  return table;
+}
+
+std::vector<ShapeCost> BatchScheduler::price_requests(
+    const std::vector<InferenceRequest>& requests, const StepTable& table,
+    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const {
   // NOVA's service time is input-independent (a wave completes when the
   // full tagged flit train has broadcast, regardless of the data values),
   // so pricing is memoized per distinct shape; only the distinct set ever
@@ -144,16 +165,7 @@ void BatchScheduler::price_requests(
   // chunks of a prefill share its one full-sequence shape -- so a stream
   // of classic single-step requests yields the same distinct set (and the
   // same hybrid reconciliation sample) as the pre-session scheduler.
-  std::map<ShapeKey, std::size_t> shape_slot;
-  for (const auto& plan : plans) {
-    for (const auto& step : plan.steps) shape_slot.emplace(step.shape, 0);
-  }
-  std::vector<ShapeKey> distinct;
-  distinct.reserve(shape_slot.size());
-  for (auto& entry : shape_slot) {
-    entry.second = distinct.size();
-    distinct.push_back(entry.first);
-  }
+  const std::vector<ShapeKey>& distinct = table.shapes;
 
   // Pre-warm every PWL table the stream needs on this thread: training is
   // expensive and PwlLibrary::get serializes it, so warming first keeps
@@ -228,49 +240,42 @@ void BatchScheduler::price_requests(
         std::max(audit.max_fusion_speedup, cost.fusion_speedup);
   }
 
-  // Fold the shape costs into per-step dispatch costs and per-request
-  // aggregates. A single-step plan with share 1.0 reproduces the
-  // pre-session outcome fields bit for bit (1.0 * x == x).
+  // Fold the step costs into per-request aggregates. A step's cycles are
+  // share * service_cycles -- the same product the continuous loop
+  // charges per dispatch -- and a single-step plan with share 1.0
+  // reproduces the pre-session outcome fields bit for bit (1.0 * x == x).
   const double freq = config_.nova.accel_freq_mhz;
-  step_costs.assign(requests.size(), {});
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto& plan = plans[i];
     auto& outcome = outcomes[i];
     outcome.request = requests[i];
-    auto& steps = step_costs[i];
-    steps.reserve(plan.steps.size());
+    const std::size_t begin = table.first[i];
+    const std::size_t end = table.first[i + 1];
     double cycles = 0.0;
     std::int64_t ops = 0;
-    const ShapeKey* prev = nullptr;
-    for (const auto& step : plan.steps) {
-      const ShapeCost& cost = costs[shape_slot.find(step.shape)->second];
-      StepCost sc;
-      sc.service_cycles = step.share * cost.service_cycles;
-      sc.wave_latency_cycles = cost.wave_latency_cycles;
-      sc.service_us = sc.service_cycles / freq;
-      steps.push_back(sc);
-      cycles += sc.service_cycles;
+    for (std::size_t s = begin; s < end; ++s) {
+      const auto& step = table.steps[s];
+      const ShapeCost& cost = costs[step.slot];
+      cycles += step.share * cost.service_cycles;
       // One inference runs each shape's ops once however it is sliced:
       // chunks of a prefill share its shape (count it once), decode steps
       // are all distinct kv_lens (each counts).
-      if (prev == nullptr || !(*prev == step.shape)) ops += cost.approx_ops;
-      prev = &step.shape;
+      if (s == begin || step.slot != table.steps[s - 1].slot) {
+        ops += cost.approx_ops;
+      }
     }
     outcome.approx_ops = ops;
     outcome.service_cycles =
         static_cast<sim::Cycle>(std::llround(cycles));
     outcome.service_us = cycles / freq;
     outcome.wave_latency_cycles =
-        costs[shape_slot.find(plan.steps.front().shape)->second]
-            .wave_latency_cycles;
-    outcome.session_steps = plan.total_steps();
-    outcome.prefill_chunks = plan.prefill_chunks;
+        costs[table.steps[begin].slot].wave_latency_cycles;
   }
+  return costs;
 }
 
 double BatchScheduler::dispatch_whole(
     const std::vector<InferenceRequest>& requests, ServeReport& report) const {
-  // Deterministic event-driven dispatch. The pending set replays arrival
+  // Deterministic event-driven dispatch. The ready queue replays arrival
   // order exactly until a fault re-queues something; from then on retries
   // merge back by (ready time, id), still a pure function of the inputs.
   // With an empty FaultPlan and default FailurePolicy no fault branch
@@ -278,22 +283,22 @@ double BatchScheduler::dispatch_whole(
   std::vector<double> free_at(static_cast<std::size_t>(config_.instances),
                               0.0);
   auto& batch_hist = report.stats.histogram("serve.batch_size");
+  auto& backoff_acc = report.stats.accumulator("serve.backoff_us");
   const sim::StatId id_batches = report.stats.counter_id("serve.batches");
   const sim::StatId id_requests = report.stats.counter_id("serve.requests");
+  const sim::StatId id_retries = report.stats.counter_id("serve.retries");
   const double cycle_us = 1.0 / config_.nova.accel_freq_mhz;
   const FaultPlan& faults = config_.faults;
   const FailurePolicy& policy = config_.policy;
 
-  std::set<Pending> queue;
-  for (const auto& req : requests) {
-    queue.insert(Pending{req.arrival_us, req.id, 1});
-  }
+  ReadyQueue queue(requests);
   AvailabilityHeap avail_heap(faults, free_at);
+  std::vector<Pending> batch;  // reused by every dispatch
 
   int batch_id = 0;
   double last_finish = 0.0;
   while (!queue.empty()) {
-    const Pending head = *queue.begin();
+    const Pending head = queue.front();
     const auto& head_req = requests[static_cast<std::size_t>(head.id)];
     auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
 
@@ -319,7 +324,7 @@ double BatchScheduler::dispatch_whole(
              head_req.arrival_us + head_req.deadline_us)) {
       head_outcome.status = RequestStatus::kShed;
       head_outcome.attempts = head.attempt;
-      queue.erase(queue.begin());
+      queue.pop_front(1);
       continue;
     }
 
@@ -328,19 +333,19 @@ double BatchScheduler::dispatch_whole(
     // cap. Prefill and decode never fuse: they share no wave shape (a
     // prefill wave streams seq_len-scaled volumes, a decode wave a single
     // query token's), so a mixed dispatch could not reuse the broadcast
-    // flit train the overlap credit models.
+    // flit train the overlap credit models. The run stops at the first
+    // mismatch, so the batch is a prefix of the queue.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    std::vector<Pending> batch{head};
-    for (auto it = std::next(queue.begin());
-         it != queue.end() && static_cast<int>(batch.size()) < cap; ++it) {
-      const auto& req = requests[static_cast<std::size_t>(it->id)];
-      if (it->ready_us > start || req.function != head_req.function ||
-          req.breakpoints != head_req.breakpoints ||
-          req.phase != head_req.phase) {
-        break;
-      }
-      batch.push_back(*it);
-    }
+    queue.peek_run(
+        static_cast<std::size_t>(cap),
+        [&](const Pending& next) {
+          const auto& req = requests[static_cast<std::size_t>(next.id)];
+          return next.ready_us <= start &&
+                 req.function == head_req.function &&
+                 req.breakpoints == head_req.breakpoints &&
+                 req.phase == head_req.phase;
+        },
+        batch);
     const int batch_size = static_cast<int>(batch.size());
 
     // Batch service = sum of standalone costs minus the pipeline-overlap
@@ -362,9 +367,7 @@ double BatchScheduler::dispatch_whole(
     service_us *= faults.slowdown_at(instance_index, start);
     const double finish = start + service_us;
 
-    for (const auto& member : batch) {
-      queue.erase(member);
-    }
+    queue.pop_front(batch.size());
     auto& inst = report.instances[instance];
 
     // An outage window opening mid-service kills the dispatch: the work is
@@ -381,9 +384,9 @@ double BatchScheduler::dispatch_whole(
         } else {
           const double backoff_us = retry_backoff_us(
               policy, member.attempt, member.id, config_.seed);
-          report.stats.sample("serve.backoff_us", backoff_us);
-          report.stats.bump("serve.retries");
-          queue.insert(
+          backoff_acc.add(backoff_us);
+          report.stats.bump(id_retries);
+          queue.push(
               Pending{*failed_at + backoff_us, member.id, member.attempt + 1});
         }
       }
@@ -429,10 +432,8 @@ double BatchScheduler::dispatch_whole(
 }
 
 double BatchScheduler::dispatch_continuous(
-    const std::vector<InferenceRequest>& requests,
-    const std::vector<SessionPlan>& plans,
-    const std::vector<std::vector<StepCost>>& step_costs,
-    ServeReport& report) const {
+    const std::vector<InferenceRequest>& requests, const StepTable& table,
+    const std::vector<ShapeCost>& costs, ServeReport& report) const {
   // The step-clocked event loop. Scheduler-side session state: a session
   // pins to the instance that completes its first step (the KV cache
   // lives in that instance's memory) and every later step dispatches
@@ -459,12 +460,15 @@ double BatchScheduler::dispatch_continuous(
   const int slot_cap = config_.max_batch;
 
   auto& batch_hist = report.stats.histogram("serve.batch_size");
+  auto& backoff_acc = report.stats.accumulator("serve.backoff_us");
   const sim::StatId id_batches = report.stats.counter_id("serve.batches");
   const sim::StatId id_requests = report.stats.counter_id("serve.requests");
+  const sim::StatId id_retries = report.stats.counter_id("serve.retries");
   const sim::StatId id_steps = report.stats.counter_id("serve.steps");
   const sim::StatId id_preempted =
       report.stats.counter_id("serve.preempted_steps");
-  const double cycle_us = 1.0 / config_.nova.accel_freq_mhz;
+  const double freq = config_.nova.accel_freq_mhz;
+  const double cycle_us = 1.0 / freq;
   const FaultPlan& faults = config_.faults;
   const FailurePolicy& policy = config_.policy;
 
@@ -473,8 +477,8 @@ double BatchScheduler::dispatch_continuous(
   std::vector<std::set<Pending>> pinned_q(
       static_cast<std::size_t>(config_.instances));
   std::set<Pending> new_q;
-  for (const auto& req : requests) {
-    new_q.insert(Pending{req.arrival_us, req.id, 1});
+  for (const auto& req : requests) {  // already in order: append at the end
+    new_q.emplace_hint(new_q.end(), Pending{req.arrival_us, req.id, 1});
   }
   AvailabilityHeap avail_heap(faults, free_at);
 
@@ -503,11 +507,19 @@ double BatchScheduler::dispatch_continuous(
     }
   };
 
-  const auto step_of = [&](int id) -> const SessionStep& {
-    const auto& plan = plans[static_cast<std::size_t>(id)];
-    return plan.steps[static_cast<std::size_t>(
-        sessions[static_cast<std::size_t>(id)].next_step)];
+  // A session's pending step, and the shape that step prices.
+  const auto step_of = [&](int id) -> const StepTable::Step& {
+    const auto session = static_cast<std::size_t>(id);
+    return table.steps[table.first[session] +
+                       static_cast<std::size_t>(sessions[session].next_step)];
   };
+  const auto shape_of = [&](int id) -> const ShapeKey& {
+    return table.shapes[step_of(id).slot];
+  };
+
+  // Reused by every dispatch.
+  std::vector<Pending> batch;
+  std::vector<bool> is_new;
 
   // Terminal outcomes (completed, shed, failed) decrement; every live
   // session owns exactly one Pending entry, so live == 0 <=> queues empty.
@@ -579,9 +591,9 @@ double BatchScheduler::dispatch_continuous(
     // overload new_q holds the whole backlog, and walking it on every
     // dispatch would make the loop quadratic in the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    const SessionStep& head_step = step_of(head.id);
-    std::vector<Pending> batch{head};
-    std::vector<bool> is_new{use_new};
+    const ShapeKey& head_shape = shape_of(head.id);
+    batch.assign(1, head);
+    is_new.assign(1, use_new);
     int free_slots = slots_used[instance] < slot_cap
                          ? slot_cap - slots_used[instance]
                          : 0;
@@ -603,10 +615,10 @@ double BatchScheduler::dispatch_continuous(
       } else {
         ++nit;
       }
-      const SessionStep& cstep = step_of(cand.id);
-      if (cstep.shape.function != head_step.shape.function ||
-          cstep.shape.breakpoints != head_step.shape.breakpoints ||
-          cstep.phase() != head_step.phase()) {
+      const ShapeKey& cshape = shape_of(cand.id);
+      if (cshape.function != head_shape.function ||
+          cshape.breakpoints != head_shape.breakpoints ||
+          cshape.phase != head_shape.phase) {
         continue;
       }
       if (!take_pinned) free_slots -= 1;
@@ -617,15 +629,13 @@ double BatchScheduler::dispatch_continuous(
 
     // Step-batch service: same fusion economics as whole-request dispatch
     // (members after the first save their pipeline fill), over per-step
-    // costs instead of per-request ones.
+    // costs instead of per-request ones: a step costs its share of its
+    // shape's cycles, clock-converted.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& member = batch[k];
-      const StepCost& cost =
-          step_costs[static_cast<std::size_t>(member.id)][static_cast<
-              std::size_t>(
-              sessions[static_cast<std::size_t>(member.id)].next_step)];
-      service_us += cost.service_us;
+      const auto& step = step_of(batch[k].id);
+      const ShapeCost& cost = costs[step.slot];
+      service_us += step.share * cost.service_cycles / freq;
       if (k != 0) {
         service_us -= std::max(0, cost.wave_latency_cycles - 1) * cycle_us;
       }
@@ -666,8 +676,8 @@ double BatchScheduler::dispatch_continuous(
         } else {
           const double backoff_us = retry_backoff_us(
               policy, member.attempt, member.id, config_.seed);
-          report.stats.sample("serve.backoff_us", backoff_us);
-          report.stats.bump("serve.retries");
+          backoff_acc.add(backoff_us);
+          report.stats.bump(id_retries);
           const Pending retry{*failed_at + backoff_us, member.id,
                               member.attempt + 1};
           if (sess.instance >= 0) {
@@ -702,8 +712,7 @@ double BatchScheduler::dispatch_continuous(
       sess.next_step += 1;
       if (sess.next_step == 1) sess.first_finish_us = finish;
       report.stats.bump(id_steps);
-      if (sess.next_step >=
-          plans[ms].total_steps()) {  // session complete
+      if (sess.next_step >= outcome.session_steps) {  // session complete
         slots_used[instance] -= 1;
         completed += 1;
         live -= 1;
@@ -753,25 +762,16 @@ ServeReport BatchScheduler::run(
   report.surrogate.tolerance = config_.surrogate_tol;
   if (requests.empty()) return report;
 
-  // The step decomposition of every request: one chunk + its decode chain
-  // under whole-request dispatch, chunked under continuous batching.
-  std::vector<SessionPlan> plans;
-  plans.reserve(requests.size());
-  for (const auto& req : requests) {
-    plans.push_back(
-        build_session_plan(req, config_.continuous, config_.chunk_tokens));
-  }
-
   // Phase 1: price every session step (exact, surrogate, or hybrid mode).
-  std::vector<std::vector<StepCost>> step_costs;
-  price_requests(requests, plans, report.outcomes, step_costs,
-                 report.surrogate);
+  const StepTable table = plan_steps(requests, report.outcomes);
+  const std::vector<ShapeCost> costs =
+      price_requests(requests, table, report.outcomes, report.surrogate);
 
   // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
   auto& latency_hist = report.stats.histogram("serve.latency_us");
   const double last_finish =
       config_.continuous
-          ? dispatch_continuous(requests, plans, step_costs, report)
+          ? dispatch_continuous(requests, table, costs, report)
           : dispatch_whole(requests, report);
 
   // Aggregates, in request order for determinism. Latency and service
@@ -781,13 +781,16 @@ ServeReport BatchScheduler::run(
   // RequestOutcome unserved contract.
   sim::Histogram* ttft_hist =
       config_.continuous ? &report.stats.histogram("serve.ttft_us") : nullptr;
+  auto& service_acc = report.stats.accumulator("serve.service_us");
+  auto& queue_acc = report.stats.accumulator("serve.queue_us");
+  auto& attempts_acc = report.stats.accumulator("serve.attempts");
   std::uint64_t served = 0;
   for (auto& outcome : report.outcomes) {
     if (outcome.served()) {
       ++served;
       latency_hist.record(outcome.latency_us());
-      report.stats.sample("serve.service_us", outcome.service_us);
-      report.stats.sample("serve.queue_us", outcome.queue_us());
+      service_acc.add(outcome.service_us);
+      queue_acc.add(outcome.queue_us());
       if (ttft_hist != nullptr) {
         ttft_hist->record(outcome.first_finish_us -
                           outcome.request.arrival_us);
@@ -800,8 +803,7 @@ ServeReport BatchScheduler::run(
       outcome.finish_us = 0.0;
       outcome.first_finish_us = 0.0;
     }
-    report.stats.sample("serve.attempts",
-                        static_cast<double>(outcome.attempts));
+    attempts_acc.add(static_cast<double>(outcome.attempts));
     report.status_counts[static_cast<std::size_t>(outcome.status)] += 1;
   }
   report.makespan_us =

@@ -31,6 +31,13 @@
 //      but the read-only PWL tables (pre-warmed before fan-out;
 //      PwlLibrary::get is additionally mutex-guarded).
 //
+//      Before pricing, every request's session plan is folded into one
+//      flat step table: request i owns entries [first[i], first[i+1]),
+//      each entry a (distinct-shape slot, share) pair. Each distinct
+//      ShapeKey is stored once and priced once; the per-request fold and
+//      the continuous loop read a step's cost as costs[slot] scaled by its
+//      share. No per-request plan or cost vector stays resident.
+//
 //   2. Dispatch (serial, deterministic): an event-driven loop assigns
 //      ready requests FIFO to the earliest-available instance (tracked in
 //      a lazily-revalidated (next_free_us, instance) min-heap). When an
@@ -40,6 +47,10 @@
 //      broadcast flit train back-to-back, so each extra member saves the
 //      pipeline-fill latency of its first wave (the overlap credit below).
 //      Prefill and decode requests never fuse -- they share no wave shape.
+//      The ready queue (serve/ready_queue.hpp) reads the request array
+//      through an arrival cursor and keeps only retries in an ordered set;
+//      because the fused run stops at the first mismatch, every batch is a
+//      prefix of the queue, and taking it advances the cursor.
 //
 //      Continuous batching (config.continuous): dispatch happens at STEP
 //      granularity instead (Orca/Sarathi-style iteration-level
@@ -286,14 +297,36 @@ class BatchScheduler {
       const std::vector<InferenceRequest>& requests) const;
 
  private:
-  /// Prices every distinct step shape across all session plans and folds
-  /// the results into per-request aggregates (outcomes) and per-step
-  /// dispatch costs (step_costs, indexed like each plan's steps).
-  void price_requests(const std::vector<InferenceRequest>& requests,
-                      const std::vector<SessionPlan>& plans,
-                      std::vector<RequestOutcome>& outcomes,
-                      std::vector<std::vector<StepCost>>& step_costs,
-                      SurrogateAudit& audit) const;
+  /// Every session step of the stream in one flat array: request i owns
+  /// steps [first[i], first[i + 1]), and each step names its shape by a
+  /// slot into `shapes`, where every distinct ShapeKey is stored once.
+  /// Pricing yields one ShapeCost per slot; the per-request fold and the
+  /// continuous loop read a step's cost as costs[step.slot] scaled by its
+  /// share.
+  struct StepTable {
+    struct Step {
+      std::uint32_t slot = 0;
+      /// SessionStep::share: the fraction of the shape's priced service.
+      double share = 1.0;
+    };
+    /// The distinct step shapes, in ShapeKey order.
+    std::vector<ShapeKey> shapes;
+    std::vector<Step> steps;
+    std::vector<std::size_t> first;
+  };
+
+  /// Folds every request's session plan into one StepTable and records
+  /// the plan-shape fields (session_steps, prefill_chunks) in `outcomes`.
+  [[nodiscard]] StepTable plan_steps(
+      const std::vector<InferenceRequest>& requests,
+      std::vector<RequestOutcome>& outcomes) const;
+
+  /// Prices every distinct step shape (table.shapes) and folds the results
+  /// into the per-request aggregates of `outcomes`. Returns the shapes'
+  /// costs, indexed by slot.
+  [[nodiscard]] std::vector<ShapeCost> price_requests(
+      const std::vector<InferenceRequest>& requests, const StepTable& table,
+      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const;
 
   /// Whole-request dispatch (continuous off): the classic FIFO loop, bit
   /// identical to the pre-session scheduler. Returns the last finish time.
@@ -301,11 +334,10 @@ class BatchScheduler {
                         ServeReport& report) const;
 
   /// Step-clocked continuous-batching dispatch. Returns the last finish.
-  double dispatch_continuous(
-      const std::vector<InferenceRequest>& requests,
-      const std::vector<SessionPlan>& plans,
-      const std::vector<std::vector<StepCost>>& step_costs,
-      ServeReport& report) const;
+  double dispatch_continuous(const std::vector<InferenceRequest>& requests,
+                             const StepTable& table,
+                             const std::vector<ShapeCost>& costs,
+                             ServeReport& report) const;
 
   ServeConfig config_;
 };

@@ -10,17 +10,23 @@ SessionPlan build_session_plan(const InferenceRequest& req, bool continuous,
                                int chunk_tokens) {
   NOVA_EXPECTS(chunk_tokens >= 1);
   NOVA_EXPECTS(req.gen_steps >= 0);
+  NOVA_EXPECTS(req.seq_len >= 1);
+  NOVA_EXPECTS(kv_chain_fits(req));
   SessionPlan plan;
   if (req.phase == pipeline::Phase::kPrefill) {
     const ShapeKey prefill{req.workload, req.seq_len,     req.function,
                            req.breakpoints, req.phase, req.kv_len};
     const int chunk = continuous ? chunk_tokens : req.seq_len;
-    const int chunks = (req.seq_len + chunk - 1) / chunk;
+    // ceil(seq_len / chunk) and the chunk ends below, written so no
+    // intermediate exceeds seq_len: the plain (seq_len + chunk - 1) / chunk
+    // overflows for seq_len > 2^30 when chunk == seq_len.
+    const int chunks = 1 + (req.seq_len - 1) / chunk;
     plan.prefill_chunks = chunks;
-    plan.steps.reserve(static_cast<std::size_t>(chunks + req.gen_steps));
+    plan.steps.reserve(static_cast<std::size_t>(chunks) +
+                       static_cast<std::size_t>(req.gen_steps));
     for (int c = 0; c < chunks; ++c) {
       const int begin = c * chunk;
-      const int end = std::min(req.seq_len, begin + chunk);
+      const int end = begin + std::min(chunk, req.seq_len - begin);
       SessionStep step;
       step.shape = prefill;
       // A single chunk carries seq_len/seq_len == 1.0 exactly, so the

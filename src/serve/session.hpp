@@ -57,18 +57,10 @@ struct SessionPlan {
   }
 };
 
-/// Priced cost of one session step: the step's share of its shape's priced
-/// cost, clock-converted. Computed once in the pricing phase; the dispatch
-/// loop only reads these.
-struct StepCost {
-  double service_cycles = 0.0;
-  int wave_latency_cycles = 0;
-  double service_us = 0.0;
-};
-
 /// Builds the step plan of `req`. `continuous` controls prefill chunking
 /// (off = one chunk with share 1.0); `chunk_tokens` >= 1 is the chunk size
-/// in prompt tokens. Pure and cheap -- no pricing happens here.
+/// in prompt tokens. `req`'s decode chain must fit in an int
+/// (kv_chain_fits). Pure and cheap -- no pricing happens here.
 [[nodiscard]] SessionPlan build_session_plan(const InferenceRequest& req,
                                              bool continuous,
                                              int chunk_tokens);

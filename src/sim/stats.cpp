@@ -65,9 +65,11 @@ void StatRegistry::bump(const std::string& name, std::uint64_t delta) {
 }
 
 void StatRegistry::sample(const std::string& name, double value) {
-  auto& acc = accumulators_[name];
-  acc.sum += value;
-  acc.n += 1;
+  accumulators_[name].add(value);
+}
+
+Accumulator& StatRegistry::accumulator(const std::string& name) {
+  return accumulators_[name];
 }
 
 Histogram& StatRegistry::histogram(const std::string& name) {
@@ -118,6 +120,7 @@ Table StatRegistry::to_table(const std::string& title) const {
     t.add_row({name, std::to_string(counter_values_[index]), "-"});
   }
   for (const auto& [name, acc] : accumulators_) {
+    if (acc.n == 0) continue;  // resolved by accumulator() but never added to
     t.add_row({name + " (mean)", Table::num(mean(name), 4),
                std::to_string(acc.n)});
   }

@@ -51,6 +51,18 @@ class Histogram {
   double sum_ = 0.0;
 };
 
+/// Sum and count of a sampled quantity: the registry's accumulator (a
+/// mean without the stored samples of a Histogram).
+struct Accumulator {
+  double sum = 0.0;
+  std::uint64_t n = 0;
+
+  void add(double value) {
+    sum += value;
+    n += 1;
+  }
+};
+
 /// Pre-resolved handle to a StatRegistry counter: a dense index interned
 /// once on a cold path (typically a constructor), then bumped with a single
 /// vector add on hot paths -- no string hashing or map walk per event.
@@ -105,6 +117,13 @@ class StatRegistry {
   /// Adds a sample to accumulator `name`.
   void sample(const std::string& name, double value);
 
+  /// Returns accumulator `name`, creating it empty on first use: the
+  /// hot-path face of sample(). Resolve the name once, then add() per
+  /// event -- no string work per sample. The reference stays valid until
+  /// clear(). An accumulator nothing was added to renders no to_table row,
+  /// so resolving one early changes no output.
+  Accumulator& accumulator(const std::string& name);
+
   /// Returns histogram `name`, creating it on first use.
   Histogram& histogram(const std::string& name);
   /// Read-only lookup; null when no such histogram was recorded.
@@ -127,15 +146,11 @@ class StatRegistry {
   [[nodiscard]] Table to_table(const std::string& title = "statistics") const;
 
  private:
-  struct Acc {
-    double sum = 0.0;
-    std::uint64_t n = 0;
-  };
   /// Name -> dense index; iteration order (sorted by name) fixes the
   /// to_table row order.
   std::map<std::string, std::uint32_t> counter_index_;
   std::vector<std::uint64_t> counter_values_;
-  std::map<std::string, Acc> accumulators_;
+  std::map<std::string, Accumulator> accumulators_;
   std::map<std::string, Histogram> histograms_;
 };
 

@@ -2,12 +2,14 @@
 // chunking, kv-growing decode chains) and the step-clocked dispatch loop
 // (determinism across threads and pricing modes, whole-dispatch
 // equivalence on single-step streams, TTFT, and step-granular preemption
-// resume under fault windows), plus golden fingerprint pins of the loop on
-// overloaded mixed streams with and without faults and shedding.
+// resume under fault windows), plus golden fingerprint pins of both
+// dispatch loops (continuous and whole-request) on overloaded mixed streams
+// with and without faults and shedding.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -133,6 +135,38 @@ TEST(SessionPlan, DecodeSessionGrowsItsKvCache) {
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(plan.steps[static_cast<std::size_t>(s)].shape.kv_len, 512 + s);
   }
+}
+
+TEST(SessionPlan, PromptsNearIntMaxPlanWithoutOverflow) {
+  // Lengths at the top of the int range: the largest prompt whose decode
+  // chain still fits. Whole mode's one chunk used to be counted as
+  // (seq_len + seq_len - 1) / seq_len, which overflows past 2^30 and left
+  // the plan without its prefill.
+  const int max = std::numeric_limits<int>::max();
+  const auto req = prefill_request(0, 0.0, max, 1);
+  ASSERT_TRUE(kv_chain_fits(req));
+  const auto whole = build_session_plan(req, /*continuous=*/false,
+                                        /*chunk_tokens=*/64);
+  ASSERT_EQ(whole.steps.size(), 2u);
+  EXPECT_EQ(whole.prefill_chunks, 1);
+  EXPECT_EQ(whole.steps[0].share, 1.0);
+  EXPECT_EQ(whole.steps[1].shape.kv_len, max);
+  // Continuous chunks tile the prompt up to its last token.
+  const auto chunked = build_session_plan(req, /*continuous=*/true,
+                                          /*chunk_tokens=*/max / 2 + 1);
+  ASSERT_EQ(chunked.prefill_chunks, 2);
+  EXPECT_DOUBLE_EQ(chunked.steps[0].share + chunked.steps[1].share, 1.0);
+
+  // One more generated token would need kv_len INT_MAX + 1.
+  EXPECT_FALSE(kv_chain_fits(prefill_request(0, 0.0, max, 2)));
+  InferenceRequest decode;
+  decode.phase = pipeline::Phase::kDecode;
+  decode.seq_len = 1;
+  decode.kv_len = max - 1;
+  decode.gen_steps = 1;
+  EXPECT_TRUE(kv_chain_fits(decode));
+  decode.gen_steps = 2;
+  EXPECT_FALSE(kv_chain_fits(decode));
 }
 
 TEST(ContinuousScheduler, ChunkingPreservesTheSessionPrice) {
@@ -305,17 +339,17 @@ struct GoldenCase {
 
 void PrintTo(const GoldenCase& golden, std::ostream* os) { *os << golden.name; }
 
-class ContinuousGolden : public ::testing::TestWithParam<GoldenCase> {};
+std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
+  return info.param.name;
+}
 
-TEST_P(ContinuousGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
-  // The continuous dispatch loop's decisions, pinned: a seeded stream that
-  // mixes all four functions and both phases arrives far faster than two
-  // instances with four session slots each can serve. The slots saturate
-  // while a backlog of not-yet-started sessions waits, so almost every
-  // fusion scan runs with no slot free and a long new-session queue. Any
-  // change to which steps fuse, where they run, or when changes the hash; a
-  // change meant only to make the loop faster must leave every pin as is.
-  const GoldenCase& golden = GetParam();
+/// Serves the golden stream under `golden`'s faults and policy, in
+/// continuous or whole-request mode, checks the case still reaches the
+/// mechanism it is named for, and returns the outcome fingerprint's hash.
+/// The stream mixes all four functions and both phases and arrives far
+/// faster than two instances can serve, so a long ready backlog waits on
+/// every dispatch.
+std::uint64_t golden_hash(const GoldenCase& golden, bool continuous) {
   TrafficProfile profile;
   profile.rate_rps = 2e6;
   profile.max_steps = 8;
@@ -330,7 +364,7 @@ TEST_P(ContinuousGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
   }
 
   auto config = small_pool(2, 2);
-  config.continuous = true;
+  config.continuous = continuous;
   config.max_batch = 4;
   config.chunk_tokens = 48;
   config.pricing = PricingMode::kSurrogate;
@@ -344,14 +378,30 @@ TEST_P(ContinuousGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
   }
   const auto report = BatchScheduler(config).run(requests);
 
-  // Each case must still reach the mechanism it is named for.
   if (golden.shedding) {
     EXPECT_GT(report.status_count(RequestStatus::kShed), 0u);
   }
   if (golden.faults) {
-    EXPECT_GT(report.stats.counter("serve.preempted_steps"), 0u);
+    // Continuous mode preempts the in-flight step; whole-request dispatch
+    // re-queues the whole request.
+    EXPECT_GT(report.stats.counter(continuous ? "serve.preempted_steps"
+                                              : "serve.retries"),
+              0u);
   }
-  const std::uint64_t hash = fnv1a(outcome_fingerprint(report));
+  return fnv1a(outcome_fingerprint(report));
+}
+
+class ContinuousGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(ContinuousGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
+  // The continuous dispatch loop's decisions, pinned. Two instances with
+  // four session slots each saturate while a backlog of not-yet-started
+  // sessions waits, so almost every fusion scan runs with no slot free and
+  // a long new-session queue. Any change to which steps fuse, where they
+  // run, or when changes the hash; a change meant only to make the loop
+  // faster must leave every pin as is.
+  const GoldenCase& golden = GetParam();
+  const std::uint64_t hash = golden_hash(golden, /*continuous=*/true);
   EXPECT_EQ(hash, golden.pinned) << "fingerprint hash 0x" << std::hex << hash;
 }
 
@@ -362,9 +412,31 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"shedding", false, true, 0xb883a431e4913c85ULL},
         GoldenCase{"faults", true, false, 0x4809586da6243097ULL},
         GoldenCase{"faultsShedding", true, true, 0x0577068cbbbc909fULL}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.name);
-    });
+    golden_name);
+
+class WholeGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(WholeGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
+  // The same matrix through whole-request dispatch: each request's session
+  // plan (prefill + decode chain) is one dispatch, fused FIFO runs stop at
+  // the first mismatch, and under faults killed batches re-enter the ready
+  // queue by (ready time, id). The stream arrives within about 240 us, so
+  // every retry lands behind the last arrival; ready_queue_test covers
+  // retries merging among arrivals. The hashes were captured with the
+  // std::set<Pending> ready queue the loop used before its arrival cursor.
+  const GoldenCase& golden = GetParam();
+  const std::uint64_t hash = golden_hash(golden, /*continuous=*/false);
+  EXPECT_EQ(hash, golden.pinned) << "fingerprint hash 0x" << std::hex << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, WholeGolden,
+    ::testing::Values(
+        GoldenCase{"plain", false, false, 0xeb974e7a95548316ULL},
+        GoldenCase{"shedding", false, true, 0xab085a10890ef734ULL},
+        GoldenCase{"faults", true, false, 0x3f24e50b58fc12d7ULL},
+        GoldenCase{"faultsShedding", true, true, 0x70277043d4790036ULL}),
+    golden_name);
 
 TEST(ContinuousSchedulerDeathTest, RejectsNegativeGenSteps) {
   std::vector<InferenceRequest> requests(1);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "serve/faults.hpp"
 #include "serve/policy.hpp"
@@ -267,6 +268,9 @@ TEST(FailurePolicyDeathTest, RejectsOutOfRangeFields) {
   EXPECT_DEATH(validate(policy), "overload_queue_us");
   policy = {};
   policy.overload_shed_factor = 0.5;
+  EXPECT_DEATH(validate(policy), "overload_shed_factor");
+  policy = {};
+  policy.overload_shed_factor = std::numeric_limits<double>::quiet_NaN();
   EXPECT_DEATH(validate(policy), "overload_shed_factor");
 }
 

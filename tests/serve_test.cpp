@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -289,6 +290,22 @@ TEST(Trace, RejectsIncoherentSteps) {
         "1.0, bert-tiny, gelu, 64, 16, prefill, 0, 0, 1x\n");
     EXPECT_FALSE(parse_trace(in, requests, error));
     EXPECT_NE(error.find("malformed number"), std::string::npos);
+  }
+  {
+    // Lengths near INT_MAX plus a generation overflow the decode chain's
+    // kv_len (prefill: seq_len + steps - 1; decode: kv_len + steps - 1).
+    std::istringstream in(
+        "0, bert-tiny, gelu, 64, 16, prefill, 0, 0, 1\n"
+        "0, bert-tiny, gelu, 2147483647, 16, prefill, 0, 0, 2\n");
+    EXPECT_FALSE(parse_trace(in, requests, error));
+    EXPECT_NE(error.find("trace line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("overflows"), std::string::npos) << error;
+  }
+  {
+    std::istringstream in(
+        "0, bert-tiny, gelu, 1, 16, decode, 2147483647, 0, 2\n");
+    EXPECT_FALSE(parse_trace(in, requests, error));
+    EXPECT_NE(error.find("overflows"), std::string::npos) << error;
   }
 }
 
@@ -793,6 +810,17 @@ TEST(BatchSchedulerDeathTest, RejectsIncoherentPhaseShapes) {
     requests[0].arrival_us = -1.0;
     EXPECT_DEATH((void)scheduler.run(requests), "finite");
   }
+}
+
+TEST(BatchSchedulerDeathTest, RejectsOverflowingDecodeChains) {
+  // A prompt of INT_MAX tokens followed by two generated tokens would
+  // chain a decode step at kv_len INT_MAX + 1.
+  const BatchScheduler scheduler(small_pool(1, 1));
+  std::vector<InferenceRequest> requests(1);
+  requests[0].seq_len = std::numeric_limits<int>::max();
+  requests[0].gen_steps = 2;
+  EXPECT_DEATH((void)scheduler.run(requests),
+               "request at position 0 .*decode chain overflows");
 }
 
 TEST(RequestGeneratorDeathTest, RejectsNonPositiveRate) {
