@@ -173,32 +173,74 @@ Pieces train_mlp_pieces(const ScalarFn& exact, const PwlTable& seed,
   Adam opt_scalars(2);
   std::vector<double> gw(net.w.size()), gc(net.c.size()), gv(net.v.size());
   std::vector<double> scalars(2), gscalars(2);
+  // Per-sample network outputs and loss gradients, and each unit's active
+  // samples [first[i], last[i]), all refilled every iteration.
+  const std::size_t n = xs.size();
+  std::vector<double> ys_net(n), gs(n);
+  std::vector<std::size_t> first(net.w.size()), last(net.w.size());
 
   Mlp best = net;
   double best_err = pieces_max_error(extract_pieces(net, domain, breakpoints),
                                      exact, domain, options.samples);
 
   for (int it = 0; it < options.iterations; ++it) {
-    std::fill(gw.begin(), gw.end(), 0.0);
-    std::fill(gc.begin(), gc.end(), 0.0);
-    std::fill(gv.begin(), gv.end(), 0.0);
-    double ggamma = 0.0, gbeta = 0.0;
-
-    // Full-batch MSE gradient; the problem is tiny.
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      const double x = xs[k];
-      const double err = net.forward(x) - ys[k];
-      const double g = 2.0 * err / static_cast<double>(xs.size());
-      gbeta += g;
-      ggamma += g * x;
-      for (std::size_t i = 0; i < net.w.size(); ++i) {
-        const double pre = net.w[i] * x + net.c[i];
-        if (pre > 0.0) {
-          gv[i] += g * pre;
-          gw[i] += g * net.v[i] * x;
-          gc[i] += g * net.v[i];
-        }
+    // Full-batch MSE gradient, unit by unit. xs ascends and fl(w*x + c) is
+    // monotone in x for fixed (w, c), so a unit is active on one run of
+    // samples: a suffix when w > 0, a prefix when w < 0, all or none
+    // otherwise (w == 0 or NaN). The run is found with the activation
+    // predicate itself, never from the rounded kink -c/w, and every sum
+    // keeps the order a per-sample loop adds it in (each output over its
+    // units in ascending i, each gradient over its unit's samples in
+    // ascending k), so the tables are bit-identical to that loop's, which
+    // tests/approx_test.cpp keeps as the reference.
+    for (std::size_t i = 0; i < net.w.size(); ++i) {
+      const double w = net.w[i];
+      const double c = net.c[i];
+      const auto active = [w, c](double x) { return w * x + c > 0.0; };
+      if (w > 0.0) {
+        first[i] = static_cast<std::size_t>(
+            std::partition_point(xs.begin(), xs.end(),
+                                 [&](double x) { return !active(x); }) -
+            xs.begin());
+        last[i] = n;
+      } else if (w < 0.0) {
+        first[i] = 0;
+        last[i] = static_cast<std::size_t>(
+            std::partition_point(xs.begin(), xs.end(), active) - xs.begin());
+      } else {
+        first[i] = 0;
+        last[i] = active(xs.front()) ? n : 0;
       }
+    }
+
+    for (std::size_t k = 0; k < n; ++k) {
+      ys_net[k] = net.gamma * xs[k] + net.beta;
+    }
+    for (std::size_t i = 0; i < net.w.size(); ++i) {
+      const double w = net.w[i], c = net.c[i], v = net.v[i];
+      for (std::size_t k = first[i]; k < last[i]; ++k) {
+        ys_net[k] += v * (w * xs[k] + c);
+      }
+    }
+
+    double ggamma = 0.0, gbeta = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double err = ys_net[k] - ys[k];
+      gs[k] = 2.0 * err / static_cast<double>(n);
+      gbeta += gs[k];
+      ggamma += gs[k] * xs[k];
+    }
+    for (std::size_t i = 0; i < net.w.size(); ++i) {
+      const double w = net.w[i], c = net.c[i], v = net.v[i];
+      double sv = 0.0, sw = 0.0, sc = 0.0;
+      for (std::size_t k = first[i]; k < last[i]; ++k) {
+        sv += gs[k] * (w * xs[k] + c);
+        sw += (gs[k] * v) * xs[k];
+        sc += gs[k] * v;
+      }
+      gv[i] = sv;
+      gw[i] = sw;
+      gc[i] = sc;
     }
 
     opt_w.step(net.w, gw, options.learning_rate);

@@ -1,5 +1,7 @@
 #include "pipeline/op_graph.hpp"
 
+#include <limits>
+
 #include "analysis/verifier.hpp"
 #include "common/assert.hpp"
 
@@ -159,6 +161,49 @@ OpGraph build_decode_graph(const workload::BertConfig& config,
   analysis::expect_valid(graph);
   return graph;
 }
+
+double closed_form_macs(const workload::BertConfig& config, double query_len,
+                        double attend_len) {
+  // Per layer: the score and context GEMMs each run query x attend MACs
+  // per hidden unit (head_dim x heads == hidden); the QKV, output, FFN and
+  // bottleneck projections run per query token.
+  const double h = config.hidden;
+  const double per_token = 4.0 * h * h +
+                           2.0 * config.ffn_stacks * h * config.ffn +
+                           2.0 * config.bottleneck * h;
+  return config.layers *
+         (2.0 * h * query_len * attend_len + per_token * query_len);
+}
+
+namespace detail {
+
+/// The largest len in [1, INT_MAX] at which every catalog model's graph
+/// keeps closed_form_macs within 2^62; the MAC count is monotone in len,
+/// so this bisects.
+int longest_fitting_len(Phase phase) {
+  const auto fits = [phase](std::int64_t len) {
+    const auto l = static_cast<double>(len);
+    for (const auto& entry : workload::benchmark_catalog()) {
+      const auto config = entry.make(1);
+      const double macs = phase == Phase::kPrefill
+                              ? closed_form_macs(config, l, l)
+                              : closed_form_macs(config, 1.0, l);
+      if (macs > 0x1p62) return false;
+    }
+    return true;
+  };
+  std::int64_t lo = 1;
+  std::int64_t hi = std::numeric_limits<int>::max();
+  NOVA_ASSERT(fits(lo));
+  if (fits(hi)) return static_cast<int>(hi);
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (fits(mid) ? lo : hi) = mid;
+  }
+  return static_cast<int>(lo);
+}
+
+}  // namespace detail
 
 OpGraph graph_of(const workload::ModelWorkload& workload) {
   OpGraph graph;

@@ -206,6 +206,33 @@ struct OpGraph {
 [[nodiscard]] OpGraph build_decode_graph(const workload::BertConfig& config,
                                          std::int64_t kv_len);
 
+/// Whole-graph MAC count of `config` expanded at `query_len` query tokens
+/// over `attend_len` attended positions -- (seq_len, seq_len) for prefill,
+/// (1, kv_len) for decode -- in closed form and in double, so it cannot
+/// overflow. Equals OpGraph::total_macs() wherever that fits, and bounds
+/// every volume the builders, the executor and the verifier form in int64.
+[[nodiscard]] double closed_form_macs(const workload::BertConfig& config,
+                                      double query_len, double attend_len);
+
+namespace detail {
+/// The bisection behind max_graph_len.
+[[nodiscard]] int longest_fitting_len(Phase phase);
+}  // namespace detail
+
+/// Longest length at which every catalog model's graph arithmetic fits in
+/// int64: the largest L <= INT_MAX whose closed_form_macs stays within
+/// 2^62 (half the range, as headroom) for every model. For
+/// Phase::kPrefill L is the seq_len; MACs grow as L^2, so the model with
+/// the most layers x hidden sets it (about 1.4e7 tokens). For
+/// Phase::kDecode L is the kv_len; MACs grow as L, so every int fits.
+[[nodiscard]] inline int max_graph_len(Phase phase) {
+  // Stream validation asks once per request: search once per phase, and
+  // keep the per-request read inline.
+  static const int prefill = detail::longest_fitting_len(Phase::kPrefill);
+  static const int decode = detail::longest_fitting_len(Phase::kDecode);
+  return phase == Phase::kPrefill ? prefill : decode;
+}
+
 /// Adapts an arbitrary flat workload (possibly hand-built, not expanded
 /// from a BertConfig) into a chain graph: one GEMM node per GemmShape in
 /// list order, then the softmax / GELU / layernorm nodes of its

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -224,7 +223,14 @@ bool parse_trace(std::istream& in, std::vector<InferenceRequest>& out,
       error = "trace line " + std::to_string(line_no) +
               ": the decode chain overflows: seq_len (prefill) or kv_len "
               "(decode) plus the generation length must stay <= " +
-              std::to_string(std::numeric_limits<int>::max());
+              std::to_string(pipeline::max_graph_len(pipeline::Phase::kDecode));
+      return false;
+    }
+    if (!prompt_fits(req)) {
+      error = "trace line " + std::to_string(line_no) +
+              ": the prompt overflows its operator graph's counts: seq_len "
+              "must stay <= " +
+              std::to_string(pipeline::max_graph_len(pipeline::Phase::kPrefill));
       return false;
     }
     out.push_back(req);

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,8 +68,17 @@ struct InferenceRequest {
 /// dispatch loop into billions of steps.
 inline constexpr int kMaxGenSteps = 1 << 16;
 
+/// True when the request's prompt is short enough for the int64 volume
+/// arithmetic of its prefill graph (pipeline::max_graph_len, about 1.4e7
+/// tokens): a longer seq_len overflows the MAC and vector-op counts that
+/// pricing reads.
+[[nodiscard]] inline bool prompt_fits(const InferenceRequest& req) {
+  return req.seq_len <= pipeline::max_graph_len(pipeline::Phase::kPrefill);
+}
+
 /// True when every KV-cache length the request's session plan chains
-/// (serve/session.hpp) fits in an int: a prefill request decodes its
+/// (serve/session.hpp) fits in an int and in its decode graph's arithmetic
+/// (pipeline::max_graph_len; today INT_MAX): a prefill request decodes its
 /// gen_steps tokens at kv_len seq_len .. seq_len + gen_steps - 1, a decode
 /// request runs at kv_len .. kv_len + gen_steps. A length near INT_MAX
 /// plus a generation would overflow that chain.
@@ -81,7 +89,7 @@ inline constexpr int kMaxGenSteps = 1 << 16;
       req.phase == pipeline::Phase::kDecode
           ? std::int64_t{req.kv_len} + req.gen_steps
           : std::int64_t{req.seq_len} + req.gen_steps - 1;
-  return last <= std::numeric_limits<int>::max();
+  return last <= pipeline::max_graph_len(pipeline::Phase::kDecode);
 }
 
 /// Shape of the synthetic open-loop traffic the Poisson generator emits.

@@ -64,7 +64,11 @@ void validate_stream(const std::vector<InferenceRequest>& requests) {
     }
     if (!kv_chain_fits(req)) {
       fail("the decode chain overflows: seq_len (prefill) or kv_len "
-           "(decode) plus gen_steps exceeds INT_MAX");
+           "(decode) plus gen_steps exceeds pipeline::max_graph_len(kDecode)");
+    }
+    if (!prompt_fits(req)) {
+      fail("the prompt overflows its operator graph's counts: seq_len "
+           "exceeds pipeline::max_graph_len(kPrefill)");
     }
   }
 }

@@ -3,8 +3,13 @@
 // NN-LUT-style softmax/GeLU vector operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "approx/fit.hpp"
@@ -12,6 +17,7 @@
 #include "approx/interp.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "approx/softmax.hpp"
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 
 namespace nova::approx {
@@ -162,6 +168,367 @@ TEST(MlpFitter, TrainingIsDeterministicForFixedSeed) {
     EXPECT_DOUBLE_EQ(a.slopes()[static_cast<std::size_t>(i)],
                      b.slopes()[static_cast<std::size_t>(i)]);
   }
+}
+
+// Bit-level pins of the trained tables. Service cycles do not depend on
+// table values, so no serve fingerprint would notice a changed bit here:
+// these pins and the dense-reference suite below are the trainer's guard.
+
+/// 64-bit FNV-1a over the bit patterns of a table's boundaries, slopes and
+/// biases, in that order.
+std::uint64_t table_hash(const PwlTable& table) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const auto* values :
+       {&table.boundaries(), &table.slopes(), &table.biases()}) {
+    for (const double value : *values) {
+      const auto word = std::bit_cast<std::uint64_t>(value);
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (word >> (8 * byte)) & 0xffU;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+struct MlpPin {
+  NonLinearFn fn;
+  int breakpoints;
+  std::uint64_t pinned;
+};
+
+void PrintTo(const MlpPin& pin, std::ostream* os) {
+  *os << to_string(pin.fn) << pin.breakpoints;
+}
+
+std::string mlp_pin_name(const ::testing::TestParamInfo<MlpPin>& info) {
+  return std::string(to_string(info.param.fn)) +
+         std::to_string(info.param.breakpoints);
+}
+
+class MlpGolden : public ::testing::TestWithParam<MlpPin> {};
+
+TEST_P(MlpGolden, DefaultOptionsTableMatchesPinnedBits) {
+  // fit_mlp with default options, hashed bit for bit. A change meant only
+  // to make training faster must leave every pin as is; reassociating one
+  // gradient product (g*v*x as g*(v*x)) already moves most of them.
+  const MlpPin& pin = GetParam();
+  const std::uint64_t hash = table_hash(fit_mlp(pin.fn, pin.breakpoints));
+  EXPECT_EQ(hash, pin.pinned) << "table hash 0x" << std::hex << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, MlpGolden,
+    ::testing::Values(
+        MlpPin{NonLinearFn::kExp, 16, 0xb65fa8b657369581ULL},
+        MlpPin{NonLinearFn::kReciprocal, 16, 0x748b9084e62d69d3ULL},
+        MlpPin{NonLinearFn::kGelu, 16, 0xf8901abcd7f1cba5ULL},
+        MlpPin{NonLinearFn::kTanh, 16, 0x73ae69ad8b5970bbULL},
+        MlpPin{NonLinearFn::kSigmoid, 16, 0xaa63498913da5487ULL},
+        MlpPin{NonLinearFn::kErf, 16, 0xbf3287f6f80164bcULL},
+        MlpPin{NonLinearFn::kSilu, 16, 0x69da4d4ff1046079ULL},
+        MlpPin{NonLinearFn::kSoftplus, 16, 0xb8424384d2df0d44ULL},
+        MlpPin{NonLinearFn::kRsqrt, 16, 0x92ee45b79384504aULL},
+        MlpPin{NonLinearFn::kExp, 4, 0xd4a3266e4ab23ee4ULL},
+        MlpPin{NonLinearFn::kExp, 8, 0xb3e4f97b1978e842ULL},
+        MlpPin{NonLinearFn::kExp, 32, 0x1298e800d2a27f8eULL},
+        MlpPin{NonLinearFn::kExp, 64, 0x8db2900a2671ec43ULL},
+        MlpPin{NonLinearFn::kGelu, 4, 0xc3c0fd1b37995479ULL},
+        MlpPin{NonLinearFn::kGelu, 8, 0x3515efaf5165313dULL},
+        MlpPin{NonLinearFn::kGelu, 32, 0xb8d7b0022376c1caULL},
+        MlpPin{NonLinearFn::kGelu, 64, 0x73501f2d5c7b9f8eULL},
+        MlpPin{NonLinearFn::kReciprocal, 4, 0xd9b9400668b8baf7ULL},
+        MlpPin{NonLinearFn::kReciprocal, 8, 0x654c5cd05b51812fULL},
+        MlpPin{NonLinearFn::kReciprocal, 32, 0xced801d7acc12db2ULL},
+        MlpPin{NonLinearFn::kReciprocal, 64, 0xd3b6419b70cb9399ULL}),
+    mlp_pin_name);
+
+// The dense reference trainer: every sample, and inside that every unit
+// behind a data-dependent branch. Kept verbatim (plus a count of
+// unit-iterations with w <= 0) so the suite below can demand that
+// fit_mlp's per-unit runs of active samples give the same bits.
+namespace dense {
+
+struct Mlp {
+  std::vector<double> w, c, v;
+  double gamma = 0.0;
+  double beta = 0.0;
+
+  [[nodiscard]] double forward(double x) const {
+    double y = gamma * x + beta;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double h = w[i] * x + c[i];
+      if (h > 0.0) y += v[i] * h;
+    }
+    return y;
+  }
+};
+
+struct Adam {
+  std::vector<double> m, s;
+  double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  int t = 0;
+
+  explicit Adam(std::size_t n) : m(n, 0.0), s(n, 0.0) {}
+
+  void step(std::vector<double>& param, const std::vector<double>& grad,
+            double lr) {
+    ++t;
+    const double bc1 = 1.0 - std::pow(beta1, t);
+    const double bc2 = 1.0 - std::pow(beta2, t);
+    for (std::size_t i = 0; i < param.size(); ++i) {
+      m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
+      s[i] = beta2 * s[i] + (1.0 - beta2) * grad[i] * grad[i];
+      param[i] -= lr * (m[i] / bc1) / (std::sqrt(s[i] / bc2) + eps);
+    }
+  }
+};
+
+struct Pieces {
+  std::vector<double> bounds, slopes, biases;
+};
+
+Pieces extract_pieces(const Mlp& net, Domain domain, int breakpoints) {
+  const int hidden = breakpoints - 1;
+  std::vector<double> kinks;
+  kinks.reserve(net.w.size());
+  for (std::size_t i = 0; i < net.w.size(); ++i) {
+    if (std::abs(net.w[i]) < 1e-12) continue;
+    const double kink = -net.c[i] / net.w[i];
+    if (kink > domain.lo && kink < domain.hi) kinks.push_back(kink);
+  }
+  std::sort(kinks.begin(), kinks.end());
+  Pieces out;
+  for (const double kink : kinks) {
+    if (out.bounds.empty() ||
+        kink - out.bounds.back() > 1e-7 * domain.width()) {
+      out.bounds.push_back(kink);
+    }
+  }
+  int fill = 1;
+  while (static_cast<int>(out.bounds.size()) < hidden) {
+    const double candidate =
+        domain.lo + domain.width() * fill / (hidden + 1.0);
+    ++fill;
+    const bool clashes =
+        std::any_of(out.bounds.begin(), out.bounds.end(), [&](double b) {
+          return std::abs(b - candidate) < 1e-6 * domain.width();
+        });
+    if (!clashes) out.bounds.push_back(candidate);
+    NOVA_ASSERT(fill < 8 * breakpoints);
+  }
+  std::sort(out.bounds.begin(), out.bounds.end());
+
+  out.slopes.reserve(out.bounds.size() + 1);
+  out.biases.reserve(out.bounds.size() + 1);
+  double lo = domain.lo;
+  for (std::size_t i = 0; i <= out.bounds.size(); ++i) {
+    const double hi = i < out.bounds.size() ? out.bounds[i] : domain.hi;
+    const double mid = 0.5 * (lo + hi);
+    double slope = net.gamma;
+    for (std::size_t j = 0; j < net.w.size(); ++j) {
+      if (net.w[j] * mid + net.c[j] > 0.0) slope += net.v[j] * net.w[j];
+    }
+    out.slopes.push_back(slope);
+    out.biases.push_back(net.forward(mid) - slope * mid);
+    lo = hi;
+  }
+  return out;
+}
+
+double pieces_max_error(const Pieces& pieces, const ScalarFn& exact,
+                        Domain domain, int samples) {
+  double worst = 0.0;
+  for (int k = 0; k < samples; ++k) {
+    const double x =
+        domain.lo + domain.width() * k / static_cast<double>(samples - 1);
+    const auto it =
+        std::upper_bound(pieces.bounds.begin(), pieces.bounds.end(), x);
+    const auto seg = static_cast<std::size_t>(it - pieces.bounds.begin());
+    const double y = pieces.slopes[seg] * x + pieces.biases[seg];
+    worst = std::max(worst, std::abs(y - exact(x)));
+  }
+  return worst;
+}
+
+/// `nonpositive` counts the (iteration, unit) pairs trained with w <= 0:
+/// the units whose active samples form a prefix or nothing.
+Pieces train(const ScalarFn& exact, const PwlTable& seed, int breakpoints,
+             Domain domain, const MlpFitOptions& options,
+             std::int64_t& nonpositive) {
+  const int hidden = breakpoints - 1;
+
+  std::vector<double> xs(static_cast<std::size_t>(options.samples));
+  std::vector<double> ys(xs.size());
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    xs[k] = domain.lo +
+            domain.width() * static_cast<double>(k) / (xs.size() - 1);
+    ys[k] = exact(xs[k]);
+  }
+
+  const std::vector<double>& knots = seed.boundaries();
+  std::vector<double> node_x;
+  node_x.push_back(domain.lo);
+  node_x.insert(node_x.end(), knots.begin(), knots.end());
+  node_x.push_back(domain.hi);
+  std::vector<double> chord(node_x.size() - 1);
+  for (std::size_t j = 0; j + 1 < node_x.size(); ++j) {
+    chord[j] =
+        (exact(node_x[j + 1]) - exact(node_x[j])) / (node_x[j + 1] - node_x[j]);
+  }
+  Rng rng(options.seed);
+  Mlp net;
+  net.w.assign(static_cast<std::size_t>(hidden), 1.0);
+  net.c.resize(static_cast<std::size_t>(hidden));
+  net.v.resize(static_cast<std::size_t>(hidden));
+  for (int i = 0; i < hidden; ++i) {
+    net.c[static_cast<std::size_t>(i)] = -knots[static_cast<std::size_t>(i)];
+    net.v[static_cast<std::size_t>(i)] =
+        chord[static_cast<std::size_t>(i) + 1] -
+        chord[static_cast<std::size_t>(i)];
+  }
+  net.gamma = chord.front();
+  net.beta = exact(domain.lo) - net.gamma * domain.lo;
+
+  Adam opt_w(net.w.size()), opt_c(net.c.size()), opt_v(net.v.size());
+  Adam opt_scalars(2);
+  std::vector<double> gw(net.w.size()), gc(net.c.size()), gv(net.v.size());
+  std::vector<double> scalars(2), gscalars(2);
+
+  Mlp best = net;
+  double best_err = pieces_max_error(extract_pieces(net, domain, breakpoints),
+                                     exact, domain, options.samples);
+
+  for (int it = 0; it < options.iterations; ++it) {
+    std::fill(gw.begin(), gw.end(), 0.0);
+    std::fill(gc.begin(), gc.end(), 0.0);
+    std::fill(gv.begin(), gv.end(), 0.0);
+    double ggamma = 0.0, gbeta = 0.0;
+    nonpositive += std::count_if(net.w.begin(), net.w.end(),
+                                 [](double w) { return w <= 0.0; });
+
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      const double x = xs[k];
+      const double err = net.forward(x) - ys[k];
+      const double g = 2.0 * err / static_cast<double>(xs.size());
+      gbeta += g;
+      ggamma += g * x;
+      for (std::size_t i = 0; i < net.w.size(); ++i) {
+        const double pre = net.w[i] * x + net.c[i];
+        if (pre > 0.0) {
+          gv[i] += g * pre;
+          gw[i] += g * net.v[i] * x;
+          gc[i] += g * net.v[i];
+        }
+      }
+    }
+
+    opt_w.step(net.w, gw, options.learning_rate);
+    opt_c.step(net.c, gc, options.learning_rate);
+    opt_v.step(net.v, gv, options.learning_rate);
+    scalars[0] = net.gamma;
+    scalars[1] = net.beta;
+    gscalars[0] = ggamma;
+    gscalars[1] = gbeta;
+    opt_scalars.step(scalars, gscalars, options.learning_rate);
+    net.gamma = scalars[0];
+    net.beta = scalars[1];
+
+    if (options.reproject_every > 0 &&
+        (it + 1) % options.reproject_every == 0) {
+      for (std::size_t i = 0; i < net.w.size(); ++i) {
+        if (std::abs(net.w[i]) < 1e-6) {
+          net.w[i] = 1.0;
+          net.c[i] = -rng.uniform(domain.lo, domain.hi);
+          continue;
+        }
+        const double kink = -net.c[i] / net.w[i];
+        if (kink < domain.lo || kink > domain.hi) {
+          const double fresh = rng.uniform(domain.lo, domain.hi);
+          net.c[i] = -net.w[i] * fresh;
+        }
+      }
+      const double err =
+          pieces_max_error(extract_pieces(net, domain, breakpoints), exact,
+                           domain, options.samples);
+      if (err < best_err) {
+        best_err = err;
+        best = net;
+      }
+    }
+  }
+  const double final_err =
+      pieces_max_error(extract_pieces(net, domain, breakpoints), exact,
+                       domain, options.samples);
+  if (final_err < best_err) best = net;
+
+  return extract_pieces(best, domain, breakpoints);
+}
+
+}  // namespace dense
+
+/// Index of the first value whose bit pattern differs, or -1.
+int first_bit_mismatch(const std::vector<double>& got,
+                       const std::vector<double>& want) {
+  if (got.size() != want.size()) return 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      return static_cast<int>(i);
+    }
+  }
+  return -1;
+}
+
+TEST(MlpFitter, MatchesDenseReferenceBitForBit) {
+  // Seeded option sets over custom functions with a kink, a jump, no
+  // curvature at all and several periods, random domains, 2..41
+  // breakpoints, 8..600 samples, learning rates 1e-4..2 (large ones drive
+  // units to w <= 0) and every reprojection cadence class. Each table must
+  // equal the dense reference bit for bit.
+  const std::vector<std::pair<std::string, ScalarFn>> functions = {
+      {"abs", [](double x) { return std::abs(x); }},
+      {"step", [](double x) { return x < 0.3 ? -1.0 : 2.0; }},
+      {"const", [](double) { return 0.75; }},
+      {"sin3x", [](double x) { return std::sin(3.0 * x); }},
+  };
+  constexpr int kReprojectEvery[] = {0, 1, 7, 50, 200};
+  Rng rng(0x5eed);
+  std::int64_t nonpositive = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const auto& [label, fn] = functions[static_cast<std::size_t>(trial) %
+                                        functions.size()];
+    const double lo = rng.uniform(-6.0, 2.0);
+    const Domain domain{lo, lo + rng.uniform(0.25, 8.0)};
+    const int breakpoints = 2 + static_cast<int>(rng.next_below(40));
+    MlpFitOptions options;
+    options.samples = 8 + static_cast<int>(rng.next_below(593));
+    options.iterations = 1 + static_cast<int>(rng.next_below(400));
+    options.learning_rate = 1e-4 * std::pow(2e4, rng.next_double());
+    options.reproject_every = kReprojectEvery[rng.next_below(5)];
+    options.seed = rng.next_u64();
+
+    const PwlTable seed = fit_adaptive(fn, label, breakpoints, domain);
+    const dense::Pieces want =
+        dense::train(fn, seed, breakpoints, domain, options, nonpositive);
+    const PwlTable got = fit_mlp(fn, label, breakpoints, domain, options);
+    const auto context = [&] {
+      return "trial " + std::to_string(trial) + " (" + label +
+             ", bp=" + std::to_string(breakpoints) +
+             ", samples=" + std::to_string(options.samples) +
+             ", iterations=" + std::to_string(options.iterations) +
+             ", lr=" + std::to_string(options.learning_rate) +
+             ", reproject_every=" + std::to_string(options.reproject_every) +
+             ")";
+    };
+    ASSERT_EQ(first_bit_mismatch(got.boundaries(), want.bounds), -1)
+        << context();
+    ASSERT_EQ(first_bit_mismatch(got.slopes(), want.slopes), -1) << context();
+    ASSERT_EQ(first_bit_mismatch(got.biases(), want.biases), -1) << context();
+  }
+  // The suite must reach units whose active samples are a prefix or empty,
+  // not only the suffix ranges every unit starts with (w = 1).
+  EXPECT_GT(nonpositive, 0);
 }
 
 TEST(PwlLibrary, MemoizesTables) {

@@ -7,6 +7,7 @@
 // with and without faults and shedding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -328,13 +329,18 @@ std::uint64_t fnv1a(const std::string& text) {
   return hash;
 }
 
-/// One golden-pin configuration: fault plan and admission policy on the
-/// shared overloaded stream below.
+/// Arrival rate of the shared golden stream below: far more than two
+/// instances can serve.
+constexpr double kOverloadRps = 2e6;
+
+/// One golden-pin configuration: fault plan, admission policy and arrival
+/// rate of the shared mixed stream below.
 struct GoldenCase {
   const char* name;
   bool faults;
   bool shedding;
   std::uint64_t pinned;
+  double rate_rps = kOverloadRps;
 };
 
 void PrintTo(const GoldenCase& golden, std::ostream* os) { *os << golden.name; }
@@ -346,12 +352,12 @@ std::string golden_name(const ::testing::TestParamInfo<GoldenCase>& info) {
 /// Serves the golden stream under `golden`'s faults and policy, in
 /// continuous or whole-request mode, checks the case still reaches the
 /// mechanism it is named for, and returns the outcome fingerprint's hash.
-/// The stream mixes all four functions and both phases and arrives far
-/// faster than two instances can serve, so a long ready backlog waits on
-/// every dispatch.
+/// The stream mixes all four functions and both phases. At the default
+/// rate it arrives far faster than two instances can serve, so a long
+/// ready backlog waits on every dispatch.
 std::uint64_t golden_hash(const GoldenCase& golden, bool continuous) {
   TrafficProfile profile;
-  profile.rate_rps = 2e6;
+  profile.rate_rps = golden.rate_rps;
   profile.max_steps = 8;
   if (golden.shedding) profile.deadline_us = 16000.0;
   auto requests = generate_poisson(480, profile, 23);
@@ -388,6 +394,16 @@ std::uint64_t golden_hash(const GoldenCase& golden, bool continuous) {
                                               : "serve.retries"),
               0u);
   }
+  if (golden.faults && golden.rate_rps < kOverloadRps) {
+    // Paced: some retried request is served while later requests are still
+    // arriving, so its retry re-entered the ready queue ahead of them.
+    const double last_arrival = requests.back().arrival_us;
+    EXPECT_TRUE(std::any_of(
+        report.outcomes.begin(), report.outcomes.end(),
+        [&](const RequestOutcome& outcome) {
+          return outcome.attempts >= 2 && outcome.start_us < last_arrival;
+        }));
+  }
   return fnv1a(outcome_fingerprint(report));
 }
 
@@ -420,10 +436,12 @@ TEST_P(WholeGolden, OverloadedMixedStreamMatchesPinnedFingerprint) {
   // The same matrix through whole-request dispatch: each request's session
   // plan (prefill + decode chain) is one dispatch, fused FIFO runs stop at
   // the first mismatch, and under faults killed batches re-enter the ready
-  // queue by (ready time, id). The stream arrives within about 240 us, so
-  // every retry lands behind the last arrival; ready_queue_test covers
-  // retries merging among arrivals. The hashes were captured with the
-  // std::set<Pending> ready queue the loop used before its arrival cursor.
+  // queue by (ready time, id). The overloaded stream arrives within about
+  // 240 us, so every retry lands behind the last arrival; faultsPaced
+  // arrives over about 47 ms, at a pace the pool keeps up with, so retries
+  // merge among later arrivals. The first four hashes were captured with
+  // the std::set<Pending> ready queue the loop used before its arrival
+  // cursor.
   const GoldenCase& golden = GetParam();
   const std::uint64_t hash = golden_hash(golden, /*continuous=*/false);
   EXPECT_EQ(hash, golden.pinned) << "fingerprint hash 0x" << std::hex << hash;
@@ -435,7 +453,8 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"plain", false, false, 0xeb974e7a95548316ULL},
         GoldenCase{"shedding", false, true, 0xab085a10890ef734ULL},
         GoldenCase{"faults", true, false, 0x3f24e50b58fc12d7ULL},
-        GoldenCase{"faultsShedding", true, true, 0x70277043d4790036ULL}),
+        GoldenCase{"faultsShedding", true, true, 0x70277043d4790036ULL},
+        GoldenCase{"faultsPaced", true, false, 0x044dae43e84b0abaULL, 1e4}),
     golden_name);
 
 TEST(ContinuousSchedulerDeathTest, RejectsNegativeGenSteps) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
@@ -198,6 +199,64 @@ TEST(OpGraph, DecodeOpsMatchClosedFormAndGrowWithKvLen) {
                 accel::closed_form_decode_ops(config, kv));
       EXPECT_GT(graph.total_approx_ops(), prev_ops);
       prev_ops = graph.total_approx_ops();
+    }
+  }
+}
+
+TEST(OpGraph, ClosedFormMacsMatchTheBuilders) {
+  for (const auto& entry : workload::benchmark_catalog()) {
+    for (const int len : {1, 7, 128, 4096}) {
+      const auto config = entry.make(len);
+      EXPECT_EQ(closed_form_macs(config, len, len),
+                static_cast<double>(build_graph(config).total_macs()))
+          << config.name << " seq " << len;
+      EXPECT_EQ(closed_form_macs(config, 1, len),
+                static_cast<double>(
+                    build_decode_graph(config, len).total_macs()))
+          << config.name << " kv " << len;
+    }
+  }
+}
+
+TEST(OpGraph, MaxGraphLenIsTheLongestLengthEveryModelHolds) {
+  // Prefill MACs grow as seq_len^2: the bound is the last length at which
+  // every catalog model stays within 2^62, and one more token breaks it.
+  const int prefill = max_graph_len(Phase::kPrefill);
+  const auto worst = [](double query, double attend) {
+    double macs = 0.0;
+    for (const auto& entry : workload::benchmark_catalog()) {
+      macs = std::max(macs, closed_form_macs(entry.make(1), query, attend));
+    }
+    return macs;
+  };
+  EXPECT_LE(worst(prefill, prefill), 0x1p62);
+  EXPECT_GT(worst(prefill + 1.0, prefill + 1.0), 0x1p62);
+  EXPECT_GT(prefill, 10'000'000);
+  // Decode MACs grow linearly in kv_len, so every int fits.
+  EXPECT_EQ(max_graph_len(Phase::kDecode), std::numeric_limits<int>::max());
+  EXPECT_LE(worst(1.0, std::numeric_limits<int>::max()), 0x1p62);
+}
+
+TEST(Executor, GraphsAtTheLengthBoundPriceWithoutOverflow) {
+  // Every catalog model at the longest accepted prompt and KV cache,
+  // through the verifier (the builders run it) and the executor on every
+  // host. Under UBSan any signed overflow in their counts aborts here.
+  const int prefill = max_graph_len(Phase::kPrefill);
+  const int decode = max_graph_len(Phase::kDecode);
+  for (const auto& entry : workload::benchmark_catalog()) {
+    const auto config = entry.make(prefill);
+    const auto prompt = build_graph(config);
+    const auto step = build_decode_graph(config, decode);
+    EXPECT_NEAR(static_cast<double>(prompt.total_macs()),
+                closed_form_macs(config, prefill, prefill), 1e-12 * 0x1p62)
+        << config.name;
+    EXPECT_GT(prompt.total_approx_ops(), 0) << config.name;
+    EXPECT_GT(step.total_approx_ops(), 0) << config.name;
+    for (const auto host : all_hosts()) {
+      const PipelineExecutor executor(accel::make_accelerator(host),
+                                      ExecutorConfig{});
+      EXPECT_GT(executor.execute(prompt).span_cycles, 0u) << config.name;
+      EXPECT_GT(executor.execute(step).span_cycles, 0u) << config.name;
     }
   }
 }

@@ -307,6 +307,27 @@ TEST(Trace, RejectsIncoherentSteps) {
     EXPECT_FALSE(parse_trace(in, requests, error));
     EXPECT_NE(error.find("overflows"), std::string::npos) << error;
   }
+  {
+    // A prompt past pipeline::max_graph_len overflows its graph's int64
+    // MAC and vector-op counts in pricing; this one used to abort there
+    // with std::length_error.
+    std::istringstream in(
+        "0, bert-tiny, gelu, 64, 16, prefill\n"
+        "0, bert-tiny, gelu, 1073741823, 16, prefill\n");
+    EXPECT_FALSE(parse_trace(in, requests, error));
+    EXPECT_NE(error.find("trace line 2"), std::string::npos) << error;
+    EXPECT_NE(error.find("prompt overflows"), std::string::npos) << error;
+  }
+  {
+    const int longest = pipeline::max_graph_len(pipeline::Phase::kPrefill);
+    std::istringstream over("0, roberta, exp, " +
+                            std::to_string(longest + 1) + ", 16\n");
+    EXPECT_FALSE(parse_trace(over, requests, error));
+    EXPECT_NE(error.find("prompt overflows"), std::string::npos) << error;
+    std::istringstream at("0, roberta, exp, " + std::to_string(longest) +
+                          ", 16\n");
+    EXPECT_TRUE(parse_trace(at, requests, error)) << error;
+  }
 }
 
 TEST(RequestGenerator, MaxStepsDrawsBoundedGenerationLengths) {
@@ -821,6 +842,53 @@ TEST(BatchSchedulerDeathTest, RejectsOverflowingDecodeChains) {
   requests[0].gen_steps = 2;
   EXPECT_DEATH((void)scheduler.run(requests),
                "request at position 0 .*decode chain overflows");
+}
+
+TEST(BatchSchedulerDeathTest, RejectsPromptsPastTheGraphBound) {
+  const BatchScheduler scheduler(small_pool(1, 1));
+  std::vector<InferenceRequest> requests(1);
+  requests[0].seq_len = pipeline::max_graph_len(pipeline::Phase::kPrefill) + 1;
+  EXPECT_DEATH((void)scheduler.run(requests),
+               "request at position 0 .*prompt overflows");
+}
+
+TEST(BatchScheduler, LongestAcceptedLengthsPriceCleanly) {
+  // Every catalog model at the longest accepted prompt, decoding one token
+  // at that kv_len, and a decode step ending at the longest KV cache,
+  // priced exactly and by the surrogate. Under UBSan a signed overflow
+  // anywhere in graph building, verification or pricing aborts here;
+  // every served latency must come out finite.
+  const int prompt = pipeline::max_graph_len(pipeline::Phase::kPrefill);
+  const int cache = pipeline::max_graph_len(pipeline::Phase::kDecode);
+  std::vector<InferenceRequest> requests;
+  for (const auto& entry : workload::benchmark_catalog()) {
+    InferenceRequest prefill;
+    prefill.workload = entry.name;
+    prefill.seq_len = prompt;
+    prefill.gen_steps = 1;
+    InferenceRequest decode = prefill;
+    decode.phase = pipeline::Phase::kDecode;
+    decode.seq_len = 1;
+    decode.kv_len = cache - 1;
+    for (auto req : {prefill, decode}) {
+      req.id = static_cast<int>(requests.size());
+      req.arrival_us = req.id;
+      requests.push_back(req);
+    }
+  }
+  for (const auto mode : {PricingMode::kExact, PricingMode::kSurrogate}) {
+    auto config = small_pool(2, 2);
+    config.pricing = mode;
+    const auto report = BatchScheduler(config).run(requests);
+    ASSERT_EQ(report.outcomes.size(), requests.size());
+    for (const auto& outcome : report.outcomes) {
+      EXPECT_TRUE(outcome.served()) << outcome.request.workload;
+      EXPECT_GT(outcome.service_us, 0.0) << outcome.request.workload;
+      EXPECT_TRUE(std::isfinite(outcome.finish_us))
+          << outcome.request.workload;
+    }
+    EXPECT_TRUE(std::isfinite(report.latency_percentile_us(99.0)));
+  }
 }
 
 TEST(RequestGeneratorDeathTest, RejectsNonPositiveRate) {
