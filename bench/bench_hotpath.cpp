@@ -92,7 +92,9 @@ struct ServeResultRow {
 };
 
 /// Times a full BatchScheduler::run (pricing + dispatch) over a Poisson
-/// request stream; pricing the distinct shapes through SimSession dominates.
+/// request stream. The tpuv4 deployment's flit train lands within one
+/// accelerator cycle, so calibration is two SimSessions per PWL table and
+/// the distinct shapes' graph walks dominate.
 ServeResultRow run_serve_case(int requests, int sim_elements_cap) {
   nova::serve::ServeConfig config;
   config.nova = nova::core::make_overlay(nova::hw::AcceleratorKind::kTpuV4)

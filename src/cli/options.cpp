@@ -65,12 +65,15 @@ bool parse_u64(const std::string& flag, const char* text, std::uint64_t& out,
   return true;
 }
 
-/// Parses a positive bounded double flag value (rates).
+/// Parses a positive bounded double flag value (rates). The range test
+/// asks for membership in [min, max] rather than rejecting values outside
+/// it: std::from_chars accepts "nan", and every comparison with NaN is
+/// false.
 bool parse_double(const std::string& flag, const char* text, double min_value,
                   double max_value, double& out, std::string& error) {
   double value = 0.0;
-  if (!parse_full(std::string(text), value) || value < min_value ||
-      value > max_value) {
+  if (!parse_full(std::string(text), value) ||
+      !(value >= min_value && value <= max_value)) {
     error = flag + " expects a number in [" + std::to_string(min_value) +
             ", " + std::to_string(max_value) + "], got '" + text + "'";
     return false;
@@ -167,9 +170,10 @@ std::string usage() {
       "                     breakpoints' lines instead of Poisson arrivals\n"
       "                     (implies --serve); --workload/--function narrow\n"
       "                     the generated traffic mix\n"
-      "  --pricing MODE     admission pricing: exact (cycle-accurate run\n"
-      "                     per distinct shape), surrogate (PWL cost model\n"
-      "                     anchored by a few such runs), or hybrid\n"
+      "  --pricing MODE     admission pricing: exact (cycle-accurate\n"
+      "                     calibration of every distinct shape),\n"
+      "                     surrogate (PWL cost model anchored by a few\n"
+      "                     such calibrations), or hybrid\n"
       "                     (surrogate + sampled exact reconciliation;\n"
       "                     non-zero exit on drift)   (default: exact)\n"
       "  --surrogate-anchors N  max anchor runs per (workload, function,\n"

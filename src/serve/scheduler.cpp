@@ -160,10 +160,10 @@ BatchScheduler::StepTable BatchScheduler::plan_steps(
 std::vector<ShapeCost> BatchScheduler::price_requests(
     const std::vector<InferenceRequest>& requests, const StepTable& table,
     std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const {
-  // NOVA's service time is input-independent (a wave completes when the
-  // full tagged flit train has broadcast, regardless of the data values),
-  // so pricing is memoized per distinct shape; only the distinct set ever
-  // touches a pricing path. The set spans every SESSION STEP: decode
+  // A request's price is a function of its shape alone (where wave timing
+  // depends on the data, the calibration synthesizes that data from the
+  // shape), so pricing is memoized per distinct shape; only the distinct
+  // set ever touches a pricing path. The set spans every SESSION STEP: decode
   // steps are ordinary per-kv_len shapes of the request's pricing class
   // (exactly what the surrogate's per-class curves interpolate), and all
   // chunks of a prefill share its one full-sequence shape -- so a stream

@@ -12,24 +12,28 @@
 //      (pipeline::build_decode_graph) -- not from the non-linear stream
 //      alone.
 //      In `exact` pricing mode every distinct shape runs the cycle-accurate
-//      path (serve::ExactPricer): up to sim_elements_cap elements per
-//      router through core::SimSession over inputs synthesized
-//      deterministically from (config.seed, request shape); the run's
-//      measured steady-state wave rate and pipeline fill then parameterize
-//      a PipelineExecutor walk of the graph, whose overlap-aware makespan
-//      (fabric GEMM tiles overlapping NOVA waves) is the request's service
-//      time. In `surrogate` mode only a handful of log-spaced anchor
-//      shapes per (workload, phase, function, breakpoints) class run that
-//      path; every other shape walks its own graph under a calibration read
-//      off plain PWL curves fitted through the anchors' calibration
-//      parameters (elements/cycle and wave latency), never through the
-//      cost (serve::PricingSurrogate). `hybrid` runs the surrogate and
-//      additionally re-prices a deterministic sample of distinct shapes
-//      exactly, reconciling the two within surrogate_tol (the audit lands
-//      in ServeReport::surrogate; CLI/bench drivers exit non-zero on
-//      drift). Requests are independent, so the worker pool shares nothing
-//      but the read-only PWL tables (pre-warmed before fan-out;
-//      PwlLibrary::get is additionally mutex-guarded).
+//      path (serve::ExactPricer): a core::SimSession calibration of the
+//      deployment's steady-state wave rate and pipeline fill, which then
+//      parameterizes a PipelineExecutor walk of the graph, whose
+//      overlap-aware makespan (fabric GEMM tiles overlapping NOVA waves) is
+//      the request's service time. Where the flit train lands within one
+//      accelerator cycle (every Table II deployment) the calibration is
+//      measured once per PWL table; elsewhere each shape simulates up to
+//      sim_elements_cap elements per router of inputs synthesized from
+//      (config.seed, request shape). In `surrogate` mode only a handful
+//      of log-spaced anchor shapes per (workload, phase, function,
+//      breakpoints) class run that path; every other shape walks its own
+//      graph under a calibration read off plain PWL curves fitted through
+//      the anchors' calibration parameters (elements/cycle and wave
+//      latency), never through the cost (serve::PricingSurrogate).
+//      `hybrid` runs the surrogate and additionally re-prices a
+//      deterministic sample of distinct shapes exactly, reconciling the
+//      two within surrogate_tol (the audit lands in
+//      ServeReport::surrogate; CLI/bench drivers exit non-zero on drift).
+//      Requests are independent, so the worker pool shares only the
+//      read-only PWL tables (pre-warmed before fan-out; PwlLibrary::get is
+//      additionally mutex-guarded) and the pricer's per-table memo, whose
+//      entries depend on nothing a worker chooses.
 //
 //      Before pricing, every request's session plan is folded into one
 //      flat step table: request i owns entries [first[i], first[i+1]),
@@ -119,8 +123,9 @@ struct ServeConfig {
   int max_batch = 8;
   /// Seed for per-request input synthesis.
   std::uint64_t seed = 42;
-  /// Elements per router simulated cycle-accurately when pricing one
-  /// request; the remainder of the stream extrapolates at the measured
+  /// Elements per router simulated cycle-accurately when a shape is
+  /// calibrated on its own input stream (the flit train spans accelerator
+  /// cycles); the remainder of the stream extrapolates at the measured
   /// steady-state rate.
   int sim_elements_cap = 8192;
   /// How distinct request shapes are priced (see surrogate.hpp): exact

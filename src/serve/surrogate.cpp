@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <ranges>
 #include <thread>
 #include <utility>
 
@@ -11,7 +13,9 @@
 #include "analysis/verifier.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "common/assert.hpp"
+#include "common/fixed_point.hpp"
 #include "common/rng.hpp"
+#include "core/mapper.hpp"
 #include "core/sim_session.hpp"
 #include "pipeline/executor.hpp"
 #include "workload/bert.hpp"
@@ -20,13 +24,12 @@ namespace nova::serve {
 
 namespace {
 
-/// Input-synthesis seed for one request shape: FNV-1a over the shape
-/// fields mixed with the base seed, so an identical shape prices from
-/// identical inputs in every stream, regardless of what other requests
-/// ride along. Phase and kv_len are part of the shape: a decode step and a
-/// prefill at the same seq_len are different work. Surrogate anchors are
-/// keyed through the same function, so an anchor run is bit-equal to exact
-/// pricing of that shape.
+/// Input-synthesis seed for one request shape, used where a wave's timing
+/// depends on its data (the flit train spans accelerator cycles): FNV-1a
+/// over the shape fields mixed with the base seed, so an identical shape
+/// prices from identical inputs in every stream, regardless of what other
+/// requests ride along. Phase and kv_len are part of the shape: a decode
+/// step and a prefill at the same seq_len are different work.
 std::uint64_t shape_seed(std::uint64_t base, const ShapeKey& shape) {
   std::uint64_t h = 0xCBF29CE484222325ULL ^ base;
   const auto mix = [&h](std::uint64_t value) {
@@ -91,32 +94,31 @@ pipeline::OpGraph shape_graph(const ShapeKey& shape) {
   return graph;
 }
 
+/// The smallest link word whose lookup address is `address`, if any. The
+/// comparator bank's address never decreases as the word grows, so the
+/// first word at or past `address` either selects it or shows that the
+/// quantized boundaries leave no word inside that segment.
+std::optional<Word16> first_word_at(const approx::PwlTable& table,
+                                    int address) {
+  using Raw = Word16::storage_type;
+  const auto raws = std::views::iota(
+      std::int32_t{std::numeric_limits<Raw>::min()},
+      std::int32_t{std::numeric_limits<Raw>::max()} + 1);
+  const auto first = std::ranges::partition_point(raws, [&](std::int32_t raw) {
+    return table.lookup_address(Word16::from_raw(raw)) < address;
+  });
+  if (first == raws.end()) return std::nullopt;
+  const Word16 word = Word16::from_raw(*first);
+  if (table.lookup_address(word) != address) return std::nullopt;
+  return word;
+}
+
 }  // namespace
 
-Calibration ExactPricer::calibrate_graph(const ShapeKey& shape,
-                                         const pipeline::OpGraph& graph) const {
-  auto& library = approx::PwlLibrary::instance();
-  const auto& table = library.get(shape.function, shape.breakpoints);
-  const auto domain = table.domain();
-
-  // The cycle-accurate slice: measures how fast THIS deployment actually
-  // streams elements through the NOVA unit under this shape's synthesized
-  // input stream (capped at sim_elements_cap elements per router).
-  const std::int64_t total_ops = graph.total_approx_ops();
-  const std::int64_t per_router =
-      (total_ops + config_.nova.routers - 1) / config_.nova.routers;
-  const std::int64_t simulated =
-      std::min<std::int64_t>(per_router, config_.sim_elements_cap);
-
-  Rng rng(shape_seed(config_.seed, shape));
-  std::vector<std::vector<double>> inputs(
-      static_cast<std::size_t>(config_.nova.routers));
-  for (auto& stream : inputs) {
-    stream.reserve(static_cast<std::size_t>(simulated));
-    for (std::int64_t i = 0; i < simulated; ++i) {
-      stream.push_back(rng.uniform(domain.lo, domain.hi));
-    }
-  }
+Calibration ExactPricer::simulate(
+    const approx::PwlTable& table,
+    const std::vector<std::vector<double>>& inputs) const {
+  sim_sessions_.fetch_add(1, std::memory_order_relaxed);
   core::SimSession session(config_.nova, table, inputs);
   const auto result = session.run();
 
@@ -137,6 +139,77 @@ Calibration ExactPricer::calibrate_graph(const ShapeKey& shape,
       static_cast<double>(config_.nova.neurons_per_router);
   return Calibration{elems_per_wave / std::max(per_wave, 1e-9),
                      result.wave_latency_cycles};
+}
+
+ExactPricer::TableTiming ExactPricer::table_timing(
+    const ShapeKey& shape, const approx::PwlTable& table) const {
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  const auto [entry, inserted] =
+      memo_.try_emplace({shape.function, shape.breakpoints});
+  TableTiming& timing = entry->second;
+  if (!inserted) return timing;
+
+  // The guard wave: every router looks up an address carried by the
+  // train's last flit, tag m-1. Flits are injected in tag order, so router
+  // R-1 seeing flit m-1 is the last observation of any train. If this wave
+  // takes two accelerator cycles -- the minimum: issue at tick k, MAC at
+  // k+1 -- the whole train lands within one cycle, and so does every wave
+  // on any data. Both calibrations are then measured, not derived, on the
+  // same fixed stream: one wave and two waves of N elements per router.
+  const int m =
+      core::make_schedule(table, config_.nova.pairs_per_flit)
+          .noc_clock_multiplier;
+  const std::optional<Word16> last_tag = first_word_at(table, m - 1);
+  if (!last_tag.has_value()) return timing;
+  const auto wave = static_cast<std::size_t>(config_.nova.neurons_per_router);
+  std::vector<std::vector<double>> inputs(
+      static_cast<std::size_t>(config_.nova.routers),
+      std::vector<double>(wave, last_tag->to_double()));
+  const Calibration single_wave = simulate(table, inputs);
+  if (single_wave.wave_latency_cycles != 2) return timing;
+  for (auto& stream : inputs) stream.resize(2 * wave, last_tag->to_double());
+  timing.single_wave = single_wave;
+  timing.multi_wave = simulate(table, inputs);
+  timing.one_cycle_train = true;
+  return timing;
+}
+
+Calibration ExactPricer::calibrate_graph(const ShapeKey& shape,
+                                         const pipeline::OpGraph& graph) const {
+  auto& library = approx::PwlLibrary::instance();
+  const auto& table = library.get(shape.function, shape.breakpoints);
+
+  // The cycle-accurate slice: measures how fast THIS deployment actually
+  // streams elements through the NOVA unit, over up to sim_elements_cap
+  // elements per router; more than N of them span several waves.
+  const std::int64_t total_ops = graph.total_approx_ops();
+  const std::int64_t per_router =
+      (total_ops + config_.nova.routers - 1) / config_.nova.routers;
+  const std::int64_t simulated =
+      std::min<std::int64_t>(per_router, config_.sim_elements_cap);
+
+  if (simulated > 0) {
+    const TableTiming timing = table_timing(shape, table);
+    if (timing.one_cycle_train) {
+      return simulated <= config_.nova.neurons_per_router
+                 ? timing.single_wave
+                 : timing.multi_wave;
+    }
+  }
+
+  // Outside the one-cycle regime a wave's latency depends on which tags
+  // its data selects: simulate this shape's own synthesized input stream.
+  const auto domain = table.domain();
+  Rng rng(shape_seed(config_.seed, shape));
+  std::vector<std::vector<double>> inputs(
+      static_cast<std::size_t>(config_.nova.routers));
+  for (auto& stream : inputs) {
+    stream.reserve(static_cast<std::size_t>(simulated));
+    for (std::int64_t i = 0; i < simulated; ++i) {
+      stream.push_back(rng.uniform(domain.lo, domain.hi));
+    }
+  }
+  return simulate(table, inputs);
 }
 
 ShapeCost ExactPricer::walk_graph(const ShapeKey& shape,

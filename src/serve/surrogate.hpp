@@ -2,29 +2,33 @@
 // with interpolation over a handful of cycle-accurate anchor runs.
 //
 // The exact pricing path (ExactPricer, extracted from BatchScheduler) has
-// two unequal halves per *distinct* request shape: an expensive
-// cycle-accurate core::SimSession run that CALIBRATES the deployment
-// (steady-state elements/cycle and wave-fill latency for that shape's
-// synthesized input stream), and a cheap PipelineExecutor walk that prices
-// the whole inference from the calibration. Under realistic decode traffic
-// every kv_len is a distinct shape, so the SimSession half bounds admission
-// at a few thousand priced requests per second (BENCH_hotpath.json).
+// two halves per *distinct* request shape: a cycle-accurate core::SimSession
+// measurement that CALIBRATES the deployment (steady-state elements/cycle
+// and wave-fill latency), and a PipelineExecutor walk that prices the whole
+// inference from the calibration. Where the deployment's flit train lands
+// within one accelerator cycle -- every Table II deployment -- the
+// calibration is a constant of (deployment, PWL table, single- or
+// multi-wave), so ExactPricer measures it once per table and every other
+// shape costs only its graph walk. Elsewhere a wave's latency depends on
+// which tags its data selects, and each shape still runs its own
+// SimSession over a stream synthesized from its shape seed.
 //
 // The calibration parameters vary smoothly in seq/kv_len for a fixed
 // (workload, host, phase, function, breakpoints) class -- the service-cycle
 // curve itself does NOT (wave-count quantization makes it a staircase, so
 // chord-interpolating it would err by a full wave step near every riser).
-// PricingSurrogate therefore runs the expensive calibration only at a small
+// PricingSurrogate therefore runs the calibration only at a small
 // set of log-spaced anchor lengths per class -- in parallel on the worker
-// pool, each anchor seeded by the same shape_seed the exact path would use
-// -- fits piecewise-linear curves (approx::InterpCurve) through the
+// pool, each anchor calibrated by the same ExactPricer::calibrate the exact
+// path uses -- fits piecewise-linear curves (approx::InterpCurve) through the
 // measured calibration parameters, and prices every other shape by walking
 // its real operator graph with the interpolated calibration. The walk
 // applies the exact wave quantization, so the staircase is reproduced
 // rather than chorded across, and a prediction AT an anchor length is
 // bit-equal to exact pricing (nodal interpolation returns the measured
-// calibration unchanged). Admission cost drops from O(cycle-accurate sim)
-// to O(graph walk) per distinct shape.
+// calibration unchanged). Where exact pricing runs a SimSession per shape,
+// admission cost drops from O(cycle-accurate sim) to O(graph walk) per
+// distinct shape; inside the one-cycle regime both cost a graph walk.
 //
 // Three modes (ServeConfig::pricing):
 //   exact     -- every distinct shape through ExactPricer (the old path).
@@ -41,9 +45,13 @@
 // curve fitting / interpolation run serially after the pool joins.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "approx/functions.hpp"
@@ -107,9 +115,9 @@ struct ShapeCost {
 struct PricerConfig {
   core::NovaConfig nova;
   hw::AcceleratorKind host = hw::AcceleratorKind::kTpuV4;
-  /// Base seed for per-shape input synthesis.
+  /// Base seed for per-shape input synthesis (see ExactPricer::calibrate).
   std::uint64_t seed = 42;
-  /// Elements per router simulated cycle-accurately per pricing run.
+  /// Elements per router simulated in a per-shape calibration run.
   int sim_elements_cap = 8192;
   /// How the graph walk prices each shape's operator graph (fusion.hpp):
   /// off walks the builder graph untouched, on applies every rewrite pass,
@@ -132,21 +140,34 @@ struct Calibration {
   int wave_latency_cycles = 1;
 };
 
-/// The cycle-accurate pricing path: one core::SimSession over inputs
-/// synthesized deterministically from (seed, shape) measures the
-/// deployment's steady-state wave rate, then a PipelineExecutor walk of
-/// the shape's operator graph prices the whole inference overlap-aware.
-/// Reentrant: all methods share nothing mutable, so any number of threads
-/// may price different shapes concurrently.
+/// The cycle-accurate pricing path: core::SimSession measures the
+/// deployment's steady-state wave rate for the shape's PWL table, then a
+/// PipelineExecutor walk of the shape's operator graph prices the whole
+/// inference overlap-aware.
+///
+/// Thread-safe: any number of threads may price shapes concurrently. The
+/// mutable state is a per-table timing memo and a session counter. A memo
+/// entry is filled under a lock on the table's first calibration, from
+/// fixed input streams (no seed), so it is a pure function of (deployment,
+/// table) and the same whichever worker fills it; results never depend on
+/// the thread count or the calibration order.
 class ExactPricer {
  public:
   explicit ExactPricer(const PricerConfig& config);
+  ExactPricer(const ExactPricer&) = delete;
+  ExactPricer& operator=(const ExactPricer&) = delete;
 
   /// calibrate() then price_calibrated(): the full exact path.
   [[nodiscard]] ShapeCost price(const ShapeKey& shape) const;
 
-  /// The expensive half alone: the cycle-accurate SimSession measurement
-  /// for `shape` (the part the surrogate replaces with interpolation).
+  /// The cycle-accurate half alone (the part the surrogate replaces with
+  /// interpolation). On a table's first use, one guard wave decides whether
+  /// this deployment's whole flit train lands within one accelerator cycle;
+  /// if so, that wave and one two-wave run are the table's single-wave and
+  /// multi-wave calibrations, and every shape of that table gets the one
+  /// for its wave count. Otherwise each shape runs its own SimSession over
+  /// up to sim_elements_cap elements per router synthesized from
+  /// (seed, shape).
   [[nodiscard]] Calibration calibrate(const ShapeKey& shape) const;
 
   /// The cheap half alone: prices `shape` by walking its operator graph
@@ -157,14 +178,39 @@ class ExactPricer {
 
   [[nodiscard]] const PricerConfig& config() const { return config_; }
 
+  /// SimSession runs this pricer has made: memo fills, guard waves and
+  /// per-shape calibrations. A work counter for tests; it is kept out of
+  /// every report and fingerprint.
+  [[nodiscard]] std::uint64_t sim_sessions() const {
+    return sim_sessions_.load(std::memory_order_relaxed);
+  }
+
  private:
+  /// What a table's first calibration learned about this deployment.
+  struct TableTiming {
+    /// Every wave on any data takes the minimum two accelerator cycles, so
+    /// the two calibrations below cover every shape of the table.
+    bool one_cycle_train = false;
+    Calibration single_wave;
+    Calibration multi_wave;
+  };
+
   [[nodiscard]] Calibration calibrate_graph(
       const ShapeKey& shape, const pipeline::OpGraph& graph) const;
+  [[nodiscard]] TableTiming table_timing(const ShapeKey& shape,
+                                         const approx::PwlTable& table) const;
+  [[nodiscard]] Calibration simulate(
+      const approx::PwlTable& table,
+      const std::vector<std::vector<double>>& inputs) const;
   [[nodiscard]] ShapeCost walk_graph(const ShapeKey& shape,
                                      const pipeline::OpGraph& graph,
                                      const Calibration& calibration) const;
 
   PricerConfig config_;
+  mutable std::atomic<std::uint64_t> sim_sessions_{0};
+  mutable std::mutex memo_mutex_;
+  /// Keyed by PWL table: (function, breakpoints). Guarded by memo_mutex_.
+  mutable std::map<std::pair<approx::NonLinearFn, int>, TableTiming> memo_;
 };
 
 /// Prices `shapes` through `pricer` on up to `threads` workers. Results are
@@ -240,7 +286,8 @@ class PricingSurrogate {
   [[nodiscard]] const std::vector<ClassCurve>& classes() const {
     return classes_;
   }
-  /// Cycle-accurate calibration runs the build spent across all classes.
+  /// Anchor calibrations (ExactPricer::calibrate calls) the build made
+  /// across all classes.
   [[nodiscard]] std::size_t anchors_priced() const { return anchors_priced_; }
 
  private:

@@ -1,13 +1,15 @@
 // Tests for the NOVA core: mapper schedules (tag/slot layout, clock
 // multiplier), cycle-accurate vector-unit behavior (correctness against the
 // functional PWL evaluation, latency, throughput, pipelining), overlay
-// configuration, energy accounting, and the pinned SimSession / calibration
-// goldens.
+// configuration, energy accounting, the pinned SimSession / calibration
+// goldens, and the calibration memo's differential property suite.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <string>
 
 #include "approx/fit.hpp"
@@ -17,7 +19,9 @@
 #include "core/sim_session.hpp"
 #include "core/vector_unit.hpp"
 #include "common/rng.hpp"
+#include "pipeline/op_graph.hpp"
 #include "serve/surrogate.hpp"
+#include "workload/bert.hpp"
 
 namespace nova::core {
 namespace {
@@ -470,6 +474,239 @@ TEST(CalibrationGolden, ExactPricerCalibrationsArePinned) {
         << pin.shape.workload << " seq " << pin.shape.seq_len << " kv "
         << pin.shape.kv_len;
   }
+}
+
+// Calibration differential property suite. ExactPricer::calibrate may
+// answer from a per-table memo only where timing cannot depend on the input
+// values; the reference below is the per-shape path, copied from the
+// pricer: a SimSession over a stream synthesized from shape_seed, then the
+// steady-state wave-rate math. A seeded sweep far outside Table II (1 to
+// 512 routers, a SMART reach down to one hop, 1-64 pairs per flit, 2-64
+// breakpoints, caps and shapes around 1, N, N+1 and 2N+1 elements per
+// router) must match it bit for bit. Wherever one wave whose every router
+// looks up the train's last tag takes the minimum 2 cycles, constant,
+// last-tag and uniform streams must all calibrate alike; and the sweep must
+// hold deployments where they do not, so a memo without that guard fails.
+
+/// The pricer's input-synthesis seed: FNV-1a over the shape fields mixed
+/// with the base seed.
+std::uint64_t reference_shape_seed(std::uint64_t base,
+                                   const serve::ShapeKey& shape) {
+  std::uint64_t h = 0xCBF29CE484222325ULL ^ base;
+  const auto mix = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const char c : shape.workload) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  mix(static_cast<std::uint64_t>(shape.seq_len));
+  mix(static_cast<std::uint64_t>(shape.function));
+  mix(static_cast<std::uint64_t>(shape.breakpoints));
+  mix(static_cast<std::uint64_t>(shape.phase));
+  mix(static_cast<std::uint64_t>(shape.kv_len));
+  return h;
+}
+
+std::string calibration_text(const serve::Calibration& c) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%a/%d", c.elems_per_cycle,
+                c.wave_latency_cycles);
+  return text;
+}
+
+/// One session's steady-state elements per cycle net of the fill latency,
+/// and its wave latency.
+std::string simulate_streams(const NovaConfig& cfg, const PwlTable& table,
+                             const std::vector<std::vector<double>>& inputs) {
+  SimSession session(cfg, table, inputs);
+  const ApproxResult result = session.run();
+  const double cycles = static_cast<double>(result.accel_cycles);
+  const auto waves = static_cast<double>(result.stats.counter("unit.waves"));
+  const double fill = static_cast<double>(result.wave_latency_cycles - 1);
+  const double per_wave = waves > 1.0 ? (cycles - 1.0 - fill) / (waves - 1.0)
+                                      : std::max(cycles, 1.0);
+  const double elems_per_wave = static_cast<double>(cfg.routers) *
+                                static_cast<double>(cfg.neurons_per_router);
+  return calibration_text(
+      serve::Calibration{elems_per_wave / std::max(per_wave, 1e-9),
+                         result.wave_latency_cycles});
+}
+
+std::vector<std::vector<double>> constant_streams(const NovaConfig& cfg,
+                                                  std::int64_t length,
+                                                  double value) {
+  return std::vector<std::vector<double>>(
+      static_cast<std::size_t>(cfg.routers),
+      std::vector<double>(static_cast<std::size_t>(length), value));
+}
+
+std::vector<std::vector<double>> uniform_streams(const NovaConfig& cfg,
+                                                 std::int64_t length,
+                                                 approx::Domain domain,
+                                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> inputs(
+      static_cast<std::size_t>(cfg.routers));
+  for (auto& stream : inputs) {
+    for (std::int64_t i = 0; i < length; ++i) {
+      stream.push_back(rng.uniform(domain.lo, domain.hi));
+    }
+  }
+  return inputs;
+}
+
+/// The per-shape path: `simulated` elements per router of the shape's own
+/// seeded stream.
+std::string reference_calibrate(const serve::PricerConfig& config,
+                                 const serve::ShapeKey& shape,
+                                 std::int64_t simulated) {
+  const PwlTable& table =
+      approx::PwlLibrary::instance().get(shape.function, shape.breakpoints);
+  return simulate_streams(
+      config.nova, table,
+      uniform_streams(config.nova, simulated, table.domain(),
+                      reference_shape_seed(config.seed, shape)));
+}
+
+std::int64_t per_router_ops(const serve::ShapeKey& shape, int routers) {
+  const auto model = workload::by_name(shape.workload, shape.seq_len);
+  const auto graph = shape.phase == pipeline::Phase::kDecode
+                         ? pipeline::build_decode_graph(*model, shape.kv_len)
+                         : pipeline::build_graph(*model);
+  return (graph.total_approx_ops() + routers - 1) / routers;
+}
+
+/// First link word (scanning every word) whose lookup address is `address`.
+std::optional<double> word_at_address(const PwlTable& table, int address) {
+  for (std::int64_t raw = -32768; raw <= 32767; ++raw) {
+    const Word16 word = Word16::from_raw(raw);
+    if (table.lookup_address(word) == address) return word.to_double();
+  }
+  return std::nullopt;
+}
+
+TEST(CalibrationProperty, MatchesPerShapeReferenceOverSeededSweep) {
+  const NonLinearFn functions[] = {NonLinearFn::kGelu, NonLinearFn::kExp,
+                                   NonLinearFn::kTanh, NonLinearFn::kSigmoid};
+  const int pairs_per_flit[] = {1, 2, 3, 8, 64};
+  const int breakpoints[] = {2, 3, 5, 8, 16, 33, 64};
+  Rng rng(0xca11b);
+  const auto pick = [&rng](const auto& values) {
+    return values[rng.next_below(std::size(values))];
+  };
+  int checked = 0;
+  int guarded = 0;
+  int unguarded = 0;
+  int disagreeing = 0;
+  for (const auto host :
+       {hw::AcceleratorKind::kReact, hw::AcceleratorKind::kTpuV3,
+        hw::AcceleratorKind::kTpuV4, hw::AcceleratorKind::kJetsonNvdla}) {
+    const NovaConfig table_ii = make_overlay(host).nova;
+    for (const int routers : {table_ii.routers, 1, 2, 9, 11, 16, 40, 128,
+                              512}) {
+      for (const int hops : {0, 1, 2, 3}) {
+        NovaConfig cfg = table_ii;
+        cfg.routers = routers;
+        cfg.max_hops_per_cycle = hops;
+        cfg.pairs_per_flit = pick(pairs_per_flit);
+        const NonLinearFn fn = pick(functions);
+        const int bp = pick(breakpoints);
+        const PwlTable& table = approx::PwlLibrary::instance().get(fn, bp);
+        const int n = cfg.neurons_per_router;
+        const std::string where =
+            std::string(hw::to_string(host)) + " routers " +
+            std::to_string(routers) + " hops " + std::to_string(hops) +
+            " ppf " + std::to_string(cfg.pairs_per_flit) + " " +
+            approx::to_string(fn) + "/" + std::to_string(bp);
+
+        serve::ShapeKey decode;
+        decode.workload = "bert-tiny";
+        decode.seq_len = 1;
+        decode.function = fn;
+        decode.breakpoints = bp;
+        decode.phase = pipeline::Phase::kDecode;
+        decode.kv_len = 1;
+        serve::ShapeKey long_decode = decode;
+        long_decode.kv_len = 1 + static_cast<int>(rng.next_below(2000));
+        serve::ShapeKey prefill = decode;
+        prefill.phase = pipeline::Phase::kPrefill;
+        prefill.seq_len = 1 + static_cast<int>(rng.next_below(32));
+        prefill.kv_len = 0;
+
+        // Check 1: the pricer equals the per-shape reference, for caps
+        // that cut shapes at 1, N, N+1 and 2N+1 elements per router and
+        // one drawn cap the shapes fall on either side of.
+        std::map<std::int64_t, std::string> priced_by_length;
+        for (const int cap :
+             {1, n, n + 1, 2 * n + 1,
+              2 + static_cast<int>(rng.next_below(
+                      static_cast<std::uint64_t>(3 * n))),
+             }) {
+          serve::PricerConfig config;
+          config.nova = cfg;
+          config.host = host;
+          config.seed = rng.next_u64();
+          config.sim_elements_cap = cap;
+          const serve::ExactPricer pricer(config);
+          for (const auto& shape : {decode, long_decode, prefill}) {
+            const std::int64_t simulated = std::min<std::int64_t>(
+                per_router_ops(shape, routers), cap);
+            const std::string got = calibration_text(pricer.calibrate(shape));
+            EXPECT_EQ(got, reference_calibrate(config, shape, simulated))
+                << where << " cap " << cap << " seq " << shape.seq_len
+                << " kv " << shape.kv_len;
+            priced_by_length.emplace(simulated, got);
+            ++checked;
+          }
+        }
+
+        // Check 2: streams of every length above, in full.
+        const int m = (bp + cfg.pairs_per_flit - 1) / cfg.pairs_per_flit;
+        const std::optional<double> last_tag = word_at_address(table, m - 1);
+        const bool one_cycle_train =
+            last_tag.has_value() &&
+            [&] {
+              const auto inputs = constant_streams(cfg, n, *last_tag);
+              SimSession session(cfg, table, inputs);
+              return session.run().wave_latency_cycles == 2;
+            }();
+        ++(one_cycle_train ? guarded : unguarded);
+        bool disagree = false;
+        const approx::Domain d = table.domain();
+        for (const auto& [length, priced] : priced_by_length) {
+          std::vector<std::vector<std::vector<double>>> streams = {
+              constant_streams(cfg, length, d.lo),
+              constant_streams(cfg, length, d.hi),
+              constant_streams(cfg, length, 0.5 * (d.lo + d.hi)),
+              uniform_streams(cfg, length, d, rng.next_u64())};
+          if (last_tag) streams.push_back(constant_streams(cfg, length,
+                                                           *last_tag));
+          std::string first;
+          for (const auto& inputs : streams) {
+            const std::string got = simulate_streams(cfg, table, inputs);
+            if (first.empty()) first = got;
+            disagree |= got != first;
+            if (one_cycle_train) {
+              EXPECT_EQ(got, priced) << where << " length " << length;
+            }
+          }
+        }
+        disagreeing += disagree ? 1 : 0;
+      }
+    }
+  }
+  // The guard must have something to reject: timing that moves with the
+  // data in some deployments, none of which may be memoized.
+  EXPECT_GT(guarded, 0);
+  EXPECT_GT(unguarded, 0);
+  EXPECT_GT(disagreeing, 0);
+  std::printf("%d calibrations checked; %d one-cycle deployment tables, %d "
+              "not (%d with data-dependent timing)\n",
+              checked, guarded, unguarded, disagreeing);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Tests for the serving layer: request generation, trace parsing, and the
-// BatchScheduler's determinism / queueing / batching behaviour.
+// Tests for the serving layer: request generation, trace parsing, the
+// BatchScheduler's determinism / queueing / batching behaviour, and the
+// exact pricer's calibration memo.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
 
 #include "accel/accelerator.hpp"
+#include "approx/mlp_fitter.hpp"
 #include "core/overlay.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
@@ -688,7 +691,7 @@ TEST(PricingSurrogate, OutcomesIdenticalAcrossThreadCounts) {
 TEST(PricingSurrogate, BitEqualToExactWhenEveryLengthIsAnAnchor) {
   // Classes with at most surrogate_anchors distinct lengths are anchored
   // exactly; the surrogate must then reproduce the exact path bit for bit
-  // (same shape_seed, same calibration, same graph walk).
+  // (same ExactPricer::calibrate, same graph walk).
   std::vector<InferenceRequest> requests;
   int id = 0;
   for (const int kv : {16, 64, 256}) {
@@ -780,6 +783,98 @@ TEST(PricingSurrogate, HybridReconcilesAndKeepsSurrogateOutcomes) {
   EXPECT_EQ(exact.surrogate.mode, PricingMode::kExact);
   EXPECT_TRUE(exact.surrogate.samples.empty());
   EXPECT_TRUE(exact.surrogate.within_tolerance);
+}
+
+// ExactPricer's per-table memo, made visible. Should the guard break,
+// pricing falls back to one SimSession per shape: outputs stay identical,
+// so no pin fails, but exact pricing gets several times slower. The
+// session counter catches that, and the 8-thread runs race the lazy memo
+// fill (this suite runs under ThreadSanitizer in CI).
+
+/// 1,020 distinct shapes: decode kv_len 1-70 and prefill seq_len 1-15 over
+/// four functions at 4, 16 and 64 breakpoints, with their tables trained.
+std::vector<ShapeKey> memo_shapes(std::size_t& tables) {
+  std::vector<ShapeKey> shapes;
+  tables = 0;
+  for (const auto fn : {approx::NonLinearFn::kGelu, approx::NonLinearFn::kExp,
+                        approx::NonLinearFn::kTanh,
+                        approx::NonLinearFn::kSigmoid}) {
+    for (const int breakpoints : {4, 16, 64}) {
+      (void)approx::PwlLibrary::instance().get(fn, breakpoints);
+      ++tables;
+      ShapeKey shape;
+      shape.workload = "bert-tiny";
+      shape.function = fn;
+      shape.breakpoints = breakpoints;
+      for (int kv = 1; kv <= 70; ++kv) {
+        shape.phase = pipeline::Phase::kDecode;
+        shape.seq_len = 1;
+        shape.kv_len = kv;
+        shapes.push_back(shape);
+      }
+      for (int seq = 1; seq <= 15; ++seq) {
+        shape.phase = pipeline::Phase::kPrefill;
+        shape.seq_len = seq;
+        shape.kv_len = 0;
+        shapes.push_back(shape);
+      }
+    }
+  }
+  return shapes;
+}
+
+void expect_same_calibrations(const std::vector<Calibration>& a,
+                              const std::vector<Calibration>& b,
+                              const std::vector<ShapeKey>& shapes) {
+  ASSERT_EQ(a.size(), shapes.size());
+  ASSERT_EQ(b.size(), shapes.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i].elems_per_cycle),
+              std::bit_cast<std::uint64_t>(b[i].elems_per_cycle))
+        << "shape " << i;
+    EXPECT_EQ(a[i].wave_latency_cycles, b[i].wave_latency_cycles)
+        << "shape " << i;
+  }
+}
+
+TEST(ExactPricer, OneCycleDeploymentsCalibrateEachTableInTwoSessions) {
+  std::size_t tables = 0;
+  const auto shapes = memo_shapes(tables);
+  ASSERT_GE(shapes.size(), 1000u);
+  for (const auto host :
+       {hw::AcceleratorKind::kReact, hw::AcceleratorKind::kTpuV3,
+        hw::AcceleratorKind::kTpuV4, hw::AcceleratorKind::kJetsonNvdla}) {
+    PricerConfig config;
+    config.nova = core::make_overlay(host).nova;
+    config.host = host;
+    config.seed = 7;
+    const ExactPricer threaded(config);
+    const auto many = calibrate_shapes(threaded, shapes, 8);
+    EXPECT_LE(threaded.sim_sessions(), 2 * tables) << hw::to_string(host);
+    const ExactPricer serial(config);
+    const auto one = calibrate_shapes(serial, shapes, 1);
+    EXPECT_EQ(serial.sim_sessions(), threaded.sim_sessions());
+    expect_same_calibrations(many, one, shapes);
+  }
+}
+
+TEST(ExactPricer, MultiCycleTrainsCalibrateEveryShapeAfterOneGuardWave) {
+  // tpuv4 with 16 routers and one pair per flit: the train outruns one
+  // accelerator cycle, so each table costs its guard wave and each shape
+  // its own seeded session.
+  std::size_t tables = 0;
+  const auto shapes = memo_shapes(tables);
+  PricerConfig config;
+  config.nova = core::make_overlay(hw::AcceleratorKind::kTpuV4).nova;
+  config.nova.routers = 16;
+  config.nova.pairs_per_flit = 1;
+  config.seed = 7;
+  const ExactPricer threaded(config);
+  const auto many = calibrate_shapes(threaded, shapes, 8);
+  EXPECT_GE(threaded.sim_sessions(), shapes.size());
+  EXPECT_LE(threaded.sim_sessions(), shapes.size() + tables);
+  const ExactPricer serial(config);
+  expect_same_calibrations(many, calibrate_shapes(serial, shapes, 1), shapes);
 }
 
 TEST(PricingSurrogate, ModeNamesRoundTrip) {
