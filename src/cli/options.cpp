@@ -286,7 +286,8 @@ bool parse_options(int argc, const char* const* argv, Options& options,
         return false;
     } else if (flag == "--breakpoints") {
       if (!next(value) ||
-          !parse_int(flag, value, 2, 4096, options.breakpoints, error))
+          !parse_int(flag, value, 2, serve::kMaxBreakpoints,
+                     options.breakpoints, error))
         return false;
     } else if (flag == "--pairs-per-flit") {
       if (!next(value) ||

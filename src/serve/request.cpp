@@ -171,10 +171,15 @@ bool parse_trace(std::istream& in, std::vector<InferenceRequest>& out,
     // a decode request without its cache length (or a prefill request
     // claiming one) would mis-price silently.
     if (!std::isfinite(req.arrival_us) || req.arrival_us < 0.0 ||
-        req.seq_len < 1 || req.breakpoints < 2) {
+        req.seq_len < 1) {
       error = "trace line " + std::to_string(line_no) +
-              ": arrival must be finite and >= 0, seq_len >= 1, "
-              "breakpoints >= 2";
+              ": arrival must be finite and >= 0, seq_len >= 1";
+      return false;
+    }
+    if (req.breakpoints < 2 || req.breakpoints > kMaxBreakpoints) {
+      error = "trace line " + std::to_string(line_no) +
+              ": breakpoints must be in [2, " +
+              std::to_string(kMaxBreakpoints) + "]";
       return false;
     }
     if (req.phase == pipeline::Phase::kDecode && req.kv_len < 1) {

@@ -35,7 +35,8 @@ struct InferenceRequest {
   /// Dominant non-linear operator; requests batch only with requests
   /// sharing this function's broadcast table.
   approx::NonLinearFn function = approx::NonLinearFn::kGelu;
-  /// PWL segments per lookup (fixes the flit-train length / NoC clock).
+  /// PWL segments per lookup (fixes the flit-train length / NoC clock), in
+  /// [2, kMaxBreakpoints].
   int breakpoints = 16;
   /// Request class: prefill prices the full-sequence operator graph at
   /// seq_len; decode prices one autoregressive step against a kv_len-entry
@@ -62,6 +63,12 @@ struct InferenceRequest {
 
   [[nodiscard]] bool has_deadline() const { return deadline_us > 0.0; }
 };
+
+/// Upper bound on InferenceRequest::breakpoints (and --breakpoints): a
+/// request's PWL table is trained before it is served, and training time
+/// and memory grow with the segment count, so an unbounded trace value
+/// could stall or exhaust the host before any request is dispatched.
+inline constexpr int kMaxBreakpoints = 4096;
 
 /// Upper bound on InferenceRequest::gen_steps: enough for any realistic
 /// generation, small enough that a corrupt trace cannot explode the

@@ -46,8 +46,9 @@ void validate_stream(const std::vector<InferenceRequest>& requests) {
       fail("requests must be sorted by arrival_us (earlier request "
            "arrives later)");
     }
-    if (req.seq_len < 1 || req.breakpoints < 2) {
-      fail("seq_len must be >= 1 and breakpoints >= 2");
+    if (req.seq_len < 1 || req.breakpoints < 2 ||
+        req.breakpoints > kMaxBreakpoints) {
+      fail("seq_len must be >= 1 and breakpoints in [2, kMaxBreakpoints]");
     }
     if (req.phase == pipeline::Phase::kDecode && req.kv_len < 1) {
       fail("decode requests need kv_len >= 1");
@@ -245,8 +246,8 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
   }
 
   // Fold the step costs into per-request aggregates. A step's cycles are
-  // share * service_cycles -- the same product the continuous loop
-  // charges per dispatch -- and a single-step plan with share 1.0
+  // share * service_cycles -- the same product continuous dispatch
+  // charges per step -- and a single-step plan with share 1.0
   // reproduces the pre-session outcome fields bit for bit (1.0 * x == x).
   const double freq = config_.nova.accel_freq_mhz;
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -277,187 +278,25 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
   return costs;
 }
 
-double BatchScheduler::dispatch_whole(
-    const std::vector<InferenceRequest>& requests, ServeReport& report) const {
-  // Deterministic event-driven dispatch. The ready queue replays arrival
-  // order exactly until a fault re-queues something; from then on retries
-  // merge back by (ready time, id), still a pure function of the inputs.
-  // With an empty FaultPlan and default FailurePolicy no fault branch
-  // below fires and the loop is byte-identical to the pre-fault FIFO walk.
-  std::vector<double> free_at(static_cast<std::size_t>(config_.instances),
-                              0.0);
-  auto& batch_hist = report.stats.histogram("serve.batch_size");
-  auto& backoff_acc = report.stats.accumulator("serve.backoff_us");
-  const sim::StatId id_batches = report.stats.counter_id("serve.batches");
-  const sim::StatId id_requests = report.stats.counter_id("serve.requests");
-  const sim::StatId id_retries = report.stats.counter_id("serve.retries");
-  const double cycle_us = 1.0 / config_.nova.accel_freq_mhz;
-  const FaultPlan& faults = config_.faults;
-  const FailurePolicy& policy = config_.policy;
-
-  ReadyQueue queue(requests);
-  AvailabilityHeap avail_heap(faults, free_at);
-  std::vector<Pending> batch;  // reused by every dispatch
-
-  int batch_id = 0;
-  double last_finish = 0.0;
-  while (!queue.empty()) {
-    const Pending head = queue.front();
-    const auto& head_req = requests[static_cast<std::size_t>(head.id)];
-    auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
-
-    // Earliest-available instance takes the next dispatch (ties: lowest
-    // index). Availability is the instance's free time pushed past any
-    // outage window it lands in; with no faults this is plain free_at and
-    // the choice matches the pre-fault argmin exactly.
-    const auto [avail, instance_index] = avail_heap.peek_min();
-    const auto instance = static_cast<std::size_t>(instance_index);
-    const double start = faults.next_up_us(
-        instance_index, std::max(avail, head.ready_us));
-    const double wait_us = start - head_req.arrival_us;
-
-    // Admission control on the head of the line. Overload shedding drops
-    // best-effort first-attempt work when the projected queue wait blows
-    // past the policy threshold; deadline shedding drops requests whose
-    // surrogate-priced standalone finish already misses their SLO (serving
-    // them would burn capacity on work that is late on arrival).
-    if (should_shed_overload(policy, wait_us, head_req.has_deadline(),
-                             head.attempt) ||
-        (policy.shed_on_deadline && head_req.has_deadline() &&
-         start + head_outcome.service_us >
-             head_req.arrival_us + head_req.deadline_us)) {
-      head_outcome.status = RequestStatus::kShed;
-      head_outcome.attempts = head.attempt;
-      queue.pop_front(1);
-      continue;
-    }
-
-    // Fuse the FIFO run of already-ready pending requests sharing head's
-    // PWL table AND phase, up to the (possibly overload-degraded) batch
-    // cap. Prefill and decode never fuse: they share no wave shape (a
-    // prefill wave streams seq_len-scaled volumes, a decode wave a single
-    // query token's), so a mixed dispatch could not reuse the broadcast
-    // flit train the overlap credit models. The run stops at the first
-    // mismatch, so the batch is a prefix of the queue.
-    const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    queue.peek_run(
-        static_cast<std::size_t>(cap),
-        [&](const Pending& next) {
-          const auto& req = requests[static_cast<std::size_t>(next.id)];
-          return next.ready_us <= start &&
-                 req.function == head_req.function &&
-                 req.breakpoints == head_req.breakpoints &&
-                 req.phase == head_req.phase;
-        },
-        batch);
-    const int batch_size = static_cast<int>(batch.size());
-
-    // Batch service = sum of standalone costs minus the pipeline-overlap
-    // credit: fused members reuse the in-flight broadcast train, so every
-    // member after the first saves the pipeline fill of its first wave
-    // (wave_latency - 1 accelerator cycles). An active slowdown window
-    // stretches the whole dispatch.
-    double service_us = 0.0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& outcome =
-          report.outcomes[static_cast<std::size_t>(batch[k].id)];
-      service_us += outcome.service_us;
-      if (k != 0) {
-        service_us -=
-            std::max(0, outcome.wave_latency_cycles - 1) * cycle_us;
-      }
-    }
-    service_us = std::max(service_us, cycle_us);
-    service_us *= faults.slowdown_at(instance_index, start);
-    const double finish = start + service_us;
-
-    queue.pop_front(batch.size());
-    auto& inst = report.instances[instance];
-
-    // An outage window opening mid-service kills the dispatch: the work is
-    // lost, members retry after capped exponential backoff (or fail for
-    // good once their attempts are spent), and the instance sits out the
-    // window before taking new work.
-    if (const auto failed_at =
-            faults.outage_in(instance_index, start, finish)) {
-      for (const auto& member : batch) {
-        auto& outcome = report.outcomes[static_cast<std::size_t>(member.id)];
-        if (member.attempt > policy.max_retries) {
-          outcome.status = RequestStatus::kFailed;
-          outcome.attempts = member.attempt;
-        } else {
-          const double backoff_us = retry_backoff_us(
-              policy, member.attempt, member.id, config_.seed);
-          backoff_acc.add(backoff_us);
-          report.stats.bump(id_retries);
-          queue.push(
-              Pending{*failed_at + backoff_us, member.id, member.attempt + 1});
-        }
-      }
-      inst.failed_batches += 1;
-      inst.busy_us += *failed_at - start;
-      free_at[instance] = *failed_at;
-      avail_heap.refresh(instance_index);
-      ++batch_id;
-      continue;
-    }
-
-    for (const auto& member : batch) {
-      auto& outcome = report.outcomes[static_cast<std::size_t>(member.id)];
-      const auto& req = requests[static_cast<std::size_t>(member.id)];
-      outcome.instance = instance_index;
-      outcome.batch_id = batch_id;
-      outcome.batch_size = batch_size;
-      outcome.start_us = start;
-      outcome.finish_us = finish;
-      outcome.first_finish_us = finish;  // the whole session is one step
-      outcome.attempts = member.attempt;
-      if (req.has_deadline() && finish > req.arrival_us + req.deadline_us) {
-        outcome.status = RequestStatus::kDeadlineMiss;
-      } else if (member.attempt > 1) {
-        outcome.status = RequestStatus::kRetried;
-      } else {
-        outcome.status = RequestStatus::kOk;
-      }
-    }
-    inst.requests += batch_size;
-    inst.batches += 1;
-    inst.busy_us += service_us;
-    batch_hist.record(static_cast<double>(batch_size));
-    report.stats.bump(id_batches);
-    report.stats.bump(id_requests, static_cast<std::uint64_t>(batch_size));
-
-    free_at[instance] = finish;
-    avail_heap.refresh(instance_index);
-    last_finish = std::max(last_finish, finish);
-    ++batch_id;
-  }
-  return last_finish;
-}
-
-double BatchScheduler::dispatch_continuous(
-    const std::vector<InferenceRequest>& requests, const StepTable& table,
-    const std::vector<ShapeCost>& costs, ServeReport& report) const {
-  // The step-clocked event loop. Scheduler-side session state: a session
-  // pins to the instance that completes its first step (the KV cache
-  // lives in that instance's memory) and every later step dispatches
-  // there; unpinned sessions (none of their steps succeeded yet) may
-  // start anywhere with a free session slot. Each iteration chooses the
-  // step that can START earliest across the fleet -- among each
-  // instance's pinned queue head and the global FIFO head of
-  // not-yet-started sessions -- breaking start-time ties toward the
-  // oldest (ready_us, id) step, so backlogged prefills cannot be starved
-  // by decode trains and running sessions cannot be starved by arrivals
-  // (the slot cap bounds how many sessions interleave per instance).
-  struct Session {
-    int next_step = 0;  ///< completed steps == index of the pending step
-    int instance = -1;  ///< pinned instance; -1 until a step completes
-    int retries = 0;    ///< retries spent across the session so far
-    double start_us = 0.0;         ///< first successful dispatch
-    double first_finish_us = 0.0;  ///< finish of step 0
-  };
-  const auto n = requests.size();
-  std::vector<Session> sessions(n);
+double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
+                                const StepTable& table,
+                                const std::vector<ShapeCost>& costs,
+                                ServeReport& report) const {
+  // The step-clocked event loop of both serving modes. A session pins to
+  // the instance that completes its first dispatch unit (its KV cache lives
+  // in that instance's memory) and every later unit dispatches there;
+  // not-yet-started sessions may start anywhere with a free session slot.
+  // Each iteration chooses the unit that can START earliest across the
+  // fleet -- among each instance's pinned queue head and the FIFO head of
+  // not-yet-started sessions -- breaking start-time ties toward the oldest
+  // (ready_us, id) unit, so backlogged prefills cannot be starved by decode
+  // trains and running sessions cannot be starved by arrivals (the slot cap
+  // bounds how many sessions interleave per instance). A whole-request unit
+  // is the session's whole plan, so no whole-mode session ever waits
+  // pinned and its slot is claimed and freed inside one dispatch. The loop
+  // is a pure function of the inputs; with an empty FaultPlan and default
+  // FailurePolicy no fault branch below fires.
+  const bool continuous = config_.continuous;
   std::vector<double> free_at(static_cast<std::size_t>(config_.instances),
                               0.0);
   std::vector<int> slots_used(static_cast<std::size_t>(config_.instances), 0);
@@ -468,6 +307,8 @@ double BatchScheduler::dispatch_continuous(
   const sim::StatId id_batches = report.stats.counter_id("serve.batches");
   const sim::StatId id_requests = report.stats.counter_id("serve.requests");
   const sim::StatId id_retries = report.stats.counter_id("serve.retries");
+  // Step counters are continuous-only: whole mode never bumps them (an
+  // interned, never-bumped counter renders nothing).
   const sim::StatId id_steps = report.stats.counter_id("serve.steps");
   const sim::StatId id_preempted =
       report.stats.counter_id("serve.preempted_steps");
@@ -476,18 +317,15 @@ double BatchScheduler::dispatch_continuous(
   const FaultPlan& faults = config_.faults;
   const FailurePolicy& policy = config_.policy;
 
-  // Ready steps: per-instance queues of pinned sessions' next steps, one
-  // global queue of sessions that have not completed a step yet.
+  // Ready units: per-instance queues of pinned sessions' next steps, one
+  // global queue of sessions that have not completed a unit yet.
   std::vector<std::set<Pending>> pinned_q(
       static_cast<std::size_t>(config_.instances));
-  std::set<Pending> new_q;
-  for (const auto& req : requests) {  // already in order: append at the end
-    new_q.emplace_hint(new_q.end(), Pending{req.arrival_us, req.id, 1});
-  }
+  ReadyQueue new_q(requests);
   AvailabilityHeap avail_heap(faults, free_at);
 
   // Dispatch candidates as (start_us, head ready_us, head id, instance):
-  // lexicographic min = earliest start, ties to the oldest step. One
+  // lexicographic min = earliest start, ties to the oldest unit. One
   // entry per instance with a nonempty pinned queue, maintained by
   // refresh_pinned after every dispatch on that instance (nothing else
   // moves free_at or the pinned queues, so entries are never stale).
@@ -511,38 +349,33 @@ double BatchScheduler::dispatch_continuous(
     }
   };
 
-  // A session's pending step, and the shape that step prices.
-  const auto step_of = [&](int id) -> const StepTable::Step& {
-    const auto session = static_cast<std::size_t>(id);
-    return table.steps[table.first[session] +
-                       static_cast<std::size_t>(sessions[session].next_step)];
-  };
-  const auto shape_of = [&](int id) -> const ShapeKey& {
-    return table.shapes[step_of(id).slot];
+  // The first plan step a unit dispatches; its shape is the unit's fusion
+  // key, and its wave latency the unit's overlap credit.
+  const auto step_of = [&](const Pending& unit) -> const StepTable::Step& {
+    return table.steps[table.first[static_cast<std::size_t>(unit.id)] +
+                       static_cast<std::size_t>(unit.step)];
   };
 
-  // Reused by every dispatch.
-  std::vector<Pending> batch;
-  std::vector<bool> is_new;
+  std::vector<Pending> batch;  // reused by every dispatch
 
-  // Terminal outcomes (completed, shed, failed) decrement; every live
-  // session owns exactly one Pending entry, so live == 0 <=> queues empty.
-  std::size_t live = n;
+  // Every live session owns exactly one Pending entry, in new_q or in a
+  // pinned queue (then its instance has a pinned candidate).
   int batch_id = 0;
   double last_finish = 0.0;
-  while (live > 0) {
+  while (!new_q.empty() || !pinned_cands.empty()) {
     // Candidate A: the FIFO head of not-yet-started sessions on the
-    // earliest-available instance with a free session slot.
+    // earliest-available instance with a free session slot. The walk
+    // over new_q starts at that head; the fusion scan below continues it.
+    auto nit = new_q.walk();
     std::optional<Candidate> cand_new;
-    if (!new_q.empty()) {
+    if (!nit.done()) {
       const auto found = avail_heap.peek_min_where([&](int j) {
         return slots_used[static_cast<std::size_t>(j)] < slot_cap;
       });
       if (found) {
-        const Pending& head = *new_q.begin();
         const double start = faults.next_up_us(
-            found->second, std::max(found->first, head.ready_us));
-        cand_new = Candidate{start, head.ready_us, head.id, found->second};
+            found->second, std::max(found->first, nit->ready_us));
+        cand_new = Candidate{start, nit->ready_us, nit->id, found->second};
       }
     }
     // Candidate B: the earliest-starting pinned queue head. At least one
@@ -557,37 +390,39 @@ double BatchScheduler::dispatch_continuous(
     const int instance_index = std::get<3>(chosen);
     const auto instance = static_cast<std::size_t>(instance_index);
     const double start = std::get<0>(chosen);
-    const Pending head =
-        use_new ? *new_q.begin() : *pinned_q[instance].begin();
+    const Pending head = use_new ? *nit : *pinned_q[instance].begin();
     const auto& head_req = requests[static_cast<std::size_t>(head.id)];
     auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
-
-    // Admission control runs once per session, on its first step (any
-    // attempt of it) -- exactly the whole-request policy surface. Once a
-    // session has state on an instance, shedding it would throw the
-    // completed steps away; it runs to completion or to kFailed.
-    if (use_new) {
-      const double wait_us = start - head_req.arrival_us;
-      if (should_shed_overload(policy, wait_us, head_req.has_deadline(),
-                               head.attempt) ||
-          (policy.shed_on_deadline && head_req.has_deadline() &&
-           start + head_outcome.service_us >
-               head_req.arrival_us + head_req.deadline_us)) {
-        head_outcome.status = RequestStatus::kShed;
-        head_outcome.attempts = head.attempt;
-        new_q.erase(new_q.begin());
-        live -= 1;
-        continue;
-      }
-    }
     const double wait_us =
         start - (use_new ? head_req.arrival_us : head.ready_us);
 
-    // Fuse ready steps behind the head: merge-scan both queues in
-    // (ready_us, id) order, taking steps that share the head step's PWL
-    // table AND phase (chunks fuse with chunks, decode steps with decode
-    // steps) and -- unlike the whole-request FIFO run -- SKIPPING
-    // mismatches, since step order inside one instant carries no FIFO
+    // Admission control runs once per session, on its first unit (any
+    // attempt of it). Overload shedding drops best-effort first-attempt
+    // work when the projected queue wait blows past the policy threshold;
+    // deadline shedding drops sessions whose standalone finish already
+    // misses their SLO. Once a session has state on an instance, shedding
+    // it would throw the completed steps away; it runs to completion or to
+    // kFailed.
+    if (use_new &&
+        (should_shed_overload(policy, wait_us, head_req.has_deadline(),
+                              head.attempt) ||
+         (policy.shed_on_deadline && head_req.has_deadline() &&
+          start + head_outcome.service_us >
+              head_req.arrival_us + head_req.deadline_us))) {
+      head_outcome.status = RequestStatus::kShed;
+      head_outcome.attempts = head.attempt;
+      new_q.erase(head);
+      continue;
+    }
+
+    // Fuse ready units behind the head: merge-scan both queues in
+    // (ready_us, id) order, taking units whose first step shares the
+    // head's PWL table AND phase, up to the (possibly overload-degraded)
+    // batch cap. Prefill and decode never fuse: they share no wave shape,
+    // so a mixed dispatch could not reuse the broadcast flit train the
+    // overlap credit models. On a mismatch the whole-request FIFO run
+    // stops, so its batch is a prefix of the queue; continuous batching
+    // skips it, since step order inside one instant carries no FIFO
     // meaning at iteration granularity. Not-yet-started sessions fuse in
     // only while slots remain, and claim theirs on success. The scan stops
     // reading new_q once free_slots reaches 0: the count never rises inside
@@ -595,22 +430,21 @@ double BatchScheduler::dispatch_continuous(
     // overload new_q holds the whole backlog, and walking it on every
     // dispatch would make the loop quadratic in the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    const ShapeKey& head_shape = shape_of(head.id);
+    const ShapeKey& head_shape = table.shapes[step_of(head).slot];
     batch.assign(1, head);
-    is_new.assign(1, use_new);
-    int free_slots = slots_used[instance] < slot_cap
-                         ? slot_cap - slots_used[instance]
-                         : 0;
-    if (use_new) free_slots -= 1;  // the head claims its slot on success
+    // A new head claims its slot on success.
+    int free_slots = slot_cap - slots_used[instance] - (use_new ? 1 : 0);
     auto pit = pinned_q[instance].begin();
-    auto nit = new_q.begin();
+    if (use_new) {  // step past the head, the front of its queue
+      ++nit;
+    } else {
+      ++pit;
+    }
     while (static_cast<int>(batch.size()) < cap) {
-      while (pit != pinned_q[instance].end() && pit->id == head.id) ++pit;
-      while (nit != new_q.end() && nit->id == head.id) ++nit;
       const bool p_ok =
           pit != pinned_q[instance].end() && pit->ready_us <= start;
       const bool n_ok =
-          free_slots > 0 && nit != new_q.end() && nit->ready_us <= start;
+          free_slots > 0 && !nit.done() && nit->ready_us <= start;
       if (!p_ok && !n_ok) break;
       const bool take_pinned = p_ok && (!n_ok || *pit < *nit);
       const Pending cand = take_pinned ? *pit : *nit;
@@ -619,27 +453,41 @@ double BatchScheduler::dispatch_continuous(
       } else {
         ++nit;
       }
-      const ShapeKey& cshape = shape_of(cand.id);
+      const ShapeKey& cshape = table.shapes[step_of(cand).slot];
       if (cshape.function != head_shape.function ||
           cshape.breakpoints != head_shape.breakpoints ||
           cshape.phase != head_shape.phase) {
-        continue;
+        if (continuous) continue;
+        break;
       }
       if (!take_pinned) free_slots -= 1;
       batch.push_back(cand);
-      is_new.push_back(!take_pinned);
+    }
+    for (const auto& member : batch) {  // pinned sessions hold an instance
+      if (report.outcomes[static_cast<std::size_t>(member.id)].instance < 0) {
+        new_q.erase(member);
+      } else {
+        pinned_q[instance].erase(member);
+      }
     }
     const int batch_size = static_cast<int>(batch.size());
 
-    // Step-batch service: same fusion economics as whole-request dispatch
-    // (members after the first save their pipeline fill), over per-step
-    // costs instead of per-request ones: a step costs its share of its
-    // shape's cycles, clock-converted.
+    // Batch service = sum of the units' standalone costs minus the
+    // pipeline-overlap credit: fused members reuse the in-flight broadcast
+    // train, so every member after the first saves the pipeline fill of its
+    // first wave (wave_latency - 1 accelerator cycles). A whole-request unit
+    // costs its folded service_us; a step costs its share of its shape's
+    // cycles, clock-converted. An active slowdown window stretches the
+    // whole dispatch.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& step = step_of(batch[k].id);
+      const auto& step = step_of(batch[k]);
       const ShapeCost& cost = costs[step.slot];
-      service_us += step.share * cost.service_cycles / freq;
+      service_us +=
+          continuous
+              ? step.share * cost.service_cycles / freq
+              : report.outcomes[static_cast<std::size_t>(batch[k].id)]
+                    .service_us;
       if (k != 0) {
         service_us -= std::max(0, cost.wave_latency_cycles - 1) * cycle_us;
       }
@@ -647,47 +495,38 @@ double BatchScheduler::dispatch_continuous(
     service_us = std::max(service_us, cycle_us);
     service_us *= faults.slowdown_at(instance_index, start);
     const double finish = start + service_us;
-
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      if (is_new[k]) {
-        new_q.erase(batch[k]);
-      } else {
-        pinned_q[instance].erase(batch[k]);
-      }
-    }
     auto& inst = report.instances[instance];
 
-    // An outage window opening mid-service preempts every step in flight:
-    // only THIS step's work is lost -- a pinned session keeps its
-    // completed steps (its KV cache survives the window on the instance)
-    // and re-queues just the killed step after backoff, which is where
-    // continuous batching's goodput-under-faults win comes from.
+    // An outage window opening mid-service kills every unit in flight,
+    // which retries after capped exponential backoff (or fails for good
+    // once its attempts are spent); the instance sits out the window before
+    // taking new work. Only the killed unit's work is lost: a pinned
+    // session keeps its completed steps (its KV cache survives the window)
+    // and re-queues just the killed step -- which is where continuous
+    // batching's goodput-under-faults win comes from.
     if (const auto failed_at =
             faults.outage_in(instance_index, start, finish)) {
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        const auto& member = batch[k];
-        const auto ms = static_cast<std::size_t>(member.id);
-        auto& sess = sessions[ms];
-        auto& outcome = report.outcomes[ms];
-        report.stats.bump(id_preempted);
+      for (const auto& member : batch) {
+        auto& outcome = report.outcomes[static_cast<std::size_t>(member.id)];
+        if (continuous) report.stats.bump(id_preempted);
         if (member.attempt > policy.max_retries) {
           outcome.status = RequestStatus::kFailed;
-          outcome.attempts = sess.retries + member.attempt;
-          if (sess.instance >= 0) {
-            slots_used[static_cast<std::size_t>(sess.instance)] -= 1;
+          outcome.attempts += member.attempt - 1;
+          if (outcome.instance >= 0) {  // unserved: give the slot back
+            slots_used[static_cast<std::size_t>(outcome.instance)] -= 1;
+            outcome.instance = -1;
           }
-          live -= 1;
         } else {
           const double backoff_us = retry_backoff_us(
               policy, member.attempt, member.id, config_.seed);
           backoff_acc.add(backoff_us);
           report.stats.bump(id_retries);
           const Pending retry{*failed_at + backoff_us, member.id,
-                              member.attempt + 1};
-          if (sess.instance >= 0) {
+                              member.attempt + 1, member.step};
+          if (outcome.instance >= 0) {
             pinned_q[instance].insert(retry);
           } else {
-            new_q.insert(retry);
+            new_q.push(retry);
           }
         }
       }
@@ -700,44 +539,41 @@ double BatchScheduler::dispatch_continuous(
       continue;
     }
 
+    // Session state lives in the outcome fields it ends up in: attempts
+    // counts 1 + the retries of completed units, instance is the pinned
+    // instance, start_us and first_finish_us are set by the first unit.
     int completed = 0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& member = batch[k];
-      const auto ms = static_cast<std::size_t>(member.id);
-      auto& sess = sessions[ms];
-      auto& outcome = report.outcomes[ms];
-      const auto& req = requests[ms];
-      if (sess.next_step == 0) sess.start_us = start;
-      sess.retries += member.attempt - 1;
-      if (sess.instance < 0) {
-        sess.instance = instance_index;
+    for (const auto& member : batch) {
+      auto& outcome = report.outcomes[static_cast<std::size_t>(member.id)];
+      const auto& req = requests[static_cast<std::size_t>(member.id)];
+      if (member.step == 0) {
+        outcome.start_us = start;
+        outcome.first_finish_us = finish;
+      }
+      outcome.attempts += member.attempt - 1;
+      if (outcome.instance < 0) {
+        outcome.instance = instance_index;
         slots_used[instance] += 1;
       }
-      sess.next_step += 1;
-      if (sess.next_step == 1) sess.first_finish_us = finish;
-      report.stats.bump(id_steps);
-      if (sess.next_step >= outcome.session_steps) {  // session complete
-        slots_used[instance] -= 1;
-        completed += 1;
-        live -= 1;
-        outcome.instance = instance_index;
-        outcome.batch_id = batch_id;
-        outcome.batch_size = batch_size;
-        outcome.start_us = sess.start_us;
-        outcome.finish_us = finish;
-        outcome.first_finish_us = sess.first_finish_us;
-        outcome.attempts = sess.retries + 1;
-        if (req.has_deadline() &&
-            finish > req.arrival_us + req.deadline_us) {
-          outcome.status = RequestStatus::kDeadlineMiss;
-        } else if (outcome.attempts > 1) {
-          outcome.status = RequestStatus::kRetried;
-        } else {
-          outcome.status = RequestStatus::kOk;
-        }
-      } else {
+      if (continuous) report.stats.bump(id_steps);
+      const int next_step =
+          continuous ? member.step + 1 : outcome.session_steps;
+      if (next_step < outcome.session_steps) {
         // The next step becomes ready the instant this one finishes.
-        pinned_q[instance].insert(Pending{finish, member.id, 1});
+        pinned_q[instance].insert(Pending{finish, member.id, 1, next_step});
+        continue;
+      }
+      slots_used[instance] -= 1;
+      completed += 1;
+      outcome.batch_id = batch_id;
+      outcome.batch_size = batch_size;
+      outcome.finish_us = finish;
+      if (req.has_deadline() && finish > req.arrival_us + req.deadline_us) {
+        outcome.status = RequestStatus::kDeadlineMiss;
+      } else if (outcome.attempts > 1) {
+        outcome.status = RequestStatus::kRetried;
+      } else {
+        outcome.status = RequestStatus::kOk;
       }
     }
     inst.requests += completed;
@@ -773,10 +609,7 @@ ServeReport BatchScheduler::run(
 
   // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
   auto& latency_hist = report.stats.histogram("serve.latency_us");
-  const double last_finish =
-      config_.continuous
-          ? dispatch_continuous(requests, table, costs, report)
-          : dispatch_whole(requests, report);
+  const double last_finish = dispatch(requests, table, costs, report);
 
   // Aggregates, in request order for determinism. Latency and service
   // samples cover served requests only (shed/failed outcomes never

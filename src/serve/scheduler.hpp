@@ -39,42 +39,48 @@
 //      flat step table: request i owns entries [first[i], first[i+1]),
 //      each entry a (distinct-shape slot, share) pair. Each distinct
 //      ShapeKey is stored once and priced once; the per-request fold and
-//      the continuous loop read a step's cost as costs[slot] scaled by its
+//      the dispatch loop read a step's cost as costs[slot] scaled by its
 //      share. No per-request plan or cost vector stays resident.
 //
-//   2. Dispatch (serial, deterministic): an event-driven loop assigns
-//      ready requests FIFO to the earliest-available instance (tracked in
-//      a lazily-revalidated (next_free_us, instance) min-heap). When an
-//      instance picks up work it fuses up to max_batch already-ready
-//      consecutive requests that share a PWL table (function +
-//      breakpoints) AND a phase into one dispatch: fused waves reuse the
-//      broadcast flit train back-to-back, so each extra member saves the
-//      pipeline-fill latency of its first wave (the overlap credit below).
-//      Prefill and decode requests never fuse -- they share no wave shape.
-//      The ready queue (serve/ready_queue.hpp) reads the request array
-//      through an arrival cursor and keeps only retries in an ordered set;
-//      because the fused run stops at the first mismatch, every batch is a
-//      prefix of the queue, and taking it advances the cursor.
-//
-//      Continuous batching (config.continuous): dispatch happens at STEP
-//      granularity instead (Orca/Sarathi-style iteration-level
-//      scheduling). Each request's session plan (serve/session.hpp) --
-//      prefill chunks plus a kv-growing decode chain -- feeds a
-//      step-clocked event loop: a session pins to the instance that
-//      completes its first step (its KV cache lives there), later steps
-//      become ready the moment the previous one finishes, and each
-//      iteration the earliest-startable step wins the dispatch (ties to
-//      the oldest step), with other ready steps of the same phase/table
-//      fusing in. New sessions are admitted only while the instance has a
-//      free session slot (max_batch concurrent sessions per instance),
-//      which bounds interleaving so neither admissions nor running
-//      sessions starve. An outage kills only the in-flight step: the
-//      session keeps its completed steps (the KV cache survives on the
-//      pinned instance) and retries just that step after backoff --
-//      whole-request dispatch, by contrast, loses the entire request.
+//   2. Dispatch (serial, deterministic): one step-clocked event loop
+//      serves both modes. Every session has one pending dispatch unit at a
+//      time. Units of sessions that have not started wait in one ready
+//      queue (serve/ready_queue.hpp: an arrival cursor over the request
+//      array plus an ordered set of retries); a session pins to the
+//      instance that completes its first unit (its KV cache lives there),
+//      and its later units wait in that instance's queue. Each iteration
+//      dispatches the unit that can START earliest -- each pinned queue's
+//      head on its instance, or the ready queue's head on the
+//      earliest-available instance (a lazily-revalidated (next_free_us,
+//      instance) min-heap) with a free session slot (max_batch sessions
+//      per instance) -- ties to the oldest (ready_us, id) unit. Ready
+//      units behind it whose first step shares its PWL table (function +
+//      breakpoints) AND phase fuse in, up to max_batch: fused waves reuse
+//      the broadcast flit train back-to-back, so each extra member saves
+//      the pipeline-fill latency of its first wave (the overlap credit).
+//      Prefill and decode never fuse -- they share no wave shape.
 //      Admission control (deadline/overload shedding) runs once per
-//      session, at its first step; the per-step retry budget is
-//      policy.max_retries.
+//      session, on its first unit.
+//
+//      The modes differ in three rules, all keyed on config.continuous:
+//        * Dispatch unit. Whole-request mode dispatches a session's whole
+//          plan at once, charged at its folded service_us, so its slot is
+//          claimed and freed inside one dispatch and it never waits
+//          pinned. Continuous batching (Orca/Sarathi-style iteration-level
+//          scheduling) dispatches one plan step (serve/session.hpp: a
+//          prefill chunk or a kv-growing decode step), charged at its
+//          share of its shape's cycles; the next step becomes ready the
+//          moment the previous one finishes.
+//        * Fusion scan. Whole-request fusion is a FIFO run that stops at
+//          the first mismatch, so a batch is a prefix of the ready queue;
+//          continuous fusion skips mismatches.
+//        * Step counters. serve.steps, serve.preempted_steps and
+//          serve.ttft_us count only under continuous batching.
+//      An outage kills only the unit in flight: a continuous session keeps
+//      its completed steps (the KV cache survives on the pinned instance)
+//      and retries just that step after backoff, while whole-request
+//      dispatch loses the entire request. The retry budget,
+//      policy.max_retries, is per unit.
 //
 //      Failure awareness (config.faults + config.policy): dispatch skips
 //      instances inside an outage window; a batch whose instance fails
@@ -84,7 +90,7 @@
 //      shed at admission; and past a projected-queue-wait threshold the
 //      effective batch cap shrinks toward latency before best-effort work
 //      is shed. With the default (empty) FaultPlan and default policy the
-//      loop reduces exactly to the paragraph above: a zero-fault run is
+//      loop reduces exactly to the paragraphs above: a zero-fault run is
 //      byte-identical to a fault-free one.
 //
 // All times are simulated microseconds; the accelerator clock converts the
@@ -306,7 +312,7 @@ class BatchScheduler {
   /// steps [first[i], first[i + 1]), and each step names its shape by a
   /// slot into `shapes`, where every distinct ShapeKey is stored once.
   /// Pricing yields one ShapeCost per slot; the per-request fold and the
-  /// continuous loop read a step's cost as costs[step.slot] scaled by its
+  /// dispatch loop read a step's cost as costs[step.slot] scaled by its
   /// share.
   struct StepTable {
     struct Step {
@@ -333,16 +339,11 @@ class BatchScheduler {
       const std::vector<InferenceRequest>& requests, const StepTable& table,
       std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const;
 
-  /// Whole-request dispatch (continuous off): the classic FIFO loop, bit
-  /// identical to the pre-session scheduler. Returns the last finish time.
-  double dispatch_whole(const std::vector<InferenceRequest>& requests,
-                        ServeReport& report) const;
-
-  /// Step-clocked continuous-batching dispatch. Returns the last finish.
-  double dispatch_continuous(const std::vector<InferenceRequest>& requests,
-                             const StepTable& table,
-                             const std::vector<ShapeCost>& costs,
-                             ServeReport& report) const;
+  /// The serial dispatch loop of both modes (whole-request and
+  /// step-clocked continuous batching). Returns the last finish time.
+  double dispatch(const std::vector<InferenceRequest>& requests,
+                  const StepTable& table, const std::vector<ShapeCost>& costs,
+                  ServeReport& report) const;
 
   ServeConfig config_;
 };

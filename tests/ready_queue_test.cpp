@@ -1,17 +1,20 @@
-// Randomized differential test for serve::ReadyQueue against the
-// std::set<Pending> it replaced in whole-request dispatch.
+// Randomized differential test for serve::ReadyQueue against a
+// std::set<Pending>, the container the dispatch loop's queue of
+// not-yet-started sessions replaced.
 //
 // The queue's claim is "the same entries in the same (ready_us, id) order
 // as a std::set<Pending> seeded with every request's first attempt", under
-// whole-request dispatch's access pattern: read the front, shed it, take a
-// FIFO run of 1..cap entries that stops at the first misfit, and push
-// retries back. The test drives both through seeded streams with tied
-// arrivals and retries whose ready times tie arrivals and each other, and
-// requires the same front, size and taken run at every step.
+// the dispatch loop's access pattern: read the front, shed it, walk the
+// queue, take a batch -- a FIFO prefix (whole-request fusion) or any
+// subset of the ready entries (continuous fusion skips mismatches, so it
+// takes arrivals from behind the front and tombstones them) -- and push
+// retries back, including retries of tombstoned arrivals. The test drives
+// both through seeded streams with tied arrivals and retries whose ready
+// times tie arrivals and each other, and requires the same front and the
+// same full walk at every step.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <set>
 #include <vector>
 
@@ -41,28 +44,23 @@ std::vector<InferenceRequest> tied_stream(Rng& rng, int n) {
   return requests;
 }
 
-/// The old dispatch_whole fusion scan over the reference set: the front,
-/// then entries in order until one misfits or the run holds `cap`.
-template <typename Fits>
-std::vector<Pending> reference_run(const std::set<Pending>& reference,
-                                   std::size_t cap, const Fits& fits) {
-  std::vector<Pending> run{*reference.begin()};
-  for (auto it = std::next(reference.begin());
-       it != reference.end() && run.size() < cap; ++it) {
-    if (!fits(*it)) break;
-    run.push_back(*it);
-  }
-  return run;
+/// Every entry of `queue`, in walk order.
+std::vector<Pending> walk_all(const ReadyQueue& queue) {
+  std::vector<Pending> out;
+  for (auto it = queue.walk(); !it.done(); ++it) out.push_back(*it);
+  return out;
 }
 
 /// What an episode exercised, so the test can check the paths it claims
 /// to cover were actually taken.
 struct Coverage {
-  int runs = 0;        ///< runs taken and compared
-  int long_runs = 0;   ///< runs of two or more entries
-  int mixed_runs = 0;  ///< runs holding both an arrival and a retry
+  int batches = 0;            ///< batches taken and compared
+  int long_batches = 0;       ///< batches of two or more entries
+  int mixed_batches = 0;      ///< batches holding an arrival and a retry
   int sheds = 0;
   int retries = 0;
+  int tombstones = 0;         ///< arrivals taken from behind the front
+  int tombstone_retries = 0;  ///< retries of a tombstoned arrival
 };
 
 /// One randomized episode, accumulating into `seen`.
@@ -70,60 +68,63 @@ void run_episode(std::uint64_t seed, Coverage& seen) {
   Rng rng(seed);
   const int n = 1 + static_cast<int>(rng.next_below(160));
   const auto requests = tied_stream(rng, n);
-  // A per-request fusion class, like the (function, breakpoints, phase)
-  // match: few classes so runs both continue and break.
-  std::vector<int> klass(static_cast<std::size_t>(n));
-  for (auto& k : klass) k = static_cast<int>(rng.next_below(3));
 
   ReadyQueue queue(requests);
   std::set<Pending> reference;
   for (const auto& req : requests) {
-    reference.insert(Pending{req.arrival_us, req.id, 1});
+    reference.insert(Pending{req.arrival_us, req.id, 1, 0});
   }
 
-  std::vector<Pending> got;
   for (int step = 0; !reference.empty(); ++step) {
-    EXPECT_FALSE(queue.empty());
-    EXPECT_EQ(queue.size(), reference.size()) << "step " << step;
+    ASSERT_FALSE(queue.empty()) << "step " << step;
     const Pending head = *reference.begin();
-    EXPECT_EQ(queue.front(), head) << "front diverged at step " << step;
-    if (queue.empty() || !(queue.front() == head)) return;
+    ASSERT_EQ(*queue.walk(), head) << "front diverged at step " << step;
+    ASSERT_EQ(walk_all(queue),
+              std::vector<Pending>(reference.begin(), reference.end()))
+        << "walk diverged at step " << step;
 
     if (rng.next_below(5) == 0) {
-      // Shed the head: it leaves without a run.
-      queue.pop_front(1);
+      // Shed the head: it leaves without a batch.
+      queue.erase(head);
       reference.erase(reference.begin());
       ++seen.sheds;
       continue;
     }
 
-    const std::size_t cap = 1 + rng.next_below(8);
-    const double horizon =
-        head.ready_us + static_cast<double>(rng.next_below(4));
-    const int head_class = klass[static_cast<std::size_t>(head.id)];
-    const auto fits = [&](const Pending& entry) {
-      return entry.ready_us <= horizon &&
-             klass[static_cast<std::size_t>(entry.id)] == head_class;
-    };
-    queue.peek_run(cap, fits, got);
-    const auto want = reference_run(reference, cap, fits);
-    EXPECT_EQ(got, want) << "run diverged at step " << step;
-    if (got != want) return;
-    ++seen.runs;
-    if (got.size() > 1) ++seen.long_runs;
+    // A batch: the head plus entries of the first few behind it. Half the
+    // batches are FIFO prefixes; the rest take any subset, as continuous
+    // fusion does when it skips mismatches.
+    const bool prefix = rng.next_below(2) == 0;
+    const std::size_t scan = rng.next_below(12);
+    std::vector<Pending> batch{head};
+    auto it = queue.walk();
+    ++it;
+    for (std::size_t k = 0; k < scan && !it.done(); ++k, ++it) {
+      if (prefix || rng.next_below(2) == 0) batch.push_back(*it);
+    }
+    // An arrival taken while it is not the front is tombstoned.
+    std::vector<bool> tombstoned;
+    for (const auto& member : batch) {
+      tombstoned.push_back(member.attempt == 1 &&
+                           !(member == *reference.begin()));
+      if (tombstoned.back()) ++seen.tombstones;
+      queue.erase(member);
+      reference.erase(member);
+    }
+    ++seen.batches;
+    if (batch.size() > 1) ++seen.long_batches;
     bool any_arrival = false;
     bool any_retry = false;
-    for (const auto& member : got) {
+    for (const auto& member : batch) {
       (member.attempt == 1 ? any_arrival : any_retry) = true;
     }
-    if (any_arrival && any_retry) ++seen.mixed_runs;
-    queue.pop_front(got.size());
-    for (const auto& member : want) reference.erase(member);
+    if (any_arrival && any_retry) ++seen.mixed_batches;
 
     // Some members fail and retry. Their ready times land on the arrival
     // grid (often tying a queued arrival or another retry), so the merge
     // has to break (ready_us, id) ties across both sources.
-    for (const auto& member : want) {
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      const Pending& member = batch[k];
       if (member.attempt >= 4 || rng.next_below(3) != 0) continue;
       const auto& other = requests[static_cast<std::size_t>(
           rng.next_below(static_cast<std::uint64_t>(n)))];
@@ -131,14 +132,15 @@ void run_episode(std::uint64_t seed, Coverage& seen) {
           rng.next_below(2) == 0
               ? other.arrival_us
               : head.ready_us + static_cast<double>(rng.next_below(6));
-      const Pending retry{ready, member.id, member.attempt + 1};
+      const Pending retry{ready, member.id, member.attempt + 1, 0};
       queue.push(retry);
       reference.insert(retry);
       ++seen.retries;
+      if (tombstoned[k]) ++seen.tombstone_retries;
     }
   }
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_TRUE(queue.walk().done());
 }
 
 TEST(ReadyQueue, MatchesOrderedSetOnRandomTraffic) {
@@ -149,11 +151,13 @@ TEST(ReadyQueue, MatchesOrderedSetOnRandomTraffic) {
         << "episode " << seed << " diverged";
   }
   // Every path the dispatch loop uses was compared, many times over.
-  EXPECT_GT(seen.runs, 1000);
-  EXPECT_GT(seen.long_runs, 100);
-  EXPECT_GT(seen.mixed_runs, 100);
-  EXPECT_GT(seen.sheds, 1000);
+  EXPECT_GT(seen.batches, 1000);
+  EXPECT_GT(seen.long_batches, 500);
+  EXPECT_GT(seen.mixed_batches, 100);
+  EXPECT_GT(seen.sheds, 500);
   EXPECT_GT(seen.retries, 1000);
+  EXPECT_GT(seen.tombstones, 1000);
+  EXPECT_GT(seen.tombstone_retries, 100);
 }
 
 TEST(ReadyQueue, RetryTyingAnArrivalOrdersById) {
@@ -165,45 +169,50 @@ TEST(ReadyQueue, RetryTyingAnArrivalOrdersById) {
         arrivals[static_cast<std::size_t>(i)];
   }
   ReadyQueue queue(requests);
-  EXPECT_EQ(queue.front(), (Pending{0.0, 0, 1}));
-  queue.pop_front(1);
+  EXPECT_EQ(*queue.walk(), (Pending{0.0, 0, 1, 0}));
+  queue.erase(*queue.walk());
   // Request 0 retries at 5.0: it ties requests 1 and 2 and wins on id.
-  queue.push(Pending{5.0, 0, 2});
-  std::vector<Pending> run;
-  queue.peek_run(8, [](const Pending& p) { return p.ready_us <= 5.0; }, run);
-  const std::vector<Pending> want{{5.0, 0, 2}, {5.0, 1, 1}, {5.0, 2, 1}};
-  EXPECT_EQ(run, want);
-  // Taking a run consumes from both sources.
-  queue.pop_front(run.size());
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.front(), (Pending{10.0, 3, 1}));
+  queue.push(Pending{5.0, 0, 2, 0});
+  const std::vector<Pending> want{
+      {5.0, 0, 2, 0}, {5.0, 1, 1, 0}, {5.0, 2, 1, 0}, {10.0, 3, 1, 0}};
+  EXPECT_EQ(walk_all(queue), want);
+  // Taking entries consumes from both sources.
+  queue.erase(want[0]);
+  queue.erase(want[1]);
+  queue.erase(want[2]);
+  EXPECT_EQ(*queue.walk(), (Pending{10.0, 3, 1, 0}));
 }
 
-TEST(ReadyQueue, RunStopsAtTheFirstMisfitAndAtTheCap) {
+TEST(ReadyQueue, TombstonedArrivalsAreSkippedAndMayRetry) {
   std::vector<InferenceRequest> requests(5);
   for (int i = 0; i < 5; ++i) {
     requests[static_cast<std::size_t>(i)].id = i;
     requests[static_cast<std::size_t>(i)].arrival_us = 1.0;
   }
-  const ReadyQueue queue(requests);
-  std::vector<Pending> run;
-  // Id 2 misfits: the run stops there even though 3 and 4 would fit.
-  queue.peek_run(8, [](const Pending& p) { return p.id != 2; }, run);
-  EXPECT_EQ(run.size(), 2u);
-  // The front is taken even when the predicate rejects everything.
-  queue.peek_run(8, [](const Pending&) { return false; }, run);
-  EXPECT_EQ(run, (std::vector<Pending>{{1.0, 0, 1}}));
-  queue.peek_run(3, [](const Pending&) { return true; }, run);
-  EXPECT_EQ(run.size(), 3u);
-  // peek_run leaves the queue as it was.
-  EXPECT_EQ(queue.size(), 5u);
+  ReadyQueue queue(requests);
+  // Take arrivals 1 and 2 from behind the front: the walk skips them.
+  queue.erase(Pending{1.0, 2, 1, 0});
+  queue.erase(Pending{1.0, 1, 1, 0});
+  EXPECT_EQ(walk_all(queue),
+            (std::vector<Pending>{{1.0, 0, 1, 0}, {1.0, 3, 1, 0},
+                                  {1.0, 4, 1, 0}}));
+  // Taking the front moves the cursor past both tombstones at once.
+  queue.erase(*queue.walk());
+  EXPECT_EQ(*queue.walk(), (Pending{1.0, 3, 1, 0}));
+  // A tombstoned arrival's retry is pushable, and orders by (ready, id).
+  queue.push(Pending{1.0, 2, 2, 0});
+  EXPECT_EQ(*queue.walk(), (Pending{1.0, 2, 2, 0}));
+  queue.erase(Pending{1.0, 4, 1, 0});
+  queue.erase(Pending{1.0, 3, 1, 0});
+  queue.erase(Pending{1.0, 2, 2, 0});
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(ReadyQueue, EmptyStreamIsEmpty) {
   const std::vector<InferenceRequest> none;
   const ReadyQueue queue(none);
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_TRUE(queue.walk().done());
 }
 
 }  // namespace

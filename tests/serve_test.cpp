@@ -149,6 +149,22 @@ TEST(Trace, RejectsMalformedLines) {
     std::istringstream in("inf, bert-tiny, gelu, 64, 16\n");
     EXPECT_FALSE(parse_trace(in, requests, error));
   }
+  // breakpoints is bounded like --breakpoints: a table of billions of
+  // segments would be trained before anything is served.
+  for (const char* breakpoints : {"4097", "2000000000", "1"}) {
+    std::istringstream in("1.0, bert-tiny, gelu, 64, 16\n"
+                          "2.0, bert-tiny, gelu, 64, " +
+                          std::string(breakpoints) + "\n");
+    EXPECT_FALSE(parse_trace(in, requests, error)) << breakpoints;
+    EXPECT_NE(error.find("line 2: breakpoints must be in [2, 4096]"),
+              std::string::npos)
+        << error;
+  }
+  {
+    std::istringstream in("1.0, bert-tiny, gelu, 64, 4096\n");
+    ASSERT_TRUE(parse_trace(in, requests, error)) << error;
+    EXPECT_EQ(requests[0].breakpoints, kMaxBreakpoints);
+  }
 }
 
 TEST(RequestGenerator, SeqScaleMixMatchesTableWeights) {
@@ -926,6 +942,15 @@ TEST(BatchSchedulerDeathTest, RejectsIncoherentPhaseShapes) {
     requests[0].arrival_us = -1.0;
     EXPECT_DEATH((void)scheduler.run(requests), "finite");
   }
+}
+
+TEST(BatchSchedulerDeathTest, RejectsBreakpointsPastTheBound) {
+  const BatchScheduler scheduler(small_pool(1, 1));
+  std::vector<InferenceRequest> requests(1);
+  requests[0].breakpoints = kMaxBreakpoints + 1;
+  EXPECT_DEATH((void)scheduler.run(requests),
+               "request at position 0 .*breakpoints in \\[2, "
+               "kMaxBreakpoints\\]");
 }
 
 TEST(BatchSchedulerDeathTest, RejectsOverflowingDecodeChains) {
