@@ -26,6 +26,7 @@
 #include "core/overlay.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
+#include "workload/bert.hpp"
 
 namespace {
 
@@ -44,7 +45,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// evenly spaced open-loop schedule (pricing cost is what this bench
 /// measures; queueing is irrelevant here).
 std::vector<nova::serve::InferenceRequest> build_stream(int kv_max) {
-  const std::vector<std::string> workloads = {"bert-tiny", "bert-mini"};
+  const std::vector<nova::workload::WorkloadName> workloads = {
+      *nova::workload::WorkloadName::parse("bert-tiny"),
+      *nova::workload::WorkloadName::parse("bert-mini")};
   const std::vector<nova::approx::NonLinearFn> functions = {
       nova::approx::NonLinearFn::kGelu, nova::approx::NonLinearFn::kExp};
 

@@ -98,7 +98,7 @@ double mean_ttft_us(const nova::serve::ServeReport& report) {
   int count = 0;
   for (const auto& outcome : report.outcomes) {
     if (!outcome.served()) continue;
-    sum += outcome.first_finish_us - outcome.request.arrival_us;
+    sum += outcome.first_finish_us - outcome.arrival_us;
     ++count;
   }
   return count > 0 ? sum / count : 0.0;

@@ -116,7 +116,8 @@ ServeResultRow run_serve_case(int requests, int sim_elements_cap) {
   {
     std::vector<std::string> keys;
     for (const auto& req : stream) {
-      keys.push_back(req.workload + "/" + std::to_string(req.seq_len) + "/" +
+      keys.push_back(std::string(req.workload.name()) + "/" +
+                     std::to_string(req.seq_len) + "/" +
                      std::to_string(static_cast<int>(req.function)) + "/" +
                      std::to_string(req.breakpoints));
     }

@@ -450,7 +450,8 @@ void report_surrogate(const Options& options,
                       "surrogate cyc", "rel err"});
   for (const auto& sample : audit.samples) {
     samples.add_row(
-        {sample.shape.workload, approx::to_string(sample.shape.function),
+        {std::string(sample.shape.workload.name()),
+         approx::to_string(sample.shape.function),
          pipeline::to_string(sample.shape.phase),
          std::to_string(sample.shape.length()),
          Table::num(sample.exact_cycles, 0),
@@ -670,10 +671,11 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
     int count = 0;
     std::uint64_t ops = 0;
     double service = 0.0, latency = 0.0, max_latency = 0.0;
-    for (const auto& outcome : report.outcomes) {
+    for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
       // Shed/failed outcomes never finished; their zeroed service fields
       // and negative pseudo-latencies would poison the class means.
-      if (outcome.request.phase != phase || !outcome.served()) continue;
+      const auto& outcome = report.outcomes[i];
+      if (requests[i].phase != phase || !outcome.served()) continue;
       ++count;
       ops += static_cast<std::uint64_t>(outcome.approx_ops);
       service += outcome.service_us;

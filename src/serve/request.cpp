@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -9,7 +11,6 @@
 #include "common/assert.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
-#include "workload/bert.hpp"
 
 namespace nova::serve {
 
@@ -38,6 +39,20 @@ std::vector<InferenceRequest> generate_poisson(int count,
   NOVA_EXPECTS(profile.max_steps >= 0 && profile.max_steps <= kMaxGenSteps);
   NOVA_EXPECTS(!profile.workloads.empty());
   NOVA_EXPECTS(!profile.functions.empty());
+  // Each spelling resolves once, before any draw.
+  std::vector<workload::WorkloadName> workloads;
+  workloads.reserve(profile.workloads.size());
+  for (const auto& spelling : profile.workloads) {
+    const auto handle = workload::WorkloadName::parse(spelling);
+    if (!handle) {
+      std::fprintf(stderr,
+                   "nova: generate_poisson precondition violation: unknown "
+                   "workload '%s' in the traffic profile\n",
+                   spelling.c_str());
+      std::abort();
+    }
+    workloads.push_back(*handle);
+  }
 
   Rng rng(seed);
   std::vector<InferenceRequest> requests;
@@ -52,8 +67,8 @@ std::vector<InferenceRequest> generate_poisson(int count,
     InferenceRequest req;
     req.id = id;
     req.arrival_us = clock_us;
-    req.workload = profile.workloads[static_cast<std::size_t>(
-        rng.next_below(profile.workloads.size()))];
+    req.workload = workloads[static_cast<std::size_t>(
+        rng.next_below(workloads.size()))];
     req.function = profile.functions[static_cast<std::size_t>(
         rng.next_below(profile.functions.size()))];
     req.breakpoints = profile.breakpoints;
@@ -128,12 +143,13 @@ bool parse_trace(std::istream& in, std::vector<InferenceRequest>& out,
               ": malformed number in '" + line + "'";
       return false;
     }
-    req.workload = fields[1];
-    if (!workload::by_name(fields[1], 8).has_value()) {
+    const auto handle = workload::WorkloadName::parse(fields[1]);
+    if (!handle) {
       error = "trace line " + std::to_string(line_no) +
               ": unknown workload '" + fields[1] + "'";
       return false;
     }
+    req.workload = *handle;
     const auto fn = approx::from_string(fields[2]);
     if (!fn) {
       error = "trace line " + std::to_string(line_no) +

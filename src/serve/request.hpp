@@ -17,17 +17,21 @@
 
 #include "approx/functions.hpp"
 #include "pipeline/op_graph.hpp"
+#include "workload/bert.hpp"
 
 namespace nova::serve {
 
-/// One inference request against a served NOVA instance pool.
+/// One inference request against a served NOVA instance pool. Trivially
+/// copyable and 48 bytes: a serve run holds one per request, and 10^6 of
+/// them are a 48 MB array.
 struct InferenceRequest {
   int id = 0;
+  /// Benchmark whose non-linear op volume this request carries, as a
+  /// catalog handle (workload::WorkloadName::parse accepts the
+  /// workload::by_name spellings, e.g. "bert-tiny").
+  workload::WorkloadName workload;
   /// Simulated arrival time, microseconds since serving start.
   double arrival_us = 0.0;
-  /// Benchmark whose non-linear op volume this request carries
-  /// (workload::by_name names, e.g. "bert-tiny").
-  std::string workload = "bert-tiny";
   /// Sequence length of the inference (scales the op volume). Decode
   /// requests carry seq_len == 1 by convention (one query token); their
   /// volume scales with kv_len instead.
@@ -45,11 +49,6 @@ struct InferenceRequest {
   pipeline::Phase phase = pipeline::Phase::kPrefill;
   /// KV-cache length of a decode request (>= 1); prefill keeps 0.
   int kv_len = 0;
-  /// Optional SLO: the latency budget in microseconds relative to
-  /// arrival_us (the request's deadline is arrival_us + deadline_us).
-  /// 0 means no deadline -- best-effort work, the first to be shed under
-  /// overload. Must be finite and >= 0.
-  double deadline_us = 0.0;
   /// Additional autoregressive decode steps chained onto this request,
   /// turning it into a generation session (serve/session.hpp). A prefill
   /// request with gen_steps n prefills, then decodes n tokens at kv_len =
@@ -60,6 +59,11 @@ struct InferenceRequest {
   /// lines, steps == gen_steps + 1 for decode lines (a decode request's
   /// own step counts toward its generation). Must be in [0, kMaxGenSteps].
   int gen_steps = 0;
+  /// Optional SLO: the latency budget in microseconds relative to
+  /// arrival_us (the request's deadline is arrival_us + deadline_us).
+  /// 0 means no deadline -- best-effort work, the first to be shed under
+  /// overload. Must be finite and >= 0.
+  double deadline_us = 0.0;
 
   [[nodiscard]] bool has_deadline() const { return deadline_us > 0.0; }
 };
@@ -128,7 +132,8 @@ struct TrafficProfile {
   /// counts). 0 (default) skips the draw entirely, reproducing the
   /// pre-session stream bit for bit.
   int max_steps = 0;
-  /// Workload mix, sampled uniformly. Empty profiles are invalid.
+  /// Workload mix, sampled uniformly, as workload::by_name spellings.
+  /// Empty profiles and unknown spellings are invalid.
   std::vector<std::string> workloads = {"bert-tiny", "bert-mini",
                                         "mobilebert-tiny"};
   /// Operator mix, sampled uniformly. Empty profiles are invalid.
@@ -139,7 +144,9 @@ struct TrafficProfile {
 
 /// Generates `count` requests with exponential inter-arrival gaps (a
 /// Poisson process at profile.rate_rps), deterministic from `seed`.
-/// Requests come back sorted by arrival time with ids 0..count-1.
+/// Requests come back sorted by arrival time with ids 0..count-1. Aborts,
+/// naming the spelling, when profile.workloads holds one the catalog does
+/// not accept.
 [[nodiscard]] std::vector<InferenceRequest> generate_poisson(
     int count, const TrafficProfile& profile, std::uint64_t seed);
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -29,11 +30,12 @@ void validate_stream(const std::vector<InferenceRequest>& requests) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto& req = requests[i];
     const auto fail = [&](const char* what) {
+      const std::string name(req.workload.name());
       std::fprintf(stderr,
                    "nova: BatchScheduler::run precondition violation: "
                    "request at position %zu (id %d, workload '%s', "
                    "arrival %g us): %s\n",
-                   i, req.id, req.workload.c_str(), req.arrival_us, what);
+                   i, req.id, name.c_str(), req.arrival_us, what);
       std::abort();
     };
     if (req.id != static_cast<int>(i)) {
@@ -84,12 +86,12 @@ double ServeReport::latency_percentile_us(double p) const {
 std::string outcome_fingerprint(const ServeReport& report) {
   std::string out;
   char buf[256];
-  for (const auto& outcome : report.outcomes) {
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const auto& outcome = report.outcomes[i];
     std::snprintf(buf, sizeof(buf),
-                  "%d|%s|%d|%d|%d|%d|%lld|%lld|%d|%a|%a|%a|%a\n",
-                  outcome.request.id, to_string(outcome.status),
-                  outcome.attempts, outcome.instance, outcome.batch_id,
-                  outcome.session_steps,
+                  "%zu|%s|%d|%d|%d|%d|%lld|%lld|%d|%a|%a|%a|%a\n", i,
+                  to_string(outcome.status), outcome.attempts,
+                  outcome.instance, outcome.batch_id, outcome.session_steps,
                   static_cast<long long>(outcome.approx_ops),
                   static_cast<long long>(outcome.service_cycles),
                   outcome.wave_latency_cycles, outcome.service_us,
@@ -143,6 +145,7 @@ BatchScheduler::StepTable BatchScheduler::plan_steps(
       const auto slot = provisional.try_emplace(step.shape, next_id);
       table.steps.push_back({slot.first->second, step.share});
     }
+    outcomes[i].arrival_us = requests[i].arrival_us;
     outcomes[i].session_steps = plan.total_steps();
     outcomes[i].prefill_chunks = plan.prefill_chunks;
   }
@@ -159,8 +162,8 @@ BatchScheduler::StepTable BatchScheduler::plan_steps(
 }
 
 std::vector<ShapeCost> BatchScheduler::price_requests(
-    const std::vector<InferenceRequest>& requests, const StepTable& table,
-    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const {
+    const StepTable& table, std::vector<RequestOutcome>& outcomes,
+    SurrogateAudit& audit) const {
   // A request's price is a function of its shape alone (where wave timing
   // depends on the data, the calibration synthesizes that data from the
   // shape), so pricing is memoized per distinct shape; only the distinct
@@ -250,9 +253,8 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
   // charges per step -- and a single-step plan with share 1.0
   // reproduces the pre-session outcome fields bit for bit (1.0 * x == x).
   const double freq = config_.nova.accel_freq_mhz;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
     auto& outcome = outcomes[i];
-    outcome.request = requests[i];
     const std::size_t begin = table.first[i];
     const std::size_t end = table.first[i + 1];
     double cycles = 0.0;
@@ -605,7 +607,7 @@ ServeReport BatchScheduler::run(
   // Phase 1: price every session step (exact, surrogate, or hybrid mode).
   const StepTable table = plan_steps(requests, report.outcomes);
   const std::vector<ShapeCost> costs =
-      price_requests(requests, table, report.outcomes, report.surrogate);
+      price_requests(table, report.outcomes, report.surrogate);
 
   // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
   auto& latency_hist = report.stats.histogram("serve.latency_us");
@@ -629,8 +631,7 @@ ServeReport BatchScheduler::run(
       service_acc.add(outcome.service_us);
       queue_acc.add(outcome.queue_us());
       if (ttft_hist != nullptr) {
-        ttft_hist->record(outcome.first_finish_us -
-                          outcome.request.arrival_us);
+        ttft_hist->record(outcome.first_finish_us - outcome.arrival_us);
       }
     } else {
       outcome.service_cycles = 0;

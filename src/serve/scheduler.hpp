@@ -176,17 +176,25 @@ struct ServeConfig {
 
 /// Where and when one request was served -- or why it was not.
 ///
+/// Outcomes are indexed like the request array, by request id, and carry
+/// no copy of the request: the one request field they keep is arrival_us,
+/// which latency_us() and queue_us() measure from; a reader that wants any
+/// other request field indexes the request array with the outcome's
+/// index. Trivially copyable and 88 bytes.
+///
 /// Unserved contract: outcomes whose status is kShed or kFailed were never
 /// serviced to completion, and every service-side field stays at its zero
 /// default -- instance == -1, batch_id == -1, service_cycles == 0,
-/// service_us == start_us == finish_us == first_finish_us == 0.0
-/// (enforced by the scheduler, not merely documented; shed requests are
-/// priced for the admission projection but the price is not part of their
-/// outcome). Aggregate consumers must filter on served() rather than
-/// probing instance == -1. session_steps / prefill_chunks describe the
-/// plan, not the service, and survive the zeroing.
+/// wave_latency_cycles == 0, service_us == start_us == finish_us ==
+/// first_finish_us == 0.0 (enforced by the scheduler, not merely
+/// documented; shed requests are priced for the admission projection but
+/// the price is not part of their outcome). Aggregate consumers must filter
+/// on served() rather than probing instance == -1. arrival_us, approx_ops
+/// and the plan fields session_steps / prefill_chunks describe the request,
+/// not its service, and survive the zeroing.
 struct RequestOutcome {
-  InferenceRequest request;
+  /// The request's arrival (InferenceRequest::arrival_us).
+  double arrival_us = 0.0;
   /// Terminal status; kOk/kRetried/kDeadlineMiss outcomes were served to
   /// completion, kShed/kFailed never were (see the unserved contract).
   RequestStatus status = RequestStatus::kOk;
@@ -197,16 +205,7 @@ struct RequestOutcome {
   int instance = -1;
   int batch_id = -1;
   int batch_size = 1;
-  /// Non-linear element operations one inference of this request costs.
-  std::int64_t approx_ops = 0;
-  /// Standalone service cost: the overlap-aware makespan of the request's
-  /// operator-graph timeline, with the vector-unit rate and fill measured
-  /// by the cycle-accurate pricing run.
-  sim::Cycle service_cycles = 0;
   int wave_latency_cycles = 0;
-  double service_us = 0.0;
-  double start_us = 0.0;   ///< first (successful) dispatch of the session
-  double finish_us = 0.0;  ///< completion of the session's last step
   /// Steps in this request's session plan: prefill chunks + decode steps,
   /// 1 for a classic single-step request. A plan property (set by
   /// pricing), so it survives the unserved zeroing.
@@ -214,6 +213,15 @@ struct RequestOutcome {
   /// Chunks the prefill split into (0 for decode-phase requests); also a
   /// plan property.
   int prefill_chunks = 0;
+  /// Non-linear element operations one inference of this request costs.
+  std::int64_t approx_ops = 0;
+  /// Standalone service cost: the overlap-aware makespan of the request's
+  /// operator-graph timeline, with the vector-unit rate and fill measured
+  /// by the cycle-accurate pricing run.
+  sim::Cycle service_cycles = 0;
+  double service_us = 0.0;
+  double start_us = 0.0;   ///< first (successful) dispatch of the session
+  double finish_us = 0.0;  ///< completion of the session's last step
   /// Completion of the session's first step -- the time-to-first-token
   /// proxy under continuous batching. Equals finish_us for
   /// single-dispatch sessions; zeroed when unserved.
@@ -227,12 +235,8 @@ struct RequestOutcome {
   }
   /// End-to-end latency; meaningful only for served() outcomes (0 minus
   /// arrival otherwise -- check served() first).
-  [[nodiscard]] double latency_us() const {
-    return finish_us - request.arrival_us;
-  }
-  [[nodiscard]] double queue_us() const {
-    return start_us - request.arrival_us;
-  }
+  [[nodiscard]] double latency_us() const { return finish_us - arrival_us; }
+  [[nodiscard]] double queue_us() const { return start_us - arrival_us; }
 };
 
 /// Per-instance utilization and availability accounting.
@@ -283,7 +287,8 @@ struct ServeReport {
 };
 
 /// Bit-strict serialization of every per-request field pricing and
-/// dispatch produce: one line per outcome with id, status, attempts,
+/// dispatch produce: one line per outcome with its index (the request
+/// id), status, attempts,
 /// instance, batch_id, session_steps, approx_ops, service_cycles,
 /// wave_latency_cycles, service_us, start_us, finish_us and
 /// first_finish_us, doubles printed as exact hex floats (%a). Two reports
@@ -327,7 +332,8 @@ class BatchScheduler {
   };
 
   /// Folds every request's session plan into one StepTable and records
-  /// the plan-shape fields (session_steps, prefill_chunks) in `outcomes`.
+  /// each request's arrival and plan-shape fields (session_steps,
+  /// prefill_chunks) in `outcomes`.
   [[nodiscard]] StepTable plan_steps(
       const std::vector<InferenceRequest>& requests,
       std::vector<RequestOutcome>& outcomes) const;
@@ -336,8 +342,8 @@ class BatchScheduler {
   /// into the per-request aggregates of `outcomes`. Returns the shapes'
   /// costs, indexed by slot.
   [[nodiscard]] std::vector<ShapeCost> price_requests(
-      const std::vector<InferenceRequest>& requests, const StepTable& table,
-      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const;
+      const StepTable& table, std::vector<RequestOutcome>& outcomes,
+      SurrogateAudit& audit) const;
 
   /// The serial dispatch loop of both modes (whole-request and
   /// step-clocked continuous batching). Returns the last finish time.

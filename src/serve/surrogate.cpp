@@ -38,7 +38,7 @@ std::uint64_t shape_seed(std::uint64_t base, const ShapeKey& shape) {
       h *= 0x100000001B3ULL;
     }
   };
-  for (const char c : shape.workload) {
+  for (const char c : shape.workload.name()) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001B3ULL;
   }
@@ -80,11 +80,10 @@ namespace {
 /// -- the full-sequence prefill graph, or one decode step against its KV
 /// cache.
 pipeline::OpGraph shape_graph(const ShapeKey& shape) {
-  const auto model = workload::by_name(shape.workload, shape.seq_len);
-  NOVA_EXPECTS(model.has_value());
+  const auto model = shape.workload.entry().make(shape.seq_len);
   auto graph = shape.phase == pipeline::Phase::kDecode
-                   ? pipeline::build_decode_graph(*model, shape.kv_len)
-                   : pipeline::build_graph(*model);
+                   ? pipeline::build_decode_graph(model, shape.kv_len)
+                   : pipeline::build_graph(model);
 #ifndef NDEBUG
   // Full verifier sweep before any pricing math reads the graph. The
   // builders already ran it, but this pins the *pricer's* entry contract

@@ -60,6 +60,7 @@
 #include "hwmodel/vector_unit_cost.hpp"
 #include "pipeline/fusion.hpp"
 #include "pipeline/op_graph.hpp"
+#include "workload/bert.hpp"
 
 namespace nova::serve {
 
@@ -75,9 +76,10 @@ enum class PricingMode { kExact, kSurrogate, kHybrid };
 
 /// The full pricing identity of one request shape: everything the exact
 /// path's input synthesis and graph construction depend on. Ordering is the
-/// field-wise lexicographic one, used for deterministic grouping.
+/// field-wise lexicographic one, in declaration order, used for
+/// deterministic grouping. Trivially copyable and 24 bytes.
 struct ShapeKey {
-  std::string workload = "bert-tiny";
+  workload::WorkloadName workload;
   int seq_len = 128;
   approx::NonLinearFn function = approx::NonLinearFn::kGelu;
   int breakpoints = 16;
@@ -237,7 +239,7 @@ class PricingSurrogate {
   /// A pricing class: every shape field except the length axis. The host
   /// is fixed by the pricer's config, so it is implicit here.
   struct ClassKey {
-    std::string workload;
+    workload::WorkloadName workload;
     approx::NonLinearFn function = approx::NonLinearFn::kGelu;
     int breakpoints = 16;
     pipeline::Phase phase = pipeline::Phase::kPrefill;

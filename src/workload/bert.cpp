@@ -1,5 +1,9 @@
 #include "workload/bert.hpp"
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+
 #include "pipeline/op_graph.hpp"
 
 namespace nova::workload {
@@ -36,25 +40,72 @@ std::vector<BertConfig> paper_benchmarks(int seq_len) {
           roberta_base(seq_len), bert_tiny(seq_len), bert_mini(seq_len)};
 }
 
-const std::vector<BenchmarkEntry>& benchmark_catalog() {
-  static const std::vector<BenchmarkEntry> catalog = {
-      {"mobilebert-base", "mobilebert", mobilebert_base},
-      {"mobilebert-tiny", nullptr, mobilebert_tiny},
-      {"roberta", "roberta-base", roberta_base},
-      {"bert-tiny", nullptr, bert_tiny},
-      {"bert-mini", nullptr, bert_mini},
-  };
-  return catalog;
-}
+namespace {
 
-std::optional<BertConfig> by_name(const std::string& name, int seq_len) {
-  for (const auto& entry : benchmark_catalog()) {
-    if (name == entry.name ||
-        (entry.alias != nullptr && name == entry.alias)) {
-      return entry.make(seq_len);
+constexpr BenchmarkEntry kCatalog[] = {
+    {"mobilebert-base", "mobilebert", mobilebert_base},
+    {"mobilebert-tiny", nullptr, mobilebert_tiny},
+    {"roberta", "roberta-base", roberta_base},
+    {"bert-tiny", nullptr, bert_tiny},
+    {"bert-mini", nullptr, bert_mini},
+};
+
+/// One accepted spelling and the catalog row it resolves to.
+struct Spelling {
+  std::string_view text;
+  std::size_t row = 0;
+};
+
+constexpr std::size_t kSpellingCount = [] {
+  std::size_t count = 0;
+  for (const auto& entry : kCatalog) count += entry.alias == nullptr ? 1 : 2;
+  return count;
+}();
+
+/// Every name and alias of the catalog in std::string order: the numbering
+/// of WorkloadName.
+constexpr auto kSpellings = [] {
+  std::array<Spelling, kSpellingCount> spellings{};
+  std::size_t next = 0;
+  for (std::size_t row = 0; row < std::size(kCatalog); ++row) {
+    spellings[next++] = {kCatalog[row].name, row};
+    if (kCatalog[row].alias != nullptr) {
+      spellings[next++] = {kCatalog[row].alias, row};
+    }
+  }
+  std::sort(spellings.begin(), spellings.end(),
+            [](const Spelling& a, const Spelling& b) {
+              return a.text < b.text;
+            });
+  return spellings;
+}();
+
+static_assert(kSpellingCount <= 256, "WorkloadName holds one byte");
+
+}  // namespace
+
+std::span<const BenchmarkEntry> benchmark_catalog() { return kCatalog; }
+
+std::optional<WorkloadName> WorkloadName::parse(std::string_view spelling) {
+  static_assert(kSpellings[WorkloadName().index_].text == "bert-tiny");
+  for (std::size_t i = 0; i < kSpellings.size(); ++i) {
+    if (kSpellings[i].text == spelling) {
+      return WorkloadName(static_cast<std::uint8_t>(i));
     }
   }
   return std::nullopt;
+}
+
+std::string_view WorkloadName::name() const { return kSpellings[index_].text; }
+
+const BenchmarkEntry& WorkloadName::entry() const {
+  return kCatalog[kSpellings[index_].row];
+}
+
+std::optional<BertConfig> by_name(const std::string& name, int seq_len) {
+  const auto handle = WorkloadName::parse(name);
+  if (!handle) return std::nullopt;
+  return handle->entry().make(seq_len);
 }
 
 ModelWorkload model_workload(const BertConfig& config) {

@@ -5,9 +5,12 @@
 // only on these shapes, not on weights.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nova::workload {
@@ -51,7 +54,38 @@ struct BenchmarkEntry {
 };
 
 /// The resolvable model zoo, in the paper's Fig 8 order.
-[[nodiscard]] const std::vector<BenchmarkEntry>& benchmark_catalog();
+[[nodiscard]] std::span<const BenchmarkEntry> benchmark_catalog();
+
+/// A workload name as a 1-byte handle into the catalog's seven accepted
+/// spellings: the five canonical names and the two aliases. Spellings are
+/// numbered in std::string order, so handles compare exactly as their
+/// spellings do. An alias keeps its own spelling; it builds the same model
+/// as its canonical name. parse() is the only way to a handle other than
+/// the default, so every handle names a model that resolves.
+class WorkloadName {
+ public:
+  /// "bert-tiny".
+  constexpr WorkloadName() = default;
+
+  /// The handle of `spelling`; nullopt when the catalog accepts no such
+  /// name.
+  [[nodiscard]] static std::optional<WorkloadName> parse(
+      std::string_view spelling);
+
+  /// The spelling this handle was parsed from.
+  [[nodiscard]] std::string_view name() const;
+
+  /// The catalog row the spelling resolves to.
+  [[nodiscard]] const BenchmarkEntry& entry() const;
+
+  friend constexpr auto operator<=>(WorkloadName, WorkloadName) = default;
+
+ private:
+  explicit constexpr WorkloadName(std::uint8_t index) : index_(index) {}
+
+  /// Position of the spelling in std::string order; 1 is "bert-tiny".
+  std::uint8_t index_ = 1;
+};
 
 /// Resolves a benchmark by its canonical name (e.g. "bert-tiny",
 /// "mobilebert-base"; "roberta" and "mobilebert" aliases accepted).

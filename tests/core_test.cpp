@@ -425,17 +425,17 @@ TEST(CalibrationGolden, ExactPricerCalibrationsArePinned) {
     serve::ShapeKey shape;
     const char* expect;
   };
-  const auto prefill = [](const char* workload, int seq, NonLinearFn fn) {
+  const auto prefill = [](const char* name, int seq, NonLinearFn fn) {
     serve::ShapeKey key;
-    key.workload = workload;
+    key.workload = workload::WorkloadName::parse(name).value();
     key.seq_len = seq;
     key.function = fn;
     return key;
   };
-  const auto decode = [](const char* workload, int seq, int kv,
+  const auto decode = [](const char* name, int seq, int kv,
                          NonLinearFn fn, int breakpoints = 16) {
     serve::ShapeKey key;
-    key.workload = workload;
+    key.workload = workload::WorkloadName::parse(name).value();
     key.seq_len = seq;
     key.function = fn;
     key.breakpoints = breakpoints;
@@ -471,7 +471,8 @@ TEST(CalibrationGolden, ExactPricerCalibrationsArePinned) {
     std::snprintf(got, sizeof got, "%a/%d", c.elems_per_cycle,
                   c.wave_latency_cycles);
     EXPECT_STREQ(got, pin.expect)
-        << pin.shape.workload << " seq " << pin.shape.seq_len << " kv "
+        << pin.shape.workload.name() << " seq " << pin.shape.seq_len
+        << " kv "
         << pin.shape.kv_len;
   }
 }
@@ -499,7 +500,7 @@ std::uint64_t reference_shape_seed(std::uint64_t base,
       h *= 0x100000001B3ULL;
     }
   };
-  for (const char c : shape.workload) {
+  for (const char c : shape.workload.name()) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001B3ULL;
   }
@@ -573,7 +574,8 @@ std::string reference_calibrate(const serve::PricerConfig& config,
 }
 
 std::int64_t per_router_ops(const serve::ShapeKey& shape, int routers) {
-  const auto model = workload::by_name(shape.workload, shape.seq_len);
+  const auto model =
+      workload::by_name(std::string(shape.workload.name()), shape.seq_len);
   const auto graph = shape.phase == pipeline::Phase::kDecode
                          ? pipeline::build_decode_graph(*model, shape.kv_len)
                          : pipeline::build_graph(*model);
@@ -624,7 +626,7 @@ TEST(CalibrationProperty, MatchesPerShapeReferenceOverSeededSweep) {
             approx::to_string(fn) + "/" + std::to_string(bp);
 
         serve::ShapeKey decode;
-        decode.workload = "bert-tiny";
+        decode.workload = workload::WorkloadName::parse("bert-tiny").value();
         decode.seq_len = 1;
         decode.function = fn;
         decode.breakpoints = bp;

@@ -83,7 +83,7 @@ ServeReport reference_run(const ServeConfig& config,
   for (std::size_t i = 0; i < n; ++i) {
     auto& outcome = report.outcomes[i];
     const auto& steps = plans[i].steps;
-    outcome.request = requests[i];
+    outcome.arrival_us = requests[i].arrival_us;
     outcome.session_steps = plans[i].total_steps();
     outcome.prefill_chunks = plans[i].prefill_chunks;
     double cycles = 0.0;
@@ -312,7 +312,7 @@ ServeReport reference_run(const ServeConfig& config,
     if (outcome.served()) {
       if (continuous) {
         report.stats.histogram("serve.ttft_us")
-            .record(outcome.first_finish_us - outcome.request.arrival_us);
+            .record(outcome.first_finish_us - outcome.arrival_us);
       }
     } else {
       outcome.service_cycles = 0;
@@ -340,6 +340,8 @@ ServeReport reference_run(const ServeConfig& config,
 void expect_same_dispatch(const ServeReport& got, const ServeReport& want) {
   EXPECT_EQ(outcome_fingerprint(got), outcome_fingerprint(want));
   for (std::size_t i = 0; i < want.outcomes.size(); ++i) {
+    EXPECT_EQ(got.outcomes[i].arrival_us, want.outcomes[i].arrival_us)
+        << "request " << i;
     EXPECT_EQ(got.outcomes[i].batch_size, want.outcomes[i].batch_size)
         << "request " << i;
   }

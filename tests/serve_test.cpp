@@ -8,6 +8,8 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "accel/accelerator.hpp"
 #include "approx/mlp_fitter.hpp"
@@ -76,7 +78,7 @@ TEST(Trace, ParsesSortsAndRenumbers) {
   ASSERT_EQ(requests.size(), 2u);
   EXPECT_EQ(requests[0].id, 0);
   EXPECT_DOUBLE_EQ(requests[0].arrival_us, 3.0);
-  EXPECT_EQ(requests[0].workload, "bert-tiny");
+  EXPECT_EQ(requests[0].workload.name(), "bert-tiny");
   EXPECT_EQ(requests[0].function, approx::NonLinearFn::kGelu);
   EXPECT_EQ(requests[1].id, 1);
   EXPECT_EQ(requests[1].seq_len, 64);
@@ -229,7 +231,7 @@ TEST(Trace, ParsesPhaseAndKvLenColumns) {
   EXPECT_EQ(requests[0].phase, pipeline::Phase::kPrefill);  // explicit
   EXPECT_EQ(requests[1].phase, pipeline::Phase::kDecode);
   EXPECT_EQ(requests[1].kv_len, 768);
-  EXPECT_EQ(requests[1].workload, "bert-mini");
+  EXPECT_EQ(requests[1].workload.name(), "bert-mini");
   EXPECT_EQ(requests[2].phase, pipeline::Phase::kPrefill);  // kv_len 0 ok
   EXPECT_EQ(requests[3].phase, pipeline::Phase::kPrefill);  // 5-column
   EXPECT_EQ(requests[3].kv_len, 0);
@@ -395,8 +397,8 @@ TEST(BatchScheduler, ShapePricingIsStableAcrossStreams) {
 
   std::vector<InferenceRequest> mixed(2);
   mixed[0].id = 0;
-  mixed[0].workload = "bert-mini";  // sorts ahead of bert-tiny in the
-                                    // distinct-shape map
+  // bert-mini sorts ahead of bert-tiny in the distinct-shape map.
+  mixed[0].workload = workload::WorkloadName::parse("bert-mini").value();
   mixed[1].id = 1;
   mixed[1].arrival_us = 1.0;
 
@@ -448,7 +450,7 @@ TEST(BatchScheduler, OutcomesAreCausallyOrdered) {
   ASSERT_EQ(report.outcomes.size(), requests.size());
   double max_finish = 0.0;
   for (const auto& outcome : report.outcomes) {
-    EXPECT_GE(outcome.start_us, outcome.request.arrival_us);
+    EXPECT_GE(outcome.start_us, outcome.arrival_us);
     EXPECT_GT(outcome.finish_us, outcome.start_us);
     EXPECT_GE(outcome.instance, 0);
     EXPECT_LT(outcome.instance, 2);
@@ -517,8 +519,8 @@ TEST(BatchScheduler, PricesRequestsFromTheFullGraphTimeline) {
   const auto report = BatchScheduler(config).run(requests);
 
   const auto accel = accel::make_accelerator(config.host);
-  const auto model =
-      workload::by_name(requests[0].workload, requests[0].seq_len);
+  const auto model = workload::by_name(
+      std::string(requests[0].workload.name()), requests[0].seq_len);
   ASSERT_TRUE(model.has_value());
   const auto fabric_cycles =
       accel::inference_cycles(accel, workload::model_workload(*model));
@@ -535,7 +537,7 @@ TEST(BatchScheduler, HeavierWorkloadsPriceHigher) {
   std::vector<InferenceRequest> tiny(1), roberta(1);
   tiny[0].id = 0;
   roberta[0].id = 0;
-  roberta[0].workload = "roberta";
+  roberta[0].workload = workload::WorkloadName::parse("roberta").value();
   const BatchScheduler scheduler(small_pool(1, 1));
   const auto a = scheduler.run(tiny);
   const auto b = scheduler.run(roberta);
@@ -564,12 +566,13 @@ TEST(BatchScheduler, DecodeNeverFusesWithPrefill) {
   // [prefill x2][decode x3][prefill x1]: three dispatches, phase-pure.
   EXPECT_EQ(report.stats.counter("serve.batches"), 3u);
   std::map<int, pipeline::Phase> batch_phase;
-  for (const auto& outcome : report.outcomes) {
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const auto& outcome = report.outcomes[i];
     const auto it = batch_phase.find(outcome.batch_id);
     if (it == batch_phase.end()) {
-      batch_phase[outcome.batch_id] = outcome.request.phase;
+      batch_phase[outcome.batch_id] = requests[i].phase;
     } else {
-      EXPECT_EQ(it->second, outcome.request.phase)
+      EXPECT_EQ(it->second, requests[i].phase)
           << "batch " << outcome.batch_id << " mixes phases";
     }
   }
@@ -599,7 +602,7 @@ TEST(BatchScheduler, MixedPhaseOutcomesIdenticalAcrossThreadCounts) {
     for (const auto* other : {&four, &eight}) {
       const auto& a = one.outcomes[i];
       const auto& b = other->outcomes[i];
-      EXPECT_EQ(a.request.phase, b.request.phase);
+      EXPECT_EQ(a.arrival_us, b.arrival_us);
       EXPECT_EQ(a.instance, b.instance);
       EXPECT_EQ(a.batch_id, b.batch_id);
       EXPECT_EQ(a.batch_size, b.batch_size);
@@ -819,7 +822,7 @@ std::vector<ShapeKey> memo_shapes(std::size_t& tables) {
       (void)approx::PwlLibrary::instance().get(fn, breakpoints);
       ++tables;
       ShapeKey shape;
-      shape.workload = "bert-tiny";
+      shape.workload = workload::WorkloadName::parse("bert-tiny").value();
       shape.function = fn;
       shape.breakpoints = breakpoints;
       for (int kv = 1; kv <= 70; ++kv) {
@@ -919,8 +922,12 @@ TEST(BatchSchedulerDeathTest, RejectsMisnumberedIds) {
   requests[0].id = 0;
   requests[1].id = 7;  // must be 1
   requests[1].arrival_us = 1.0;
+  requests[1].workload = workload::WorkloadName::parse("roberta-base").value();
   const BatchScheduler scheduler(small_pool(1, 1));
-  EXPECT_DEATH((void)scheduler.run(requests), "ids must be 0..n-1");
+  // The message names the request by its workload's own spelling.
+  EXPECT_DEATH((void)scheduler.run(requests),
+               "position 1 \\(id 7, workload 'roberta-base'.*"
+               "ids must be 0..n-1");
 }
 
 TEST(BatchSchedulerDeathTest, RejectsIncoherentPhaseShapes) {
@@ -983,7 +990,7 @@ TEST(BatchScheduler, LongestAcceptedLengthsPriceCleanly) {
   std::vector<InferenceRequest> requests;
   for (const auto& entry : workload::benchmark_catalog()) {
     InferenceRequest prefill;
-    prefill.workload = entry.name;
+    prefill.workload = workload::WorkloadName::parse(entry.name).value();
     prefill.seq_len = prompt;
     prefill.gen_steps = 1;
     InferenceRequest decode = prefill;
@@ -1001,14 +1008,41 @@ TEST(BatchScheduler, LongestAcceptedLengthsPriceCleanly) {
     config.pricing = mode;
     const auto report = BatchScheduler(config).run(requests);
     ASSERT_EQ(report.outcomes.size(), requests.size());
-    for (const auto& outcome : report.outcomes) {
-      EXPECT_TRUE(outcome.served()) << outcome.request.workload;
-      EXPECT_GT(outcome.service_us, 0.0) << outcome.request.workload;
-      EXPECT_TRUE(std::isfinite(outcome.finish_us))
-          << outcome.request.workload;
+    for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+      const auto& outcome = report.outcomes[i];
+      const std::string_view name = requests[i].workload.name();
+      EXPECT_TRUE(outcome.served()) << name;
+      EXPECT_GT(outcome.service_us, 0.0) << name;
+      EXPECT_TRUE(std::isfinite(outcome.finish_us)) << name;
     }
     EXPECT_TRUE(std::isfinite(report.latency_percentile_us(99.0)));
   }
+}
+
+TEST(RequestGeneratorDeathTest, RejectsAnUnknownWorkloadNamingIt) {
+  // Resolved once, before any draw: the unknown spelling never reaches a
+  // request, so pricing never sees it.
+  TrafficProfile profile;
+  profile.workloads = {"bert-tiny", "bert-large"};
+  EXPECT_DEATH((void)generate_poisson(16, profile, 1),
+               "unknown workload 'bert-large'");
+}
+
+TEST(RequestRecords, DefaultsNameBertTiny) {
+  EXPECT_EQ(InferenceRequest{}.workload.name(), "bert-tiny");
+  EXPECT_EQ(ShapeKey{}.workload.name(), "bert-tiny");
+}
+
+TEST(RequestRecords, AreCompactAndTriviallyCopyable) {
+  // A run holds a request and an outcome per request and a ShapeKey per
+  // distinct shape, so these sizes are most of the serve path's memory:
+  // 10^6 requests hold 136 MB of requests and outcomes.
+  EXPECT_LE(sizeof(InferenceRequest), 48u);
+  EXPECT_LE(sizeof(ShapeKey), 24u);
+  EXPECT_LE(sizeof(RequestOutcome), 88u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<InferenceRequest>);
+  EXPECT_TRUE(std::is_trivially_copyable_v<ShapeKey>);
+  EXPECT_TRUE(std::is_trivially_copyable_v<RequestOutcome>);
 }
 
 TEST(RequestGeneratorDeathTest, RejectsNonPositiveRate) {

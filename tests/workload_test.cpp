@@ -2,6 +2,11 @@
 // shape accounting, and non-linear operation counting.
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "workload/bert.hpp"
 
 namespace nova::workload {
@@ -111,6 +116,58 @@ TEST(Bert, ByNameResolvesEveryCatalogEntryAndAlias) {
   }
   EXPECT_FALSE(by_name("no-such-model", 64).has_value());
   EXPECT_FALSE(by_name("", 64).has_value());
+}
+
+/// Every name and alias of the catalog.
+std::vector<std::string> catalog_spellings() {
+  std::vector<std::string> spellings;
+  for (const auto& entry : benchmark_catalog()) {
+    spellings.emplace_back(entry.name);
+    if (entry.alias != nullptr) spellings.emplace_back(entry.alias);
+  }
+  return spellings;
+}
+
+TEST(WorkloadName, EverySpellingRoundTrips) {
+  const auto spellings = catalog_spellings();
+  ASSERT_EQ(spellings.size(), 7u);  // five names, two aliases
+  for (const auto& entry : benchmark_catalog()) {
+    for (const char* spelling : {entry.name, entry.alias}) {
+      if (spelling == nullptr) continue;
+      const auto handle = WorkloadName::parse(spelling);
+      ASSERT_TRUE(handle.has_value()) << spelling;
+      EXPECT_EQ(handle->name(), spelling);
+      // An alias resolves to its canonical row.
+      EXPECT_STREQ(handle->entry().name, entry.name) << spelling;
+      EXPECT_EQ(handle->entry().make(64), entry.make(64)) << spelling;
+    }
+  }
+  for (const char* unknown :
+       {"", "bert", "BERT-tiny", "bert-large", "bert-tiny ", "roberta-"}) {
+    EXPECT_FALSE(WorkloadName::parse(unknown).has_value()) << unknown;
+  }
+}
+
+TEST(WorkloadName, OrdersLikeItsSpelling) {
+  const auto spellings = catalog_spellings();
+  int pairs = 0;
+  for (const auto& a : spellings) {
+    for (const auto& b : spellings) {
+      const auto ha = WorkloadName::parse(a).value();
+      const auto hb = WorkloadName::parse(b).value();
+      EXPECT_EQ(ha <=> hb, a <=> b) << a << " vs " << b;
+      EXPECT_EQ(ha == hb, a == b) << a << " vs " << b;
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 49);
+}
+
+TEST(WorkloadName, DefaultsToBertTinyInOneByte) {
+  EXPECT_EQ(WorkloadName().name(), "bert-tiny");
+  EXPECT_EQ(WorkloadName(), WorkloadName::parse("bert-tiny").value());
+  EXPECT_EQ(sizeof(WorkloadName), 1u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<WorkloadName>);
 }
 
 }  // namespace
