@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -121,49 +120,9 @@ BatchScheduler::BatchScheduler(const ServeConfig& config) : config_(config) {
   validate(config.policy);
 }
 
-BatchScheduler::StepTable BatchScheduler::plan_steps(
-    const std::vector<InferenceRequest>& requests,
-    std::vector<RequestOutcome>& outcomes) const {
-  // The step decomposition of every request (one chunk + its decode chain
-  // under whole-request dispatch, chunked under continuous batching),
-  // folded into the table as each plan is built, so no plan stays
-  // resident. Each step's shape is looked up once: try_emplace allocates a
-  // map node only for a new shape (emplace would build one per call), and
-  // hands out provisional first-seen ids that are renumbered into ShapeKey
-  // order below.
-  StepTable table;
-  table.first.reserve(requests.size() + 1);
-  table.steps.reserve(requests.size());  // at least one step per request
-  std::map<ShapeKey, std::uint32_t> provisional;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SessionPlan plan =
-        build_session_plan(requests[i], config_.continuous,
-                           config_.chunk_tokens);
-    table.first.push_back(table.steps.size());
-    for (const auto& step : plan.steps) {
-      const auto next_id = static_cast<std::uint32_t>(provisional.size());
-      const auto slot = provisional.try_emplace(step.shape, next_id);
-      table.steps.push_back({slot.first->second, step.share});
-    }
-    outcomes[i].arrival_us = requests[i].arrival_us;
-    outcomes[i].session_steps = plan.total_steps();
-    outcomes[i].prefill_chunks = plan.prefill_chunks;
-  }
-  table.first.push_back(table.steps.size());
-
-  std::vector<std::uint32_t> sorted(provisional.size());
-  table.shapes.reserve(provisional.size());
-  for (const auto& [shape, id] : provisional) {
-    sorted[id] = static_cast<std::uint32_t>(table.shapes.size());
-    table.shapes.push_back(shape);
-  }
-  for (auto& step : table.steps) step.slot = sorted[step.slot];
-  return table;
-}
-
 std::vector<ShapeCost> BatchScheduler::price_requests(
-    const StepTable& table, std::vector<RequestOutcome>& outcomes,
-    SurrogateAudit& audit) const {
+    const std::vector<InferenceRequest>& requests, const PlanIndex& index,
+    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const {
   // A request's price is a function of its shape alone (where wave timing
   // depends on the data, the calibration synthesizes that data from the
   // shape), so pricing is memoized per distinct shape; only the distinct
@@ -173,7 +132,7 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
   // chunks of a prefill share its one full-sequence shape -- so a stream
   // of classic single-step requests yields the same distinct set (and the
   // same hybrid reconciliation sample) as the pre-session scheduler.
-  const std::vector<ShapeKey>& distinct = table.shapes;
+  const std::vector<ShapeKey>& distinct = index.shapes;
 
   // Pre-warm every PWL table the stream needs on this thread: training is
   // expensive and PwlLibrary::get serializes it, so warming first keeps
@@ -248,40 +207,50 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
         std::max(audit.max_fusion_speedup, cost.fusion_speedup);
   }
 
-  // Fold the step costs into per-request aggregates. A step's cycles are
-  // share * service_cycles -- the same product continuous dispatch
-  // charges per step -- and a single-step plan with share 1.0
-  // reproduces the pre-session outcome fields bit for bit (1.0 * x == x).
+  // Fold the step costs into per-request aggregates, step by step in plan
+  // order. A chunk's cycles are share * service_cycles -- the same product
+  // continuous dispatch charges per chunk -- and a decode step's are its
+  // shape's service_cycles (share 1.0), so a single-step plan reproduces
+  // the pre-session outcome fields bit for bit (1.0 * x == x). One
+  // inference runs each shape's ops once however it is sliced: the chunks
+  // of a prefill share its shape (count it once), and every decode step is
+  // a distinct kv_len (each counts).
   const double freq = config_.nova.accel_freq_mhz;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     auto& outcome = outcomes[i];
-    const std::size_t begin = table.first[i];
-    const std::size_t end = table.first[i + 1];
+    const SessionLayout layout = session_layout(
+        requests[i], config_.continuous, config_.chunk_tokens);
+    const PlanSlots& plan = index.plans[i];
+    outcome.arrival_us = requests[i].arrival_us;
+    outcome.session_steps = layout.total_steps();
+    outcome.prefill_chunks = layout.chunks;
     double cycles = 0.0;
     std::int64_t ops = 0;
-    for (std::size_t s = begin; s < end; ++s) {
-      const auto& step = table.steps[s];
-      const ShapeCost& cost = costs[step.slot];
-      cycles += step.share * cost.service_cycles;
-      // One inference runs each shape's ops once however it is sliced:
-      // chunks of a prefill share its shape (count it once), decode steps
-      // are all distinct kv_lens (each counts).
-      if (s == begin || step.slot != table.steps[s - 1].slot) {
-        ops += cost.approx_ops;
+    if (layout.chunks > 0) {
+      const ShapeCost& prefill = costs[plan.prefill];
+      for (int c = 0; c < layout.chunks; ++c) {
+        cycles += layout.share(c) * prefill.service_cycles;
       }
+      ops += prefill.approx_ops;
+    }
+    for (int d = 0; d < layout.decode_steps; ++d) {
+      const ShapeCost& cost =
+          costs[plan.decode + static_cast<std::uint32_t>(d)];
+      cycles += cost.service_cycles;
+      ops += cost.approx_ops;
     }
     outcome.approx_ops = ops;
     outcome.service_cycles =
         static_cast<sim::Cycle>(std::llround(cycles));
     outcome.service_us = cycles / freq;
     outcome.wave_latency_cycles =
-        costs[table.steps[begin].slot].wave_latency_cycles;
+        costs[plan.slot(layout.chunks, 0)].wave_latency_cycles;
   }
   return costs;
 }
 
 double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
-                                const StepTable& table,
+                                const PlanIndex& index,
                                 const std::vector<ShapeCost>& costs,
                                 ServeReport& report) const {
   // The step-clocked event loop of both serving modes. A session pins to
@@ -351,11 +320,12 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     }
   };
 
-  // The first plan step a unit dispatches; its shape is the unit's fusion
-  // key, and its wave latency the unit's overlap credit.
-  const auto step_of = [&](const Pending& unit) -> const StepTable::Step& {
-    return table.steps[table.first[static_cast<std::size_t>(unit.id)] +
-                       static_cast<std::size_t>(unit.step)];
+  // The slot of the first plan step a unit dispatches, from its request's
+  // two slots and the chunk count pricing recorded: the slot's shape is the
+  // unit's fusion key, and its wave latency the unit's overlap credit.
+  const auto slot_of = [&](const Pending& unit) {
+    const auto i = static_cast<std::size_t>(unit.id);
+    return index.plans[i].slot(report.outcomes[i].prefill_chunks, unit.step);
   };
 
   std::vector<Pending> batch;  // reused by every dispatch
@@ -432,7 +402,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // overload new_q holds the whole backlog, and walking it on every
     // dispatch would make the loop quadratic in the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    const ShapeKey& head_shape = table.shapes[step_of(head).slot];
+    const ShapeKey& head_shape = index.shapes[slot_of(head)];
     batch.assign(1, head);
     // A new head claims its slot on success.
     int free_slots = slot_cap - slots_used[instance] - (use_new ? 1 : 0);
@@ -455,7 +425,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
       } else {
         ++nit;
       }
-      const ShapeKey& cshape = table.shapes[step_of(cand).slot];
+      const ShapeKey& cshape = index.shapes[slot_of(cand)];
       if (cshape.function != head_shape.function ||
           cshape.breakpoints != head_shape.breakpoints ||
           cshape.phase != head_shape.phase) {
@@ -478,21 +448,26 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // pipeline-overlap credit: fused members reuse the in-flight broadcast
     // train, so every member after the first saves the pipeline fill of its
     // first wave (wave_latency - 1 accelerator cycles). A whole-request unit
-    // costs its folded service_us; a step costs its share of its shape's
-    // cycles, clock-converted. An active slowdown window stretches the
-    // whole dispatch.
+    // costs its folded service_us and starts at its plan's first step, whose
+    // wave latency pricing recorded in the outcome; a step costs its share
+    // of its shape's cycles, clock-converted. An active slowdown window
+    // stretches the whole dispatch.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& step = step_of(batch[k]);
-      const ShapeCost& cost = costs[step.slot];
-      service_us +=
-          continuous
-              ? step.share * cost.service_cycles / freq
-              : report.outcomes[static_cast<std::size_t>(batch[k].id)]
-                    .service_us;
-      if (k != 0) {
-        service_us -= std::max(0, cost.wave_latency_cycles - 1) * cycle_us;
+      const auto i = static_cast<std::size_t>(batch[k].id);
+      const auto& outcome = report.outcomes[i];
+      int wave_latency = outcome.wave_latency_cycles;
+      if (continuous) {
+        const ShapeCost& cost = costs[slot_of(batch[k])];
+        service_us +=
+            session_layout(requests[i], continuous, config_.chunk_tokens)
+                .share(batch[k].step) *
+            cost.service_cycles / freq;
+        wave_latency = cost.wave_latency_cycles;
+      } else {
+        service_us += outcome.service_us;
       }
+      if (k != 0) service_us -= std::max(0, wave_latency - 1) * cycle_us;
     }
     service_us = std::max(service_us, cycle_us);
     service_us *= faults.slowdown_at(instance_index, start);
@@ -605,13 +580,13 @@ ServeReport BatchScheduler::run(
   if (requests.empty()) return report;
 
   // Phase 1: price every session step (exact, surrogate, or hybrid mode).
-  const StepTable table = plan_steps(requests, report.outcomes);
+  const PlanIndex index = build_plan_index(requests);
   const std::vector<ShapeCost> costs =
-      price_requests(table, report.outcomes, report.surrogate);
+      price_requests(requests, index, report.outcomes, report.surrogate);
 
   // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
   auto& latency_hist = report.stats.histogram("serve.latency_us");
-  const double last_finish = dispatch(requests, table, costs, report);
+  const double last_finish = dispatch(requests, index, costs, report);
 
   // Aggregates, in request order for determinism. Latency and service
   // samples cover served requests only (shed/failed outcomes never

@@ -35,12 +35,15 @@
 //      additionally mutex-guarded) and the pricer's per-table memo, whose
 //      entries depend on nothing a worker chooses.
 //
-//      Before pricing, every request's session plan is folded into one
-//      flat step table: request i owns entries [first[i], first[i+1]),
-//      each entry a (distinct-shape slot, share) pair. Each distinct
-//      ShapeKey is stored once and priced once; the per-request fold and
-//      the dispatch loop read a step's cost as costs[slot] scaled by its
-//      share. No per-request plan or cost vector stays resident.
+//      Before pricing, the stream's session plans are indexed, not listed
+//      (serve::build_plan_index): each distinct step ShapeKey is stored
+//      once and priced once, and each request keeps two slots into them,
+//      its prefill shape's and its first decode step's. Step s of request
+//      i sits at one of the two, offset by s past the prefill chunks
+//      (PlanSlots::slot), and costs costs[slot] scaled by its share in the
+//      request's SessionLayout, so the per-request fold and the dispatch
+//      loop read every step from its request. Nothing is stored per step,
+//      and no per-request plan or cost vector stays resident.
 //
 //   2. Dispatch (serial, deterministic): one step-clocked event loop
 //      serves both modes. Every session has one pending dispatch unit at a
@@ -313,42 +316,18 @@ class BatchScheduler {
       const std::vector<InferenceRequest>& requests) const;
 
  private:
-  /// Every session step of the stream in one flat array: request i owns
-  /// steps [first[i], first[i + 1]), and each step names its shape by a
-  /// slot into `shapes`, where every distinct ShapeKey is stored once.
-  /// Pricing yields one ShapeCost per slot; the per-request fold and the
-  /// dispatch loop read a step's cost as costs[step.slot] scaled by its
-  /// share.
-  struct StepTable {
-    struct Step {
-      std::uint32_t slot = 0;
-      /// SessionStep::share: the fraction of the shape's priced service.
-      double share = 1.0;
-    };
-    /// The distinct step shapes, in ShapeKey order.
-    std::vector<ShapeKey> shapes;
-    std::vector<Step> steps;
-    std::vector<std::size_t> first;
-  };
-
-  /// Folds every request's session plan into one StepTable and records
-  /// each request's arrival and plan-shape fields (session_steps,
-  /// prefill_chunks) in `outcomes`.
-  [[nodiscard]] StepTable plan_steps(
-      const std::vector<InferenceRequest>& requests,
-      std::vector<RequestOutcome>& outcomes) const;
-
-  /// Prices every distinct step shape (table.shapes) and folds the results
-  /// into the per-request aggregates of `outcomes`. Returns the shapes'
-  /// costs, indexed by slot.
+  /// Prices every distinct step shape (index.shapes) and folds the results
+  /// into the per-request aggregates of `outcomes`, with each request's
+  /// arrival and plan-shape fields (session_steps, prefill_chunks).
+  /// Returns the shapes' costs, indexed by slot.
   [[nodiscard]] std::vector<ShapeCost> price_requests(
-      const StepTable& table, std::vector<RequestOutcome>& outcomes,
-      SurrogateAudit& audit) const;
+      const std::vector<InferenceRequest>& requests, const PlanIndex& index,
+      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const;
 
   /// The serial dispatch loop of both modes (whole-request and
   /// step-clocked continuous batching). Returns the last finish time.
   double dispatch(const std::vector<InferenceRequest>& requests,
-                  const StepTable& table, const std::vector<ShapeCost>& costs,
+                  const PlanIndex& index, const std::vector<ShapeCost>& costs,
                   ServeReport& report) const;
 
   ServeConfig config_;

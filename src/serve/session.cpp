@@ -1,10 +1,26 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "common/assert.hpp"
 
 namespace nova::serve {
+
+ShapeKey prefill_shape(const InferenceRequest& req) {
+  return ShapeKey{req.workload,    req.seq_len, req.function,
+                  req.breakpoints, req.phase,   req.kv_len};
+}
+
+ShapeKey decode_shape(const InferenceRequest& req, int d) {
+  const bool prefill = req.phase == pipeline::Phase::kPrefill;
+  return ShapeKey{req.workload,
+                  prefill ? 1 : req.seq_len,
+                  req.function,
+                  req.breakpoints,
+                  pipeline::Phase::kDecode,
+                  (prefill ? req.seq_len : req.kv_len) + d};
+}
 
 SessionPlan build_session_plan(const InferenceRequest& req, bool continuous,
                                int chunk_tokens) {
@@ -12,52 +28,105 @@ SessionPlan build_session_plan(const InferenceRequest& req, bool continuous,
   NOVA_EXPECTS(req.gen_steps >= 0);
   NOVA_EXPECTS(req.seq_len >= 1);
   NOVA_EXPECTS(kv_chain_fits(req));
+  const SessionLayout layout = session_layout(req, continuous, chunk_tokens);
   SessionPlan plan;
-  if (req.phase == pipeline::Phase::kPrefill) {
-    const ShapeKey prefill{req.workload, req.seq_len,     req.function,
-                           req.breakpoints, req.phase, req.kv_len};
-    const int chunk = continuous ? chunk_tokens : req.seq_len;
-    // ceil(seq_len / chunk) and the chunk ends below, written so no
-    // intermediate exceeds seq_len: the plain (seq_len + chunk - 1) / chunk
-    // overflows for seq_len > 2^30 when chunk == seq_len.
-    const int chunks = 1 + (req.seq_len - 1) / chunk;
-    plan.prefill_chunks = chunks;
-    plan.steps.reserve(static_cast<std::size_t>(chunks) +
-                       static_cast<std::size_t>(req.gen_steps));
-    for (int c = 0; c < chunks; ++c) {
-      const int begin = c * chunk;
-      const int end = begin + std::min(chunk, req.seq_len - begin);
-      SessionStep step;
-      step.shape = prefill;
-      // A single chunk carries seq_len/seq_len == 1.0 exactly, so the
-      // unchunked plan prices bit-equal to the pre-session scheduler.
-      step.share = static_cast<double>(end - begin) /
-                   static_cast<double>(req.seq_len);
-      plan.steps.push_back(step);
-    }
-    for (int s = 0; s < req.gen_steps; ++s) {
-      SessionStep step;
-      // Generated tokens decode against the prefilled prompt: the cache
-      // starts at seq_len entries and grows one per emitted token.
-      // seq_len == 1 is the decode-shape convention (one query token).
-      step.shape = ShapeKey{req.workload,    1,
-                            req.function,    req.breakpoints,
-                            pipeline::Phase::kDecode, req.seq_len + s};
-      plan.steps.push_back(step);
-    }
-    plan.decode_steps = req.gen_steps;
-  } else {
-    plan.decode_steps = req.gen_steps + 1;
-    plan.steps.reserve(static_cast<std::size_t>(plan.decode_steps));
-    for (int s = 0; s < plan.decode_steps; ++s) {
-      SessionStep step;
-      step.shape = ShapeKey{req.workload,    req.seq_len,
-                            req.function,    req.breakpoints,
-                            pipeline::Phase::kDecode, req.kv_len + s};
-      plan.steps.push_back(step);
-    }
+  plan.prefill_chunks = layout.chunks;
+  plan.decode_steps = layout.decode_steps;
+  plan.steps.reserve(static_cast<std::size_t>(layout.total_steps()));
+  for (int c = 0; c < layout.chunks; ++c) {
+    plan.steps.push_back({prefill_shape(req), layout.share(c)});
+  }
+  for (int d = 0; d < layout.decode_steps; ++d) {
+    plan.steps.push_back({decode_shape(req, d), 1.0});
   }
   return plan;
+}
+
+namespace {
+
+/// True when two shapes differ at most in kv_len: the class a decode run
+/// grows along.
+bool same_class(const ShapeKey& a, const ShapeKey& b) {
+  return a.workload == b.workload && a.seq_len == b.seq_len &&
+         a.function == b.function && a.breakpoints == b.breakpoints &&
+         a.phase == b.phase;
+}
+
+}  // namespace
+
+PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests) {
+  // Each request adds at most two RUNS of consecutive kv_len in one class:
+  // its prefill shape (a run of one) and its decode chain. Runs are keyed
+  // by their first shape; runs that start at the same shape keep the
+  // longest one's last kv_len, and each distinct run gets a provisional
+  // first-seen id. Chain ends are 64-bit: a chain may end at kv_len
+  // INT_MAX, so end + 1 must not overflow.
+  struct Run {
+    std::int64_t last = 0;
+    std::uint32_t id = 0;
+  };
+  std::map<ShapeKey, Run> runs;
+  const auto add_run = [&runs](const ShapeKey& first, std::int64_t last) {
+    const auto next_id = static_cast<std::uint32_t>(runs.size());
+    const auto [it, fresh] = runs.try_emplace(first, Run{last, next_id});
+    if (!fresh) it->second.last = std::max(it->second.last, last);
+    return it->second.id;
+  };
+  // A plan's shapes are the same in both dispatch modes, so the
+  // whole-request layout tells which of the two runs a request has.
+  const auto layout_of = [](const InferenceRequest& req) {
+    return session_layout(req, /*continuous=*/false, /*chunk_tokens=*/1);
+  };
+  PlanIndex index;
+  index.plans.resize(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto& req = requests[i];
+    NOVA_EXPECTS(req.gen_steps >= 0 && kv_chain_fits(req));
+    const SessionLayout layout = layout_of(req);
+    auto& plan = index.plans[i];
+    if (layout.chunks > 0) {
+      plan.prefill = add_run(prefill_shape(req), req.kv_len);
+    }
+    if (layout.decode_steps > 0) {
+      const ShapeKey first = decode_shape(req, 0);
+      plan.decode = add_run(
+          first, std::int64_t{first.kv_len} + layout.decode_steps - 1);
+    }
+  }
+
+  // One ordered walk. A class's runs are adjacent and sorted by first
+  // kv_len, so each run emits only the kv_lens past the furthest one its
+  // class has emitted (`end`): every covered kv_len once, in ShapeKey
+  // order, which is the distinct set of all the steps. A run's own first
+  // kv_len then sits `from - first` slots before the first one it emits.
+  std::vector<std::uint32_t> slot_of(runs.size());
+  const ShapeKey* previous = nullptr;
+  std::int64_t end = 0;
+  for (const auto& [first, run] : runs) {
+    const bool extends = previous != nullptr && same_class(*previous, first);
+    const std::int64_t from =
+        extends ? std::max<std::int64_t>(first.kv_len, end + 1)
+                : first.kv_len;
+    slot_of[run.id] = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(index.shapes.size()) -
+        (from - first.kv_len));
+    ShapeKey shape = first;
+    for (std::int64_t kv = from; kv <= run.last; ++kv) {
+      shape.kv_len = static_cast<int>(kv);
+      index.shapes.push_back(shape);
+    }
+    end = extends ? std::max(end, run.last) : run.last;
+    previous = &first;
+  }
+
+  // Provisional run ids to slots, for the slots each plan uses.
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const SessionLayout layout = layout_of(requests[i]);
+    auto& plan = index.plans[i];
+    if (layout.chunks > 0) plan.prefill = slot_of[plan.prefill];
+    if (layout.decode_steps > 0) plan.decode = slot_of[plan.decode];
+  }
+  return index;
 }
 
 }  // namespace nova::serve
