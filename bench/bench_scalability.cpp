@@ -1,13 +1,8 @@
 // Reproduces the Section V.A scalability analysis: "a maximum of 10 routers
 // with clockless repeaters placed 1 mm apart can be traversed at 1.5 GHz
 // clock"; beyond that the broadcast takes multiple cycles. Sweeps clock
-// frequency and line length through the repeater timing model.
-//
-// Also benchmarks the sim::Engine dispatch path -- the bucketed/fast-forward
-// scheduler against a reference reimplementation of the pre-refactor dense
-// modulo-skipped dispatch -- and emits every series as machine-readable
-// BENCH_scalability.json so the perf trajectory is tracked across PRs.
-#include <chrono>
+// frequency and line length through the repeater timing model and emits
+// both series as machine-readable BENCH_scalability.json.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -15,143 +10,17 @@
 
 #include "common/table.hpp"
 #include "hwmodel/timing.hpp"
-#include "sim/engine.hpp"
-
-namespace {
-
-using nova::sim::Cycle;
-
-/// Reference implementation of the pre-refactor engine dispatch: a single
-/// dense slot list scanned on every fast tick, with the fastest multiplier
-/// recomputed per tick. Kept here (not in the library) purely as the bench
-/// baseline.
-class DenseEngine {
- public:
-  int add_domain(int multiplier) {
-    multipliers_.push_back(multiplier);
-    return static_cast<int>(multipliers_.size()) - 1;
-  }
-  void add_component(int domain_id, nova::sim::Ticked& component) {
-    slots_.push_back({domain_id, &component});
-  }
-  void run_base_cycles(Cycle base_cycles) {
-    const Cycle ticks = base_cycles * static_cast<Cycle>(fastest());
-    for (Cycle i = 0; i < ticks; ++i) step();
-  }
-
- private:
-  int fastest() const {
-    int fastest = 1;
-    for (const int m : multipliers_) fastest = std::max(fastest, m);
-    return fastest;
-  }
-  void step() {
-    const int fastest_mult = fastest();
-    for (auto& slot : slots_) {
-      const Cycle ratio = static_cast<Cycle>(
-          fastest_mult / multipliers_[static_cast<std::size_t>(slot.domain)]);
-      if (ticks_ % ratio != 0) continue;
-      slot.component->tick(ticks_ / ratio);
-    }
-    ++ticks_;
-  }
-
-  struct Slot {
-    int domain;
-    nova::sim::Ticked* component;
-  };
-  std::vector<int> multipliers_;
-  std::vector<Slot> slots_;
-  Cycle ticks_ = 0;
-};
-
-/// Busy for the first `busy_ticks` own-domain ticks, then quiescent.
-class Component final : public nova::sim::Ticked {
- public:
-  explicit Component(long long busy_ticks) : remaining_(busy_ticks) {}
-  void tick(Cycle) override {
-    ++ticked;
-    if (remaining_ > 0) --remaining_;
-  }
-  [[nodiscard]] bool idle() const override { return remaining_ == 0; }
-  long long ticked = 0;
-
- private:
-  long long remaining_ = 0;
-};
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-struct EngineResult {
-  double dense_mticks_per_sec = 0.0;
-  double bucketed_mticks_per_sec = 0.0;
-  double speedup = 0.0;
-};
-
-/// Runs `base_cycles` of a 2-domain (1x + 8x) configuration with
-/// `components` slow-domain components, each busy for `busy_fraction` of
-/// the span, on both engines. The dense engine pays O(components) on every
-/// fast tick regardless of phase or quiescence; the bucketed engine visits
-/// only due buckets and fast-forwards drained spans.
-EngineResult bench_engines(int components, Cycle base_cycles,
-                           double busy_fraction) {
-  const long long busy_ticks =
-      static_cast<long long>(busy_fraction * static_cast<double>(base_cycles));
-  const double total_fast_ticks = static_cast<double>(base_cycles) * 8.0;
-  EngineResult result;
-
-  {
-    std::vector<Component> parts(
-        static_cast<std::size_t>(components),
-        Component(busy_ticks == 0 ? 1 : busy_ticks));
-    Component fast_part(busy_ticks == 0 ? 1 : busy_ticks * 8);
-    DenseEngine engine;
-    const int slow = engine.add_domain(1);
-    const int fast = engine.add_domain(8);
-    for (auto& part : parts) engine.add_component(slow, part);
-    engine.add_component(fast, fast_part);
-    const auto start = std::chrono::steady_clock::now();
-    engine.run_base_cycles(base_cycles);
-    result.dense_mticks_per_sec =
-        total_fast_ticks / seconds_since(start) / 1e6;
-  }
-  {
-    std::vector<Component> parts(
-        static_cast<std::size_t>(components),
-        Component(busy_ticks == 0 ? 1 : busy_ticks));
-    Component fast_part(busy_ticks == 0 ? 1 : busy_ticks * 8);
-    nova::sim::Engine engine;
-    const int slow = engine.add_domain("accel", 1);
-    const int fast = engine.add_domain("noc", 8);
-    for (auto& part : parts) engine.add_component(slow, part);
-    engine.add_component(fast, fast_part);
-    const auto start = std::chrono::steady_clock::now();
-    engine.run_base_cycles(base_cycles);
-    result.bucketed_mticks_per_sec =
-        total_fast_ticks / seconds_since(start) / 1e6;
-  }
-  result.speedup =
-      result.bucketed_mticks_per_sec / result.dense_mticks_per_sec;
-  return result;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace nova;
   using namespace nova::hw;
 
-  // --smoke: shrink the engine-timing span so CI can run this in seconds;
-  // the timing-model tables are cheap and unchanged.
+  // --smoke is accepted like every bench's and recorded in the JSON; the
+  // timing-model tables are cheap, so both runs print the same numbers.
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  const Cycle engine_base_cycles = smoke ? 20000 : 200000;
 
   std::puts("Section V.A scalability reproduction: clockless-repeater line "
             "timing (1 mm router spacing)\n");
@@ -197,7 +66,7 @@ int main(int argc, char** argv) {
             (i + 1 < router_counts.size() ? "," : "") + "\n";
   }
   lines.print();
-  json += "  ],\n  \"engine\": [\n";
+  json += "  ]\n}\n";
 
   std::printf("\nKey anchor: at 1500 MHz the model reaches %d hops per "
               "cycle, so a 10-router line (10 segments including "
@@ -206,39 +75,6 @@ int main(int argc, char** argv) {
               max_hops_per_cycle(tech22(), 1500.0, 1.0),
               broadcast_latency_cycles(tech22(), 1500.0,
                                        LineNocLayout{11, 1.0}));
-
-  std::puts("\nEngine dispatch throughput: bucketed + idle fast-forward vs "
-            "the pre-refactor dense per-tick scan (64 slow-domain "
-            "components, 1x + 8x clock domains)\n");
-  Table engine_table("Engine dispatch (fast ticks/sec, higher is better)");
-  engine_table.set_header({"busy fraction", "dense Mticks/s",
-                           "bucketed Mticks/s", "speedup"});
-  struct Case {
-    const char* label;
-    double busy_fraction;
-  };
-  const std::vector<Case> cases = {
-      {"1.00 (fully busy)", 1.0},
-      {"0.50", 0.5},
-      {"0.05 (idle-heavy)", 0.05},
-  };
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto r = bench_engines(64, engine_base_cycles,
-                                 cases[i].busy_fraction);
-    engine_table.add_row({cases[i].label, Table::num(r.dense_mticks_per_sec, 1),
-                          Table::num(r.bucketed_mticks_per_sec, 1),
-                          Table::num(r.speedup, 2)});
-    json += std::string("    {\"busy_fraction\": ") +
-            Table::num(cases[i].busy_fraction, 2) +
-            ", \"dense_mticks_per_sec\": " +
-            Table::num(r.dense_mticks_per_sec, 1) +
-            ", \"bucketed_mticks_per_sec\": " +
-            Table::num(r.bucketed_mticks_per_sec, 1) +
-            ", \"speedup\": " + Table::num(r.speedup, 2) + "}" +
-            (i + 1 < cases.size() ? "," : "") + "\n";
-  }
-  engine_table.print();
-  json += "  ]\n}\n";
 
   FILE* out = std::fopen("BENCH_scalability.json", "w");
   if (out != nullptr) {

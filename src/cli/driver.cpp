@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -110,6 +111,12 @@ void report_accuracy(const Options& options, approx::NonLinearFn chosen) {
   }
   emit(table, options.csv);
 }
+
+/// The most elements the cycle simulation streams: REACT's 10 x 256
+/// deployment, the largest Table II host, at the --waves bound. Every
+/// element is held in memory as an input and an output double, about 2.6 GB
+/// at this size.
+constexpr std::int64_t kMaxCycleSimElements = std::int64_t{10} * 256 * 65536;
 
 /// Section 3: cycle-accurate simulation -- streams random PE waves through
 /// the line NoC + vector unit and reports latency, cycles, and sim energy.
@@ -744,6 +751,20 @@ int run(const Options& options) {
   if (options.routers > 0) cfg.routers = options.routers;
 
   if (options.serve) return run_serve(options, *host, *fn, cfg, *fusion);
+
+  const std::int64_t sim_elements = std::int64_t{cfg.routers} *
+                                    cfg.neurons_per_router * options.waves;
+  if (options.run_cycle_sim && sim_elements > kMaxCycleSimElements) {
+    std::fprintf(stderr,
+                 "nova_sim: the cycle simulation would stream %lld elements "
+                 "(--routers %d x %d neurons per router x --waves %d), more "
+                 "than its budget of %lld; lower --routers or --waves, or "
+                 "pass --no-sim\n",
+                 static_cast<long long>(sim_elements), cfg.routers,
+                 cfg.neurons_per_router, options.waves,
+                 static_cast<long long>(kMaxCycleSimElements));
+    return 2;
+  }
 
   if (!options.csv) {
     std::printf("nova_sim: %s on %s, seq_len %d\n\n", options.workload.c_str(),

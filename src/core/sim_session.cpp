@@ -33,8 +33,6 @@ SimSession::SimSession(const NovaConfig& config,
       inputs_(inputs),
       schedule_(make_schedule(table, config.pairs_per_flit)),
       hops_per_noc_cycle_(derive_hops_per_noc_cycle(config)),
-      accel_domain_(engine_.add_domain("accel", 1)),
-      noc_domain_(engine_.add_domain("noc", schedule_.noc_clock_multiplier)),
       id_pair_captures_(result_.stats.counter_id("unit.pair_captures")),
       id_mac_ops_(result_.stats.counter_id("unit.mac_ops")),
       id_comparator_ops_(result_.stats.counter_id("unit.comparator_ops")),
@@ -71,20 +69,11 @@ SimSession::SimSession(const NovaConfig& config,
   bucket_size_.resize(routers * m);
 
   line_.set_sink(this);
-  // The wave-issue callback advertises quiescence once the pipeline stages
-  // are empty and the streams are consumed, so the engine can fast-forward
-  // a drained session.
-  engine_.add_callback(
-      accel_domain_, [this](sim::Cycle now) { accel_tick(now); },
-      [this] { return pipeline_idle(); });
-  engine_.add_component(noc_domain_, line_);
 }
 
-bool SimSession::pipeline_idle() const {
-  return !wave_in_flight_ && unissued_ == 0;
+bool SimSession::drained() const {
+  return !wave_in_flight_ && unissued_ == 0 && line_.idle();
 }
-
-bool SimSession::drained() const { return pipeline_idle() && line_.idle(); }
 
 void SimSession::on_observation(int router, const noc::Flit& flit,
                                 sim::Cycle /*noc_now*/) {
@@ -195,12 +184,17 @@ ApproxResult SimSession::run() {
                 2) *
                static_cast<sim::Cycle>(
                    m + config_.routers / std::max(1, hops_per_noc_cycle_) + 2);
+  // Both clocks, stepped here: each accelerator cycle runs its MAC and
+  // lookup phase, then the m NoC ticks that carry the flit train it launched.
+  sim::Cycle accel_now = 0;
+  sim::Cycle noc_now = 0;
   while (!drained()) {
-    NOVA_ASSERT(engine_.cycles(accel_domain_) < guard);
-    engine_.run_base_cycles(1);
+    NOVA_ASSERT(accel_now < guard);
+    accel_tick(accel_now++);
+    for (int tick = 0; tick < m; ++tick) line_.tick(noc_now++);
   }
   result_.accel_cycles = any_mac_done_ ? last_mac_cycle_ + 1 : 0;
-  result_.noc_cycles = engine_.cycles(noc_domain_);
+  result_.noc_cycles = noc_now;
   return std::move(result_);
 }
 

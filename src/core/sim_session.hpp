@@ -1,6 +1,6 @@
 // SimSession: one cycle-accurate run of the NOVA vector unit, with every
-// piece of per-run state (engine, line NoC, pipeline waves, cursors,
-// statistics) owned by the session object instead of living in the body of
+// piece of per-run state (line NoC, pipeline waves, cursors, statistics)
+// owned by the session object instead of living in the body of
 // NovaVectorUnit::approximate.
 //
 // The extraction exists for the serving layer: a NovaVectorUnit is a pure
@@ -79,9 +79,7 @@ class SimSession final : private noc::CaptureSink {
   void issue_wave(sim::Cycle now);
   /// The MAC stage: y = slope * x + bias for every entry of the wave.
   void execute_wave(sim::Cycle now);
-  /// Quiescence of the accelerator-side pipeline stages (the engine's idle
-  /// fast-forward hook for the wave-issue callback).
-  [[nodiscard]] bool pipeline_idle() const;
+  /// Every stream is issued, no wave is in flight and the line is empty.
   [[nodiscard]] bool drained() const;
 
   NovaConfig config_;
@@ -90,9 +88,6 @@ class SimSession final : private noc::CaptureSink {
 
   BroadcastSchedule schedule_;
   int hops_per_noc_cycle_ = 1;
-  sim::Engine engine_;
-  int accel_domain_ = 0;
-  int noc_domain_ = 0;
   ApproxResult result_;
   sim::StatId id_pair_captures_;
   sim::StatId id_mac_ops_;

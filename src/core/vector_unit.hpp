@@ -20,7 +20,7 @@
 
 #include "core/mapper.hpp"
 #include "noc/line_noc.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle.hpp"
 #include "sim/stats.hpp"
 
 namespace nova::core {

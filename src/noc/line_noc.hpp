@@ -19,7 +19,7 @@
 #include <memory>
 
 #include "noc/flit.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle.hpp"
 #include "sim/stats.hpp"
 
 namespace nova::noc {
@@ -45,8 +45,8 @@ class CaptureSink {
                               sim::Cycle noc_now) = 0;
 };
 
-/// The line NoC as a sim component clocked in the NoC domain.
-class LineNoc final : public sim::Ticked {
+/// The line NoC; its owner calls tick() once per NoC cycle.
+class LineNoc final {
  public:
   /// `stats` may be null; when provided the NoC counts flits, wire-segment
   /// traversals, register latches, and observations into it (counter names
@@ -73,12 +73,10 @@ class LineNoc final : public sim::Ticked {
   void inject(Flit flit);
 
   /// Advances all wavefronts one NoC cycle and starts the next queued flit.
-  void tick(sim::Cycle now) override;
+  void tick(sim::Cycle now);
 
-  /// True when no flit is in flight or queued. Doubles as the engine's
-  /// quiescence hook: an idle line stays idle until the next inject(), so
-  /// the engine may fast-forward across it.
-  [[nodiscard]] bool idle() const override {
+  /// True when no flit is in flight or queued.
+  [[nodiscard]] bool idle() const {
     return in_flight_.empty() && inject_queue_.empty();
   }
 

@@ -30,7 +30,7 @@
 
 #include "accel/accelerator.hpp"
 #include "pipeline/op_graph.hpp"
-#include "sim/engine.hpp"
+#include "sim/cycle.hpp"
 
 namespace nova::pipeline {
 

@@ -13,7 +13,6 @@
 #include "hwmodel/components.hpp"
 #include "lut/lut_unit.hpp"
 #include "nn/tensor.hpp"
-#include "sim/engine.hpp"
 #include "workload/bert.hpp"
 
 namespace nova {
@@ -21,14 +20,6 @@ namespace {
 
 TEST(Contracts, FixedPointRejectsOutOfRangeRaw) {
   EXPECT_DEATH(Word16::from_raw(1LL << 40), "precondition");
-}
-
-TEST(Contracts, EngineRejectsInvalidDomain) {
-  sim::Engine engine;
-  EXPECT_DEATH(engine.add_domain("bad", 0), "precondition");
-  sim::Engine engine2;
-  engine2.add_domain("core", 1);
-  EXPECT_DEATH((void)engine2.cycles(5), "precondition");
 }
 
 TEST(Contracts, PwlTableRejectsMismatchedShapes) {

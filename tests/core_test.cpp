@@ -407,6 +407,67 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// The two clocks' step order. Each accelerator cycle runs its MAC and
+// lookup phase first, then the m NoC ticks that carry the flit train that
+// phase launched. Directed sessions, every router streaming one constant,
+// pin the three cycle counts. Ticking the NoC before the accelerator phase
+// leaves every accelerator count as it is but stretches the drain: the
+// first case would read 8 NoC cycles.
+struct ClockCase {
+  hw::AcceleratorKind host;
+  const char* label;
+  int max_hops_per_cycle;  ///< 0 keeps the Table II reach
+  int breakpoints;
+  int pairs_per_flit;  ///< 0 keeps the host's
+  int waves;           ///< 0 streams one element per router
+  double x;
+  int noc_clock_multiplier;
+  sim::Cycle accel_cycles;
+  sim::Cycle noc_cycles;
+  int wave_latency_cycles;
+};
+
+TEST(SimSessionClocks, NocTicksMTimesAfterEachAcceleratorPhase) {
+  using hw::AcceleratorKind;
+  const ClockCase cases[] = {
+      {AcceleratorKind::kTpuV4, "tpuv4 2-hop", 2, 16, 0, 0, 0.0, 2, 3, 6, 3},
+      {AcceleratorKind::kTpuV4, "tpuv4 2-hop last tag", 2, 16, 0, 0, 100.0,
+       2, 4, 8, 4},
+      {AcceleratorKind::kTpuV4, "tpuv4 2-hop 3 waves", 2, 16, 0, 3, 100.0, 2,
+       10, 20, 4},
+      {AcceleratorKind::kTpuV4, "tpuv4 3 waves", 0, 16, 0, 3, 100.0, 2, 4, 8,
+       2},
+      {AcceleratorKind::kReact, "react 3-hop 64 bp 3 waves", 3, 64, 0, 3,
+       100.0, 8, 7, 56, 3},
+      {AcceleratorKind::kTpuV4, "tpuv4 2-hop 1 pair/flit", 2, 16, 1, 0,
+       100.0, 16, 3, 48, 3},
+  };
+  for (const ClockCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    NovaConfig cfg = make_overlay(c.host).nova;
+    cfg.max_hops_per_cycle = c.max_hops_per_cycle;
+    if (c.pairs_per_flit > 0) cfg.pairs_per_flit = c.pairs_per_flit;
+    const PwlTable table = approx::fit_uniform(NonLinearFn::kGelu,
+                                               c.breakpoints);
+    ASSERT_EQ(make_schedule(table, cfg.pairs_per_flit).noc_clock_multiplier,
+              c.noc_clock_multiplier);
+    const auto per_router = static_cast<std::size_t>(
+        c.waves == 0 ? 1 : c.waves * cfg.neurons_per_router);
+    const std::vector<std::vector<double>> inputs(
+        static_cast<std::size_t>(cfg.routers),
+        std::vector<double>(per_router, c.x));
+    SimSession session(cfg, table, inputs);
+    const ApproxResult result = session.run();
+    EXPECT_EQ(result.accel_cycles, c.accel_cycles);
+    EXPECT_EQ(result.noc_cycles, c.noc_cycles);
+    EXPECT_EQ(result.wave_latency_cycles, c.wave_latency_cycles);
+    // Both clocks stop together at an accelerator-cycle boundary.
+    EXPECT_EQ(result.noc_cycles %
+                  static_cast<sim::Cycle>(c.noc_clock_multiplier),
+              0u);
+  }
+}
+
 TEST(CalibrationGolden, ExactPricerCalibrationsArePinned) {
   // The serving layer's use of SimSession: elements/cycle (printed %a, so
   // every bit counts) and wave latency for prefill and decode shapes, on the
