@@ -1,30 +1,30 @@
-// Instance-availability tracking for the dispatch loops: which instance
-// becomes dispatchable first, accounting for both its busy horizon
-// (free_at) and any outage windows in the FaultPlan.
+// Instance selection for the dispatch loop: a tournament tree that keeps
+// the minimum of one key per instance, and the linear reference scan for
+// the earliest-available instance that the tree must reproduce.
 //
-// Extracted from BatchScheduler's anonymous namespace so the parity test
-// (tests/availability_test.cpp) can drive the heap directly against the
-// linear reference scan it replaced -- the heap is pure bookkeeping, and
-// the contract "byte-identical decisions to the scan" is the kind of claim
-// that should be machine-checked with randomized traffic, not argued in a
-// comment.
+// Kept as a small header type, like ReadyQueue, so the parity test
+// (tests/availability_test.cpp) can drive the tree directly against the
+// reference scan with randomized traffic -- the tree is pure bookkeeping,
+// and "the same decisions as the scan" is a claim to machine-check, not to
+// argue in a comment.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "serve/faults.hpp"
 
 namespace nova::serve {
 
-/// The reference policy the heap must reproduce: a linear argmin scan over
-/// all instances of next_up_us(j, free_at[j]), restricted to instances
-/// `ok` accepts, ties broken on the lowest instance index. O(instances)
-/// per query -- exactly what per-step dispatch made too hot -- but obviously
-/// correct, which is why the parity test keeps it around.
+/// The reference policy for the earliest open instance: a linear argmin
+/// scan over all instances of next_up_us(j, free_at[j]), restricted to
+/// instances `ok` accepts, ties broken on the lowest instance index.
+/// O(instances) per query, but obviously correct, which is why the parity
+/// test keeps it around.
 [[nodiscard]] inline std::optional<std::pair<double, int>>
 earliest_available_linear(const FaultPlan& faults,
                           const std::vector<double>& free_at,
@@ -34,83 +34,83 @@ earliest_available_linear(const FaultPlan& faults,
     const int instance = static_cast<int>(j);
     if (!ok(instance)) continue;
     const double up = faults.next_up_us(instance, free_at[j]);
-    // Strict < keeps the lowest index on ties: earlier instances were
-    // pushed first in arrival order, matching the heap's pair ordering.
+    // Strict < keeps the lowest index on ties, as (up, instance) keys do.
     if (!best || up < best->first) best = {up, instance};
   }
   return best;
 }
 
-/// The (next_up_us, instance) min-heap replacing the old linear argmin
-/// scan over instances -- per-step dispatch makes instance selection hot.
+/// A fixed-size tournament (winner) tree over instances 0..n-1. Each leaf
+/// holds one instance's key or nothing; each inner node names the leaf
+/// with the smaller key of its two subtrees, so the root names the minimum.
+/// set() and clear() replay one leaf's path to the root, O(log n); min()
+/// reads the root, O(1). The leaf row is padded to a power of two with
+/// leaves that stay empty.
 ///
-/// Protocol: refresh(j) after every free_at[j] change pushes j's current
-/// availability; the entry it supersedes stays behind with a stale (and,
-/// since availability only ever grows, strictly smaller-or-equal) key and
-/// is discarded when it surfaces. The first fresh top is therefore the
-/// true argmin over next_up_us(j, free_at[j]), and the pair ordering
-/// breaks ties on the lowest instance index -- byte-identical decisions to
-/// the scan it replaces (earliest_available_linear; the randomized parity
-/// test holds the two to that claim).
-class AvailabilityHeap {
+/// `Key` is ordered by operator< and must end in the instance index, as
+/// (availability, instance) and the dispatch loop's (start, ready_us, id,
+/// instance) candidates do: no two leaves then compare equal, so the
+/// minimum is unique and ties on the leading fields go to the lower index.
+template <typename Key>
+class TournamentTree {
  public:
-  AvailabilityHeap(const FaultPlan& faults, const std::vector<double>& free_at)
-      : faults_(&faults), free_at_(&free_at) {
-    for (std::size_t j = 0; j < free_at.size(); ++j) {
-      refresh(static_cast<int>(j));
-    }
+  explicit TournamentTree(int instances) {
+    NOVA_EXPECTS(instances >= 1);
+    while (width_ < static_cast<std::size_t>(instances)) width_ *= 2;
+    keys_.resize(width_);
+    winner_.assign(2 * width_, kNone);
   }
 
-  void refresh(int instance) {
-    heap_.emplace(
-        faults_->next_up_us(instance,
-                            (*free_at_)[static_cast<std::size_t>(instance)]),
-        instance);
+  /// Puts `key` in `instance`'s leaf.
+  void set(int instance, const Key& key) {
+    const auto leaf = static_cast<std::size_t>(instance);
+    keys_[leaf] = key;
+    winner_[width_ + leaf] = static_cast<int>(leaf);
+    replay(leaf);
   }
 
-  /// Earliest-available instance among those `ok` accepts, as
-  /// (availability, instance); nullopt when every instance is rejected.
-  /// Valid-but-rejected entries are parked and restored, so the heap is
-  /// unchanged apart from discarded stale entries. `ok` is a template
-  /// parameter, not a std::function: both dispatch loops call this once per
-  /// dispatch, and the predicate inlines.
-  template <typename Pred>
-  std::optional<std::pair<double, int>> peek_min_where(const Pred& ok) {
-    parked_.clear();
-    std::optional<std::pair<double, int>> found;
-    while (!heap_.empty()) {
-      const auto top = heap_.top();
-      const double fresh = faults_->next_up_us(
-          top.second, (*free_at_)[static_cast<std::size_t>(top.second)]);
-      if (top.first != fresh) {  // superseded by a later refresh
-        heap_.pop();
-        continue;
-      }
-      if (!ok(top.second)) {
-        parked_.push_back(top);
-        heap_.pop();
-        continue;
-      }
-      found = top;
-      break;
-    }
-    for (const auto& entry : parked_) heap_.push(entry);
-    return found;
+  /// Empties `instance`'s leaf; returns at once when it is already empty,
+  /// so a leaf that stays empty costs one load.
+  void clear(int instance) {
+    const auto leaf = static_cast<std::size_t>(instance);
+    if (winner_[width_ + leaf] == kNone) return;
+    winner_[width_ + leaf] = kNone;
+    replay(leaf);
   }
 
-  /// Unfiltered minimum; always present (one fresh entry per instance).
-  std::pair<double, int> peek_min() {
-    return *peek_min_where([](int) { return true; });
+  /// True when every leaf is empty.
+  [[nodiscard]] bool empty() const { return winner_[1] == kNone; }
+
+  /// The smallest key held; the tree must not be empty().
+  [[nodiscard]] const Key& min() const {
+    NOVA_EXPECTS(!empty());
+    return keys_[static_cast<std::size_t>(winner_[1])];
   }
 
  private:
-  const FaultPlan* faults_;
-  const std::vector<double>* free_at_;
-  std::priority_queue<std::pair<double, int>,
-                      std::vector<std::pair<double, int>>,
-                      std::greater<>>
-      heap_;
-  std::vector<std::pair<double, int>> parked_;
+  static constexpr int kNone = -1;
+
+  /// Recomputes the winners on `leaf`'s path to the root. With one leaf
+  /// the leaf is the root and there is nothing to replay.
+  void replay(std::size_t leaf) {
+    for (std::size_t node = (width_ + leaf) / 2; node >= 1; node /= 2) {
+      const int left = winner_[2 * node];
+      const int right = winner_[2 * node + 1];
+      winner_[node] =
+          left == kNone ||
+                  (right != kNone && keys_[static_cast<std::size_t>(right)] <
+                                         keys_[static_cast<std::size_t>(left)])
+              ? right
+              : left;
+    }
+  }
+
+  std::size_t width_ = 1;
+  std::vector<Key> keys_;
+  /// Node k's winning leaf, or kNone when its subtree holds no key; the
+  /// root is node 1, the children of node k are 2k and 2k + 1, and leaf i
+  /// is node width_ + i.
+  std::vector<int> winner_;
 };
 
 }  // namespace nova::serve

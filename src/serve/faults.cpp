@@ -28,6 +28,29 @@ namespace {
 
 const std::vector<FaultWindow> kNoWindows;
 
+// A plan's windows are sorted and non-overlapping, so their ends ascend as
+// well as their starts: the windows ending at or before t form a prefix,
+// and so do those opening at or before t. Each query starts its walk past
+// the prefix whose windows it would skip without effect, which keeps it
+// O(log w) in the instance's w windows however late in simulated time it
+// asks.
+
+/// The first window that ends after t.
+std::vector<FaultWindow>::const_iterator first_ending_after(
+    const std::vector<FaultWindow>& windows, double t) {
+  return std::partition_point(
+      windows.begin(), windows.end(),
+      [t](const FaultWindow& window) { return window.end_us <= t; });
+}
+
+/// The first window that opens after t.
+std::vector<FaultWindow>::const_iterator first_opening_after(
+    const std::vector<FaultWindow>& windows, double t) {
+  return std::partition_point(
+      windows.begin(), windows.end(),
+      [t](const FaultWindow& window) { return window.start_us <= t; });
+}
+
 }  // namespace
 
 const char* to_string(FaultKind kind) {
@@ -85,32 +108,35 @@ const std::vector<FaultWindow>& FaultPlan::windows(int instance) const {
 }
 
 double FaultPlan::next_up_us(int instance, double t) const {
-  // Windows are ordered and non-overlapping, so walking forward once
-  // suffices: each outage covering t pushes t to its end.
-  for (const auto& window : windows(instance)) {
-    if (window.kind != FaultKind::kOutage) continue;
-    if (window.end_us <= t) continue;
-    if (window.start_us > t) break;  // t is up before this window opens
-    t = window.end_us;
+  // Walking forward once suffices: each outage covering t pushes t to its
+  // end.
+  const auto& plan = windows(instance);
+  for (auto it = first_ending_after(plan, t); it != plan.end(); ++it) {
+    if (it->kind != FaultKind::kOutage) continue;
+    if (it->end_us <= t) continue;
+    if (it->start_us > t) break;  // t is up before this window opens
+    t = it->end_us;
   }
   return t;
 }
 
 double FaultPlan::slowdown_at(int instance, double t) const {
-  for (const auto& window : windows(instance)) {
-    if (window.kind != FaultKind::kSlowdown) continue;
-    if (window.start_us <= t && t < window.end_us) return window.slowdown;
-    if (window.start_us > t) break;
+  const auto& plan = windows(instance);
+  for (auto it = first_ending_after(plan, t); it != plan.end(); ++it) {
+    if (it->kind != FaultKind::kSlowdown) continue;
+    if (it->start_us <= t && t < it->end_us) return it->slowdown;
+    if (it->start_us > t) break;
   }
   return 1.0;
 }
 
 std::optional<double> FaultPlan::outage_in(int instance, double start,
                                            double finish) const {
-  for (const auto& window : windows(instance)) {
-    if (window.kind != FaultKind::kOutage) continue;
-    if (window.start_us >= finish) break;
-    if (window.start_us > start) return window.start_us;
+  const auto& plan = windows(instance);
+  for (auto it = first_opening_after(plan, start); it != plan.end(); ++it) {
+    if (it->kind != FaultKind::kOutage) continue;
+    if (it->start_us >= finish) break;
+    return it->start_us;
   }
   return std::nullopt;
 }

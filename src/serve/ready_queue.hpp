@@ -15,7 +15,7 @@
 // behind the front; that arrival gets a tombstone, one bit per request, and
 // the cursor and every walk step over tombstoned arrivals.
 //
-// Kept as a small header type, like AvailabilityHeap, so the differential
+// Kept as a small header type, like TournamentTree, so the differential
 // test (tests/ready_queue_test.cpp) can drive it against a std::set<Pending>
 // reference.
 #pragma once

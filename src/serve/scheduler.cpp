@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -288,37 +287,47 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   const FaultPlan& faults = config_.faults;
   const FailurePolicy& policy = config_.policy;
 
-  // Ready units: per-instance queues of pinned sessions' next steps, one
-  // global queue of sessions that have not completed a unit yet.
-  std::vector<std::set<Pending>> pinned_q(
+  // Ready units: per-instance queues of pinned sessions' next steps, each
+  // a vector sorted by (ready_us, id), and one global queue of sessions
+  // that have not completed a unit yet. A pinned queue holds at most one
+  // entry per session holding one of its instance's slots.
+  std::vector<std::vector<Pending>> pinned_q(
       static_cast<std::size_t>(config_.instances));
   ReadyQueue new_q(requests);
-  AvailabilityHeap avail_heap(faults, free_at);
-
-  // Dispatch candidates as (start_us, head ready_us, head id, instance):
-  // lexicographic min = earliest start, ties to the oldest unit. One
-  // entry per instance with a nonempty pinned queue, maintained by
-  // refresh_pinned after every dispatch on that instance (nothing else
-  // moves free_at or the pinned queues, so entries are never stale).
-  using Candidate = std::tuple<double, double, int, int>;
-  std::set<Candidate> pinned_cands;
-  std::vector<std::optional<Candidate>> pinned_entry(
-      static_cast<std::size_t>(config_.instances));
-  const auto refresh_pinned = [&](int j) {
-    const auto js = static_cast<std::size_t>(j);
-    if (pinned_entry[js]) {
-      pinned_cands.erase(*pinned_entry[js]);
-      pinned_entry[js].reset();
-    }
-    if (!pinned_q[js].empty()) {
-      const Pending& head = *pinned_q[js].begin();
-      const double avail = faults.next_up_us(j, free_at[js]);
-      const double start =
-          faults.next_up_us(j, std::max(avail, head.ready_us));
-      pinned_entry[js] = Candidate{start, head.ready_us, head.id, j};
-      pinned_cands.insert(*pinned_entry[js]);
-    }
+  const auto enqueue_pinned = [&](std::size_t j, const Pending& unit) {
+    auto& queue = pinned_q[j];
+    queue.insert(std::upper_bound(queue.begin(), queue.end(), unit), unit);
   };
+
+  // Two tournament trees over the instances pick the dispatch candidates.
+  // open_tree holds (availability, instance) for every instance with a free
+  // session slot; pinned_tree holds (start_us, head ready_us, head id,
+  // instance) for every instance with a nonempty pinned queue, whose
+  // lexicographic min is the earliest start, ties to the oldest unit. Only
+  // a dispatch on an instance moves its free_at, slot count or pinned
+  // head, so refresh(j) after each dispatch on j keeps both exact; an empty
+  // pinned leaf that stays empty (always, in whole mode) costs one load.
+  using Candidate = std::tuple<double, double, int, int>;
+  TournamentTree<std::pair<double, int>> open_tree(config_.instances);
+  TournamentTree<Candidate> pinned_tree(config_.instances);
+  const auto refresh = [&](int j) {
+    const auto js = static_cast<std::size_t>(j);
+    const double avail = faults.next_up_us(j, free_at[js]);
+    if (slots_used[js] < slot_cap) {
+      open_tree.set(j, {avail, j});
+    } else {
+      open_tree.clear(j);
+    }
+    if (pinned_q[js].empty()) {
+      pinned_tree.clear(j);
+      return;
+    }
+    const Pending& head = pinned_q[js].front();
+    pinned_tree.set(j, Candidate{faults.next_up_us(
+                                     j, std::max(avail, head.ready_us)),
+                                 head.ready_us, head.id, j});
+  };
+  for (int j = 0; j < config_.instances; ++j) refresh(j);
 
   // The slot of the first plan step a unit dispatches, from its request's
   // two slots and the chunk count pricing recorded: the slot's shape is the
@@ -329,40 +338,37 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   };
 
   std::vector<Pending> batch;  // reused by every dispatch
+  // Positions in the dispatching instance's pinned queue that the batch
+  // took, ascending; reused by every dispatch.
+  std::vector<std::size_t> taken;
 
   // Every live session owns exactly one Pending entry, in new_q or in a
   // pinned queue (then its instance has a pinned candidate).
   int batch_id = 0;
   double last_finish = 0.0;
-  while (!new_q.empty() || !pinned_cands.empty()) {
+  while (!new_q.empty() || !pinned_tree.empty()) {
     // Candidate A: the FIFO head of not-yet-started sessions on the
     // earliest-available instance with a free session slot. The walk
     // over new_q starts at that head; the fusion scan below continues it.
     auto nit = new_q.walk();
     std::optional<Candidate> cand_new;
-    if (!nit.done()) {
-      const auto found = avail_heap.peek_min_where([&](int j) {
-        return slots_used[static_cast<std::size_t>(j)] < slot_cap;
-      });
-      if (found) {
-        const double start = faults.next_up_us(
-            found->second, std::max(found->first, nit->ready_us));
-        cand_new = Candidate{start, nit->ready_us, nit->id, found->second};
-      }
+    if (!nit.done() && !open_tree.empty()) {
+      const auto [avail, j] = open_tree.min();
+      const double start = faults.next_up_us(j, std::max(avail, nit->ready_us));
+      cand_new = Candidate{start, nit->ready_us, nit->id, j};
     }
     // Candidate B: the earliest-starting pinned queue head. At least one
     // candidate always exists: either a session slot is free somewhere
     // (candidate A) or some session holds a slot, and a slot-holding
     // session always has its next step pending in its pinned queue.
     const bool use_new =
-        cand_new &&
-        (pinned_cands.empty() || *cand_new < *pinned_cands.begin());
-    const Candidate chosen =
-        use_new ? *cand_new : *pinned_cands.begin();
+        cand_new && (pinned_tree.empty() || *cand_new < pinned_tree.min());
+    const Candidate chosen = use_new ? *cand_new : pinned_tree.min();
     const int instance_index = std::get<3>(chosen);
     const auto instance = static_cast<std::size_t>(instance_index);
     const double start = std::get<0>(chosen);
-    const Pending head = use_new ? *nit : *pinned_q[instance].begin();
+    auto& queue = pinned_q[instance];
+    const Pending head = use_new ? *nit : queue.front();
     const auto& head_req = requests[static_cast<std::size_t>(head.id)];
     auto& head_outcome = report.outcomes[static_cast<std::size_t>(head.id)];
     const double wait_us =
@@ -406,20 +412,21 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     batch.assign(1, head);
     // A new head claims its slot on success.
     int free_slots = slot_cap - slots_used[instance] - (use_new ? 1 : 0);
-    auto pit = pinned_q[instance].begin();
+    std::size_t pit = 0;  // the scan's position in the pinned queue
+    taken.clear();
     if (use_new) {  // step past the head, the front of its queue
       ++nit;
     } else {
-      ++pit;
+      taken.push_back(pit++);
     }
     while (static_cast<int>(batch.size()) < cap) {
-      const bool p_ok =
-          pit != pinned_q[instance].end() && pit->ready_us <= start;
+      const bool p_ok = pit < queue.size() && queue[pit].ready_us <= start;
       const bool n_ok =
           free_slots > 0 && !nit.done() && nit->ready_us <= start;
       if (!p_ok && !n_ok) break;
-      const bool take_pinned = p_ok && (!n_ok || *pit < *nit);
-      const Pending cand = take_pinned ? *pit : *nit;
+      const bool take_pinned = p_ok && (!n_ok || queue[pit] < *nit);
+      const Pending cand = take_pinned ? queue[pit] : *nit;
+      const std::size_t at = pit;
       if (take_pinned) {
         ++pit;
       } else {
@@ -432,15 +439,30 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
         if (continuous) continue;
         break;
       }
-      if (!take_pinned) free_slots -= 1;
+      if (take_pinned) {
+        taken.push_back(at);
+      } else {
+        free_slots -= 1;
+      }
       batch.push_back(cand);
     }
-    for (const auto& member : batch) {  // pinned sessions hold an instance
+    // Not-yet-started members leave new_q one by one; the pinned queue is
+    // compacted once, from the first position taken.
+    for (const auto& member : batch) {
       if (report.outcomes[static_cast<std::size_t>(member.id)].instance < 0) {
         new_q.erase(member);
-      } else {
-        pinned_q[instance].erase(member);
       }
+    }
+    if (!taken.empty()) {
+      std::size_t kept = taken.front();
+      for (std::size_t k = taken.front(), t = 0; k < queue.size(); ++k) {
+        if (t < taken.size() && taken[t] == k) {
+          ++t;
+        } else {
+          queue[kept++] = queue[k];
+        }
+      }
+      queue.resize(kept);
     }
     const int batch_size = static_cast<int>(batch.size());
 
@@ -501,7 +523,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
           const Pending retry{*failed_at + backoff_us, member.id,
                               member.attempt + 1, member.step};
           if (outcome.instance >= 0) {
-            pinned_q[instance].insert(retry);
+            enqueue_pinned(instance, retry);
           } else {
             new_q.push(retry);
           }
@@ -510,8 +532,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
       inst.failed_batches += 1;
       inst.busy_us += *failed_at - start;
       free_at[instance] = *failed_at;
-      avail_heap.refresh(instance_index);
-      refresh_pinned(instance_index);
+      refresh(instance_index);
       ++batch_id;
       continue;
     }
@@ -537,7 +558,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
           continuous ? member.step + 1 : outcome.session_steps;
       if (next_step < outcome.session_steps) {
         // The next step becomes ready the instant this one finishes.
-        pinned_q[instance].insert(Pending{finish, member.id, 1, next_step});
+        enqueue_pinned(instance, Pending{finish, member.id, 1, next_step});
         continue;
       }
       slots_used[instance] -= 1;
@@ -561,8 +582,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     report.stats.bump(id_requests, static_cast<std::uint64_t>(completed));
 
     free_at[instance] = finish;
-    avail_heap.refresh(instance_index);
-    refresh_pinned(instance_index);
+    refresh(instance_index);
     last_finish = std::max(last_finish, finish);
     ++batch_id;
   }

@@ -51,13 +51,16 @@
 //      queue (serve/ready_queue.hpp: an arrival cursor over the request
 //      array plus an ordered set of retries); a session pins to the
 //      instance that completes its first unit (its KV cache lives there),
-//      and its later units wait in that instance's queue. Each iteration
-//      dispatches the unit that can START earliest -- each pinned queue's
-//      head on its instance, or the ready queue's head on the
-//      earliest-available instance (a lazily-revalidated (next_free_us,
-//      instance) min-heap) with a free session slot (max_batch sessions
-//      per instance) -- ties to the oldest (ready_us, id) unit. Ready
-//      units behind it whose first step shares its PWL table (function +
+//      and its later units wait in that instance's pinned queue, a vector
+//      sorted by (ready_us, id). Each iteration dispatches the unit that
+//      can START earliest -- each pinned queue's head on its instance, or
+//      the ready queue's head on the earliest-available instance with a
+//      free session slot (max_batch sessions per instance) -- ties to the
+//      oldest (ready_us, id) unit. Two tournament trees over the instances
+//      (serve/availability.hpp) hold those candidates, one leaf per
+//      instance each, so the pick reads two roots and a dispatch replays
+//      only its own instance's leaves, O(log instances). Ready units
+//      behind it whose first step shares its PWL table (function +
 //      breakpoints) AND phase fuse in, up to max_batch: fused waves reuse
 //      the broadcast flit train back-to-back, so each extra member saves
 //      the pipeline-fill latency of its first wave (the overlap credit).

@@ -395,14 +395,29 @@ struct Scenario {
   std::vector<InferenceRequest> requests;
 };
 
-Scenario draw_scenario(std::uint64_t seed, bool continuous) {
+/// The pool shapes a scenario draws from: an instance count in
+/// [min_instances, max_instances] and a slot cap (max_batch) in
+/// [1, max_slots]. The defaults are the small pools of the first 600
+/// streams.
+struct PoolRange {
+  int min_instances = 1;
+  int max_instances = 4;
+  int max_slots = 6;
+};
+
+Scenario draw_scenario(std::uint64_t seed, bool continuous,
+                       const PoolRange& pool) {
   Rng rng(seed);
   Scenario s;
   s.config = small_pool();
   s.config.continuous = continuous;
   s.config.seed = seed;
-  s.config.instances = 1 + static_cast<int>(rng.next_below(4));
-  s.config.max_batch = 1 + static_cast<int>(rng.next_below(6));
+  s.config.instances =
+      pool.min_instances +
+      static_cast<int>(rng.next_below(static_cast<std::uint64_t>(
+          pool.max_instances - pool.min_instances + 1)));
+  s.config.max_batch = 1 + static_cast<int>(rng.next_below(
+                               static_cast<std::uint64_t>(pool.max_slots)));
   s.config.threads = 1 + static_cast<int>(rng.next_below(4));
   s.config.chunk_tokens = 8 + static_cast<int>(rng.next_below(121));
   s.config.policy.max_retries = static_cast<int>(rng.next_below(4));
@@ -463,10 +478,11 @@ struct Coverage {
   int preempted = 0;  ///< preempted steps (continuous only)
 };
 
-void run_mode(bool continuous, std::uint64_t first_seed) {
+void run_mode(bool continuous, std::uint64_t first_seed,
+              const PoolRange& pool = {}) {
   Coverage seen;
   for (std::uint64_t seed = first_seed; seed < first_seed + 300; ++seed) {
-    const Scenario s = draw_scenario(seed, continuous);
+    const Scenario s = draw_scenario(seed, continuous, pool);
     const ServeReport got = BatchScheduler(s.config).run(s.requests);
     const ServeReport want = reference_run(s.config, s.requests);
     expect_same_dispatch(got, want);
@@ -500,6 +516,15 @@ TEST(DispatchReference, WholeModeMatchesOnRandomStreams) {
 
 TEST(DispatchReference, ContinuousModeMatchesOnRandomStreams) {
   run_mode(/*continuous=*/true, 1001);
+}
+
+TEST(DispatchReference, ContinuousModeMatchesOnWidePools) {
+  // 5-70 instances, so the scheduler's tournament trees carry padding
+  // leaves and several levels, and slot caps up to 64, so long pinned
+  // queues are compacted around the members a dispatch skips.
+  run_mode(/*continuous=*/true, 2001,
+           PoolRange{/*min_instances=*/5, /*max_instances=*/70,
+                     /*max_slots=*/64});
 }
 
 TEST(ContinuousDispatch, FailedPinnedSessionEndsUnservedAndFreesItsSlot) {

@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "serve/faults.hpp"
 #include "serve/policy.hpp"
 
@@ -76,6 +79,117 @@ TEST(FaultPlan, WindowQueriesWalkTheTimeline) {
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 0.0, 100.0), 20.0);
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 15.0, 45.0), 10.0);
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 20.0, 40.0), 0.0);
+}
+
+// The window queries as linear walks from the first window, the form they
+// had before each walk started at a partition point. The differential test
+// below holds the partition-point queries to these answers.
+double reference_next_up_us(const std::vector<FaultWindow>& windows,
+                            double t) {
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kOutage) continue;
+    if (window.end_us <= t) continue;
+    if (window.start_us > t) break;
+    t = window.end_us;
+  }
+  return t;
+}
+
+double reference_slowdown_at(const std::vector<FaultWindow>& windows,
+                             double t) {
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kSlowdown) continue;
+    if (window.start_us <= t && t < window.end_us) return window.slowdown;
+    if (window.start_us > t) break;
+  }
+  return 1.0;
+}
+
+std::optional<double> reference_outage_in(
+    const std::vector<FaultWindow>& windows, double start, double finish) {
+  for (const auto& window : windows) {
+    if (window.kind != FaultKind::kOutage) continue;
+    if (window.start_us >= finish) break;
+    if (window.start_us > start) return window.start_us;
+  }
+  return std::nullopt;
+}
+
+/// One instance's random timeline on a half-microsecond grid: outage chains
+/// whose windows abut (one ends where the next starts) with slowdown
+/// windows interleaved, abutting or spaced.
+std::vector<FaultWindow> draw_timeline(Rng& rng) {
+  std::vector<FaultWindow> windows;
+  const auto count = rng.next_below(40);
+  double t = 0.5 * static_cast<double>(rng.next_below(10));
+  for (std::uint64_t w = 0; w < count; ++w) {
+    const bool abut = rng.next_below(3) != 0;
+    const double start =
+        abut ? t : t + 0.5 * static_cast<double>(1 + rng.next_below(20));
+    const double end =
+        start + 0.5 * static_cast<double>(1 + rng.next_below(16));
+    windows.push_back(rng.next_below(3) == 0
+                          ? slow(start, end, 1.0 + rng.uniform(0.0, 3.0))
+                          : outage(start, end));
+    t = end;
+  }
+  return windows;
+}
+
+TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
+  int chained = 0;  // next_up answers pushed through two or more outages
+  int slowed = 0;   // slowdown_at answers inside a slowdown window
+  int opened = 0;   // outage_in answers that found an outage
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    std::vector<std::vector<FaultWindow>> timelines(1 + rng.next_below(4));
+    for (auto& timeline : timelines) timeline = draw_timeline(rng);
+    const FaultPlan plan = FaultPlan::make(timelines);
+    // Query times: every window start and end exactly, the midpoints, a
+    // time before the first window and one past the last.
+    std::vector<double> times{0.0, 1e9};
+    for (const auto& timeline : timelines) {
+      for (const auto& window : timeline) {
+        times.push_back(window.start_us);
+        times.push_back(window.end_us);
+        times.push_back(0.5 * (window.start_us + window.end_us));
+      }
+    }
+    // Two instances past the plan's end answer like the empty plan.
+    const int instances = plan.instances() + 2;
+    for (int i = 0; i < instances; ++i) {
+      const auto& windows = plan.windows(i);
+      for (const double t : times) {
+        const double up = plan.next_up_us(i, t);
+        ASSERT_EQ(up, reference_next_up_us(windows, t))
+            << "seed " << seed << " instance " << i << " t " << t;
+        const double factor = plan.slowdown_at(i, t);
+        ASSERT_EQ(factor, reference_slowdown_at(windows, t))
+            << "seed " << seed << " instance " << i << " t " << t;
+        if (factor != 1.0) ++slowed;
+        int crossed = 0;
+        for (const auto& window : windows) {
+          if (window.kind == FaultKind::kOutage && window.start_us >= t &&
+              window.end_us <= up) {
+            ++crossed;
+          }
+        }
+        if (crossed >= 2) ++chained;
+        // Spans from t to a later, equal and earlier query time.
+        for (const double finish :
+             {times[rng.next_below(times.size())], t, t + 0.5, t - 0.5}) {
+          const auto got = plan.outage_in(i, t, finish);
+          ASSERT_EQ(got, reference_outage_in(windows, t, finish))
+              << "seed " << seed << " instance " << i << " span (" << t
+              << ", " << finish << ")";
+          if (got) ++opened;
+        }
+      }
+    }
+  }
+  EXPECT_GT(chained, 1000);
+  EXPECT_GT(slowed, 1000);
+  EXPECT_GT(opened, 1000);
 }
 
 TEST(FaultPlan, DrawIsDeterministicAndStableUnderPoolResizing) {
