@@ -273,6 +273,10 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   const int slot_cap = config_.max_batch;
 
   auto& batch_hist = report.stats.histogram("serve.batch_size");
+  // One sample per batch, which whole mode keeps to at most one per
+  // request. Continuous mode's per-step batch count is not known up front,
+  // so its store grows as it fills.
+  if (!continuous) batch_hist.reserve(requests.size());
   auto& backoff_acc = report.stats.accumulator("serve.backoff_us");
   const sim::StatId id_batches = report.stats.counter_id("serve.batches");
   const sim::StatId id_requests = report.stats.counter_id("serve.requests");
@@ -615,6 +619,8 @@ ServeReport BatchScheduler::run(
   // RequestOutcome unserved contract.
   sim::Histogram* ttft_hist =
       config_.continuous ? &report.stats.histogram("serve.ttft_us") : nullptr;
+  latency_hist.reserve(report.outcomes.size());
+  if (ttft_hist != nullptr) ttft_hist->reserve(report.outcomes.size());
   auto& service_acc = report.stats.accumulator("serve.service_us");
   auto& queue_acc = report.stats.accumulator("serve.queue_us");
   auto& attempts_acc = report.stats.accumulator("serve.attempts");

@@ -1,7 +1,8 @@
 #include "serve/session.hpp"
 
 #include <algorithm>
-#include <map>
+#include <unordered_map>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -57,32 +58,31 @@ bool same_class(const ShapeKey& a, const ShapeKey& b) {
 PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests) {
   // Each request adds at most two RUNS of consecutive kv_len in one class:
   // its prefill shape (a run of one) and its decode chain. Runs are keyed
-  // by their first shape; runs that start at the same shape keep the
-  // longest one's last kv_len, and each distinct run gets a provisional
-  // first-seen id. Chain ends are 64-bit: a chain may end at kv_len
-  // INT_MAX, so end + 1 must not overflow.
+  // by their first shape in a hash table; runs that start at the same shape
+  // keep the longest one's last kv_len, and each distinct run gets a
+  // provisional first-seen id from 1, which a plan stores in each slot it
+  // uses (it leaves the others at 0). Chain ends are 64-bit: a chain may
+  // end at kv_len INT_MAX, so end + 1 must not overflow.
   struct Run {
     std::int64_t last = 0;
     std::uint32_t id = 0;
   };
-  std::map<ShapeKey, Run> runs;
+  std::unordered_map<ShapeKey, Run> runs;
   const auto add_run = [&runs](const ShapeKey& first, std::int64_t last) {
-    const auto next_id = static_cast<std::uint32_t>(runs.size());
+    const auto next_id = static_cast<std::uint32_t>(runs.size() + 1);
     const auto [it, fresh] = runs.try_emplace(first, Run{last, next_id});
     if (!fresh) it->second.last = std::max(it->second.last, last);
     return it->second.id;
-  };
-  // A plan's shapes are the same in both dispatch modes, so the
-  // whole-request layout tells which of the two runs a request has.
-  const auto layout_of = [](const InferenceRequest& req) {
-    return session_layout(req, /*continuous=*/false, /*chunk_tokens=*/1);
   };
   PlanIndex index;
   index.plans.resize(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const auto& req = requests[i];
     NOVA_EXPECTS(req.gen_steps >= 0 && kv_chain_fits(req));
-    const SessionLayout layout = layout_of(req);
+    // A plan's shapes are the same in both dispatch modes, so the
+    // whole-request layout tells which of the two runs a request has.
+    const SessionLayout layout =
+        session_layout(req, /*continuous=*/false, /*chunk_tokens=*/1);
     auto& plan = index.plans[i];
     if (layout.chunks > 0) {
       plan.prefill = add_run(prefill_shape(req), req.kv_len);
@@ -94,15 +94,19 @@ PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests) {
     }
   }
 
-  // One ordered walk. A class's runs are adjacent and sorted by first
-  // kv_len, so each run emits only the kv_lens past the furthest one its
-  // class has emitted (`end`): every covered kv_len once, in ShapeKey
-  // order, which is the distinct set of all the steps. A run's own first
-  // kv_len then sits `from - first` slots before the first one it emits.
-  std::vector<std::uint32_t> slot_of(runs.size());
+  // One ordered walk over the runs sorted once by first shape. A class's
+  // runs are adjacent and sorted by first kv_len, so each run emits only
+  // the kv_lens past the furthest one its class has emitted (`end`): every
+  // covered kv_len once, in ShapeKey order, which is the distinct set of
+  // all the steps. A run's own first kv_len then sits `from - first` slots
+  // before the first one it emits.
+  std::vector<std::pair<ShapeKey, Run>> sorted(runs.begin(), runs.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::uint32_t> slot_of(sorted.size() + 1, 0);
   const ShapeKey* previous = nullptr;
   std::int64_t end = 0;
-  for (const auto& [first, run] : runs) {
+  for (const auto& [first, run] : sorted) {
     const bool extends = previous != nullptr && same_class(*previous, first);
     const std::int64_t from =
         extends ? std::max<std::int64_t>(first.kv_len, end + 1)
@@ -119,12 +123,10 @@ PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests) {
     previous = &first;
   }
 
-  // Provisional run ids to slots, for the slots each plan uses.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SessionLayout layout = layout_of(requests[i]);
-    auto& plan = index.plans[i];
-    if (layout.chunks > 0) plan.prefill = slot_of[plan.prefill];
-    if (layout.decode_steps > 0) plan.decode = slot_of[plan.decode];
+  // Provisional run ids to slots; slot_of[0] keeps an unused slot at 0.
+  for (auto& plan : index.plans) {
+    plan.prefill = slot_of[plan.prefill];
+    plan.decode = slot_of[plan.decode];
   }
   return index;
 }

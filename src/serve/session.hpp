@@ -166,9 +166,11 @@ struct PlanIndex {
   std::vector<PlanSlots> plans;
 };
 
-/// Indexes the session plans of `requests` with at most two ordered-map
+/// Indexes the session plans of `requests` with at most two hash-table
 /// probes per request, however long its generation: one for its prefill
-/// shape, one for its run of decode shapes. Decode step d of a session sits
+/// shape, one for its run of decode shapes. The distinct runs are sorted
+/// once and walked in ShapeKey order, and one pass over the plans turns
+/// their provisional run ids into slots. Decode step d of a session sits
 /// at slot decode + d because ShapeKey orders kv_len last and every kv_len
 /// of the run is in the distinct set. The index does not depend on the
 /// dispatch mode: chunking slices a prefill's service, not its shape. Each

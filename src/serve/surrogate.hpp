@@ -46,7 +46,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -77,7 +79,8 @@ enum class PricingMode { kExact, kSurrogate, kHybrid };
 /// The full pricing identity of one request shape: everything the exact
 /// path's input synthesis and graph construction depend on. Ordering is the
 /// field-wise lexicographic one, in declaration order, used for
-/// deterministic grouping. Trivially copyable and 24 bytes.
+/// deterministic grouping; std::hash<ShapeKey> (end of file) keys unordered
+/// lookups. Trivially copyable and 24 bytes.
 struct ShapeKey {
   workload::WorkloadName workload;
   int seq_len = 128;
@@ -334,3 +337,30 @@ struct SurrogateAudit {
 };
 
 }  // namespace nova::serve
+
+/// Hashes every field of a ShapeKey: the two lengths fill one word, the
+/// table identity (breakpoints, workload, function, phase) another, and a
+/// 64-bit finalizer mixes them, so keys that differ in kv_len alone spread
+/// over the buckets.
+template <>
+struct std::hash<nova::serve::ShapeKey> {
+  std::size_t operator()(const nova::serve::ShapeKey& key) const noexcept {
+    const std::uint64_t lengths =
+        std::uint64_t{static_cast<std::uint32_t>(key.seq_len)} << 32 |
+        static_cast<std::uint32_t>(key.kv_len);
+    const std::uint64_t table =
+        std::uint64_t{static_cast<std::uint32_t>(key.breakpoints)} << 32 |
+        std::uint64_t{std::hash<nova::workload::WorkloadName>{}(key.workload)}
+            << 16 |
+        static_cast<std::uint64_t>(key.function) << 8 |
+        static_cast<std::uint64_t>(key.phase);
+    // Fold the two words together, then MurmurHash3's fmix64 finalizer.
+    std::uint64_t h = lengths ^ (table * 0x9e3779b97f4a7c15ULL);
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h);
+  }
+};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/assert.hpp"
 
@@ -10,7 +11,6 @@ namespace nova::sim {
 void Histogram::record(double value) {
   samples_.push_back(value);
   sum_ += value;
-  sorted_ = samples_.size() <= 1;
 }
 
 double Histogram::mean() const {
@@ -20,34 +20,31 @@ double Histogram::mean() const {
 
 double Histogram::min() const {
   if (samples_.empty()) return 0.0;
-  if (sorted_) return samples_.front();
   return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double Histogram::max() const {
   if (samples_.empty()) return 0.0;
-  if (sorted_) return samples_.back();
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double Histogram::percentile(double p) const {
   NOVA_EXPECTS(p >= 0.0 && p <= 100.0);
   if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   // Nearest-rank: the smallest sample with at least p% of the mass at or
-  // below it.
+  // below it, selected in place -- the same order statistic a full sort
+  // would put at that index.
   const auto n = samples_.size();
   const double rank = std::ceil(p / 100.0 * static_cast<double>(n));
-  const std::size_t index = rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-  return samples_[std::min(index, n - 1)];
+  const std::size_t index =
+      rank < 1.0 ? 0 : std::min(static_cast<std::size_t>(rank) - 1, n - 1);
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(index);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  return *nth;
 }
 
 void Histogram::clear() {
   samples_.clear();
-  sorted_ = true;
   sum_ = 0.0;
 }
 

@@ -1,6 +1,7 @@
 // Named statistic counters shared by the simulators; renders to a Table.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -38,16 +39,21 @@ class Histogram {
   [[nodiscard]] double max() const;
 
   /// Nearest-rank percentile, `p` in [0, 100]; 0.0 when empty (see the
-  /// empty-histogram contract).
+  /// empty-histogram contract). Selects the sample in linear time and
+  /// reorders the stored samples to do it, so concurrent calls on one
+  /// histogram race even though the method is const.
   [[nodiscard]] double percentile(double p) const;
+
+  /// Reserves room for `n` samples, so a caller that knows its sample
+  /// count records without regrowing the store.
+  void reserve(std::size_t n) { samples_.reserve(n); }
 
   void clear();
 
  private:
-  /// Kept sorted lazily: percentile() sorts on demand and record() marks
-  /// the order dirty.
+  /// In record order until percentile() partially reorders them; no query
+  /// depends on the order.
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
   double sum_ = 0.0;
 };
 

@@ -6,7 +6,9 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -81,6 +83,8 @@ class WorkloadName {
   friend constexpr auto operator<=>(WorkloadName, WorkloadName) = default;
 
  private:
+  friend struct std::hash<WorkloadName>;
+
   explicit constexpr WorkloadName(std::uint8_t index) : index_(index) {}
 
   /// Position of the spelling in std::string order; 1 is "bert-tiny".
@@ -143,3 +147,12 @@ struct ModelWorkload {
 [[nodiscard]] ModelWorkload model_workload(const BertConfig& config);
 
 }  // namespace nova::workload
+
+/// Hashes the 1-byte handle itself: distinct spellings hash apart, an alias
+/// from its canonical name too, so unordered containers can key on it.
+template <>
+struct std::hash<nova::workload::WorkloadName> {
+  std::size_t operator()(nova::workload::WorkloadName name) const noexcept {
+    return name.index_;
+  }
+};

@@ -5,7 +5,9 @@
 // step builder as it was before plans were indexed, copied below -- and
 // numbers the distinct shapes through a std::map; directed cases cover
 // adjacent, nested, identical and same-start runs, classes that differ
-// only in seq_len, and a chain that ends at kv_len INT_MAX. Also pins the
+// only in seq_len, and a chain that ends at kv_len INT_MAX; a 20,000-request
+// stream with thousands of distinct runs grows the run table through many
+// rehashes, and every slot a plan does not use must read 0. Also pins the
 // size of the per-request record, the index of the exact-decode benchmark
 // stream, and how closely chunk shares sum to 1.
 #include <gtest/gtest.h>
@@ -14,8 +16,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -106,6 +110,13 @@ void expect_matches_reference(const std::vector<InferenceRequest>& requests,
     ASSERT_EQ(layout.total_steps(), want.total_steps()) << label << " #" << i;
     ASSERT_EQ(layout.chunks, want.prefill_chunks) << label << " #" << i;
     ASSERT_EQ(layout.decode_steps, want.decode_steps) << label << " #" << i;
+    // A slot the plan does not use reads 0.
+    if (want.prefill_chunks == 0) {
+      ASSERT_EQ(index.plans[i].prefill, 0u) << label << " #" << i;
+    }
+    if (want.decode_steps == 0) {
+      ASSERT_EQ(index.plans[i].decode, 0u) << label << " #" << i;
+    }
     const SessionPlan listed =
         build_session_plan(requests[i], continuous, chunk_tokens);
     ASSERT_EQ(listed.steps.size(), want.steps.size()) << label << " #" << i;
@@ -214,6 +225,43 @@ TEST(PlanIndex, MatchesThePerStepReferenceOnSeededStreams) {
   }
 }
 
+TEST(PlanIndex, MatchesTheReferenceWithThousandsOfDistinctRuns) {
+  // 20,000 requests over all seven spellings, two functions and two
+  // tables, with prompt and kv_len lengths spread over 6,000 and up to 16
+  // generated tokens: thousands of distinct runs, so the run table grows
+  // through many rehashes while runs of one class still overlap and nest.
+  Rng rng(22);
+  const approx::NonLinearFn fns[] = {approx::NonLinearFn::kGelu,
+                                     approx::NonLinearFn::kExp};
+  std::vector<InferenceRequest> requests;
+  std::set<ShapeKey> runs;  // each run's first shape
+  for (int i = 0; i < 20000; ++i) {
+    InferenceRequest req;
+    req.id = i;
+    req.arrival_us = static_cast<double>(i);
+    req.workload = name(kSpellings[rng.next_below(7)]);
+    req.function = fns[rng.next_below(2)];
+    req.breakpoints = 8 * static_cast<int>(1 + rng.next_below(2));
+    req.gen_steps = static_cast<int>(rng.next_below(17));
+    if (rng.next_below(2) == 0) {
+      req.phase = pipeline::Phase::kDecode;
+      req.seq_len = 1 + static_cast<int>(rng.next_below(4));
+      req.kv_len = 1 + static_cast<int>(rng.next_below(6000));
+    } else {
+      req.seq_len = 1 + static_cast<int>(rng.next_below(6000));
+    }
+    const SessionPlan plan = reference_plan(req, /*continuous=*/false, 1);
+    if (plan.prefill_chunks > 0) runs.insert(plan.steps.front().shape);
+    if (plan.decode_steps > 0) {
+      runs.insert(plan.steps[static_cast<std::size_t>(plan.prefill_chunks)]
+                      .shape);
+    }
+    requests.push_back(req);
+  }
+  ASSERT_GE(runs.size(), 5000u);
+  expect_matches_reference(requests, 512, "20,000 requests");
+}
+
 TEST(PlanIndex, MergesAdjacentNestedAndIdenticalRuns) {
   // One class: 10..14 and 15..19 abut, 30..40 holds 32..35 nested in it,
   // 50..54 twice, and 60..62 next to 60..69 (same start, the shorter
@@ -261,6 +309,27 @@ TEST(PlanIndex, ChainsEndingAtIntMaxIndexWithoutOverflow) {
   // The seq_len 1 class covers max - 5 .. max once; the two prompts add
   // their prefill shapes.
   EXPECT_EQ(index.shapes.size(), 6u + 2u);
+}
+
+TEST(ShapeKeyHash, EveryFieldTakesPart) {
+  // Keys that differ in one field each, and keys along one kv_len run,
+  // all hash apart.
+  const ShapeKey base{name("bert-tiny"), 128, approx::NonLinearFn::kGelu, 16,
+                      pipeline::Phase::kDecode, 300};
+  std::vector<ShapeKey> keys(7, base);
+  keys[1].workload = name("roberta");
+  keys[2].seq_len = 129;
+  keys[3].function = approx::NonLinearFn::kExp;
+  keys[4].breakpoints = 32;
+  keys[5].phase = pipeline::Phase::kPrefill;
+  keys[6].kv_len = 301;
+  for (int kv = 302; kv < 1302; ++kv) {
+    keys.push_back(base);
+    keys.back().kv_len = kv;
+  }
+  std::set<std::size_t> hashes;
+  for (const auto& key : keys) hashes.insert(std::hash<ShapeKey>{}(key));
+  EXPECT_EQ(hashes.size(), keys.size());
 }
 
 TEST(PlanIndex, RecordsAreCompactAndTriviallyCopyable) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <compare>
+#include <cstddef>
+#include <functional>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -161,6 +164,16 @@ TEST(WorkloadName, OrdersLikeItsSpelling) {
     }
   }
   EXPECT_EQ(pairs, 49);
+}
+
+TEST(WorkloadName, HashesEachSpellingApart) {
+  // Aliases too: the hash reads the handle, not the model it builds.
+  std::set<std::size_t> hashes;
+  for (const auto& spelling : catalog_spellings()) {
+    const WorkloadName handle = WorkloadName::parse(spelling).value();
+    hashes.insert(std::hash<WorkloadName>{}(handle));
+  }
+  EXPECT_EQ(hashes.size(), 7u);
 }
 
 TEST(WorkloadName, DefaultsToBertTinyInOneByte) {
