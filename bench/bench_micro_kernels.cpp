@@ -122,17 +122,20 @@ void BM_SystolicWorkloadModel(benchmark::State& state) {
 }
 BENCHMARK(BM_SystolicWorkloadModel);
 
+// tanh at 4, 16 and 64 breakpoints: one padded block of hidden units, the
+// serve tables' size, and many blocks.
 void BM_MlpBreakpointTraining(benchmark::State& state) {
+  const int breakpoints = static_cast<int>(state.range(0));
   approx::MlpFitOptions options;
   options.iterations = 500;  // truncated fit; measures trainer throughput
   for (auto _ : state) {
-    auto table = approx::fit_mlp(approx::NonLinearFn::kTanh, 16,
+    auto table = approx::fit_mlp(approx::NonLinearFn::kTanh, breakpoints,
                                  approx::default_domain(approx::NonLinearFn::kTanh),
                                  options);
     benchmark::DoNotOptimize(&table);
   }
 }
-BENCHMARK(BM_MlpBreakpointTraining);
+BENCHMARK(BM_MlpBreakpointTraining)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 

@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -214,6 +216,18 @@ TEST_P(MlpGolden, DefaultOptionsTableMatchesPinnedBits) {
   // gradient product (g*v*x as g*(v*x)) already moves most of them.
   const MlpPin& pin = GetParam();
   const std::uint64_t hash = table_hash(fit_mlp(pin.fn, pin.breakpoints));
+  EXPECT_EQ(hash, pin.pinned) << "table hash 0x" << std::hex << hash;
+}
+
+TEST_P(MlpGolden, PerUnitKernelTableMatchesPinnedBits) {
+  // The same pins through the portable kernel, which fit_mlp runs only on
+  // CPUs without AVX2, so that every host checks both kernels.
+  const MlpPin& pin = GetParam();
+  const PwlTable table = detail::fit_mlp(
+      detail::MlpKernel::kPerUnit,
+      [fn = pin.fn](double x) { return eval_exact(fn, x); },
+      to_string(pin.fn), pin.breakpoints, default_domain(pin.fn));
+  const std::uint64_t hash = table_hash(table);
   EXPECT_EQ(hash, pin.pinned) << "table hash 0x" << std::hex << hash;
 }
 
@@ -527,24 +541,125 @@ TEST(MlpFitter, MatchesDenseReferenceBitForBit) {
     const PwlTable seed = fit_adaptive(fn, label, breakpoints, domain);
     const dense::Pieces want =
         dense::train(fn, seed, breakpoints, domain, options, nonpositive);
-    const PwlTable got = fit_mlp(fn, label, breakpoints, domain, options);
-    const auto context = [&] {
-      return "trial " + std::to_string(trial) + " (" + label +
-             ", bp=" + std::to_string(breakpoints) +
+    const auto context = [&](const char* trainer) {
+      return std::string(trainer) + ", trial " + std::to_string(trial) +
+             " (" + label + ", bp=" + std::to_string(breakpoints) +
              ", samples=" + std::to_string(options.samples) +
              ", iterations=" + std::to_string(options.iterations) +
              ", lr=" + std::to_string(options.learning_rate) +
              ", reproject_every=" + std::to_string(options.reproject_every) +
              ")";
     };
-    ASSERT_EQ(first_bit_mismatch(got.boundaries(), want.bounds), -1)
-        << context();
-    ASSERT_EQ(first_bit_mismatch(got.slopes(), want.slopes), -1) << context();
-    ASSERT_EQ(first_bit_mismatch(got.biases(), want.biases), -1) << context();
+    // fit_mlp's own kernel, then the portable one on every host.
+    for (const auto& [trainer, got] :
+         {std::pair{"fit_mlp",
+                    fit_mlp(fn, label, breakpoints, domain, options)},
+          std::pair{"per-unit kernel",
+                    detail::fit_mlp(detail::MlpKernel::kPerUnit, fn, label,
+                                    breakpoints, domain, options)}}) {
+      ASSERT_EQ(first_bit_mismatch(got.boundaries(), want.bounds), -1)
+          << context(trainer);
+      ASSERT_EQ(first_bit_mismatch(got.slopes(), want.slopes), -1)
+          << context(trainer);
+      ASSERT_EQ(first_bit_mismatch(got.biases(), want.biases), -1)
+          << context(trainer);
+    }
   }
   // The suite must reach units whose active samples are a prefix or empty,
   // not only the suffix ranges every unit starts with (w = 1).
   EXPECT_GT(nonpositive, 0);
+}
+
+TEST(MlpKernels, BlockedSumsMatchPerUnitSums) {
+  // Seeded random nets, 1-70 units over 8-600 samples. Suffix runs (w > 0)
+  // and prefix runs (w < 0) are cut at either edge, next to one or
+  // anywhere, so full, empty and one-sample runs occur; w = 0 and NaN w
+  // get full or empty runs. Gradients are signed and span eight decades.
+  // The blocked kernel must write the per-unit kernel's bits for every
+  // unit, on unit counts below, at and past whole blocks of four.
+  if (!detail::blocked_kernel_available()) {
+    GTEST_SKIP() << "no AVX2 kernel in this build or on this CPU";
+  }
+  Rng rng(0xb10c);
+  int full = 0, empty = 0, single = 0, prefix = 0, zero_w = 0, nan_w = 0;
+  int padded = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t units = 1 + rng.next_below(70);
+    const std::size_t n = 8 + rng.next_below(593);
+    const double lo = rng.uniform(-6.0, 2.0);
+    const double width = rng.uniform(0.25, 8.0);
+    std::vector<double> xs(n), gs(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      xs[k] = lo + width * static_cast<double>(k) / static_cast<double>(n - 1);
+      gs[k] = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-6.0, 2.0));
+    }
+    std::vector<double> w(units), c(units), v(units);
+    std::vector<std::size_t> first(units), last(units);
+    std::size_t active_units = 0;
+    for (std::size_t i = 0; i < units; ++i) {
+      const std::size_t cuts[] = {0, 1, n - 1, n, rng.next_below(n + 1)};
+      const std::size_t cut = cuts[rng.next_below(5)];
+      c[i] = rng.uniform(-3.0, 3.0);
+      v[i] = rng.uniform(-2.0, 2.0);
+      switch (rng.next_below(4)) {
+        case 0:
+          w[i] = rng.uniform(0.01, 4.0);
+          first[i] = cut;
+          last[i] = n;
+          break;
+        case 1:
+          w[i] = -rng.uniform(0.01, 4.0);
+          first[i] = 0;
+          last[i] = cut;
+          ++prefix;
+          break;
+        case 2:
+          w[i] = 0.0;
+          first[i] = 0;
+          last[i] = rng.next_below(2) == 0 ? n : 0;
+          ++zero_w;
+          break;
+        default:
+          w[i] = std::numeric_limits<double>::quiet_NaN();
+          first[i] = 0;
+          last[i] = rng.next_below(2) == 0 ? n : 0;
+          ++nan_w;
+          break;
+      }
+      const std::size_t run = last[i] - first[i];
+      full += run == n ? 1 : 0;
+      empty += run == 0 ? 1 : 0;
+      single += run == 1 ? 1 : 0;
+      active_units += run > 0 ? 1 : 0;
+    }
+    padded += active_units % 4 != 0 ? 1 : 0;
+
+    // Stale values in the outputs: every unit must be written.
+    std::vector<double> want_v(units, 7.0), want_w(units, 7.0),
+        want_c(units, 7.0);
+    std::vector<double> got_v(units, -7.0), got_w(units, -7.0),
+        got_c(units, -7.0);
+    detail::unit_gradients(
+        detail::MlpKernel::kPerUnit,
+        {xs, gs, w, c, v, first, last, want_v, want_w, want_c});
+    detail::unit_gradients(
+        detail::MlpKernel::kBlockedAvx2,
+        {xs, gs, w, c, v, first, last, got_v, got_w, got_c});
+    const std::size_t bytes = units * sizeof(double);
+    ASSERT_EQ(std::memcmp(got_v.data(), want_v.data(), bytes), 0)
+        << "gv, trial " << trial;
+    ASSERT_EQ(std::memcmp(got_w.data(), want_w.data(), bytes), 0)
+        << "gw, trial " << trial;
+    ASSERT_EQ(std::memcmp(got_c.data(), want_c.data(), bytes), 0)
+        << "gc, trial " << trial;
+  }
+  EXPECT_GT(full, 0);
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(single, 0);
+  EXPECT_GT(prefix, 0);
+  EXPECT_GT(zero_w, 0);
+  EXPECT_GT(nan_w, 0);
+  EXPECT_GT(padded, 0);
 }
 
 TEST(PwlLibrary, MemoizesTables) {
