@@ -1,8 +1,8 @@
 // Ablation: the paper fixes the link at 8 slope/bias pairs per flit
 // (257 bits). This sweep varies pairs-per-flit for 16 breakpoints and shows
-// the trade DESIGN.md calls out: wider links lower the required NoC clock
-// multiplier but cost proportionally more wires/registers; narrower links
-// push the multiplier (and clock) up.
+// the trade the README's "Substitutions and calibration" calls out: wider
+// links lower the required NoC clock multiplier but cost proportionally more
+// wires/registers; narrower links push the multiplier (and clock) up.
 #include <cstdio>
 
 #include "approx/mlp_fitter.hpp"

@@ -3,11 +3,11 @@
 // exact softmax vs the MLP-learned PWL softmax (16 breakpoints; the
 // CIFAR-10 stand-in rows use 8, as in the paper), without retraining.
 //
-// Substitution (DESIGN.md): MNIST/CIFAR-10/SQuAD/SST-2 are replaced by
-// procedural synthetic datasets of the same modality; the claim under test
-// -- approximation costs ~no accuracy -- is a property of the approximator
-// on the trained model's logit/attention distributions, which this
-// preserves.
+// Substitution (README, "Substitutions and calibration"): MNIST/CIFAR-10/
+// SQuAD/SST-2 are replaced by procedural synthetic datasets of the same
+// modality; the claim under test -- approximation costs ~no accuracy -- is a
+// property of the approximator on the trained model's logit/attention
+// distributions, which this preserves.
 #include <cstdio>
 #include <memory>
 
@@ -47,8 +47,9 @@ Row run_image_row(const std::string& name, const std::string& paper_exact,
 int main() {
   std::puts("Table I reproduction: accuracy with exact vs approximated "
             "softmax (no retraining)");
-  std::puts("Datasets are procedural stand-ins (DESIGN.md substitution "
-            "table); paper columns quoted for shape comparison.\n");
+  std::puts("Datasets are procedural stand-ins (README, \"Substitutions "
+            "and calibration\"); paper columns quoted for shape "
+            "comparison.\n");
 
   TrainOptions opt;
   opt.epochs = 8;

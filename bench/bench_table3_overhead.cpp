@@ -2,7 +2,7 @@
 // LUT-based approximators (on top of existing accelerators)" plus the
 // Section V.C-E ratio claims. Prints the paper's synthesis anchors, the
 // structural model, the calibrated result, and the calibration factors
-// (the audit trail of DESIGN.md Section 5).
+// (the audit trail the README's "Substitutions and calibration" describes).
 #include <cstdio>
 
 #include "common/table.hpp"
@@ -72,7 +72,7 @@ int main() {
             UnitKind::kNovaNoc, false));
   // The NVDLA power ratio is quoted against the paper's calibrated anchors
   // (the structural model cannot know the paper's NVDLA duty cycle; see
-  // DESIGN.md Section 5).
+  // the README's "Substitutions and calibration").
   const auto sdp = calibrated_cost(tech22(), AcceleratorKind::kJetsonNvdla,
                                    UnitKind::kNvdlaSdp);
   const auto nvdla_nova = calibrated_cost(

@@ -60,15 +60,6 @@ std::uint64_t gemm_cycles(const SystolicConfig& config, std::int64_t m,
                                     fold_cycles(config, m, k, n));
 }
 
-double gemm_utilization(const SystolicConfig& config, std::int64_t m,
-                        std::int64_t k, std::int64_t n) {
-  const std::uint64_t cycles = gemm_cycles(config, m, k, n);
-  const double useful = static_cast<double>(m) * k * n;
-  const double capacity = static_cast<double>(cycles) *
-                          static_cast<double>(config.rows) * config.cols;
-  return useful / capacity;
-}
-
 std::uint64_t workload_cycles(const SystolicConfig& config,
                               const workload::ModelWorkload& workload) {
   std::uint64_t total = 0;

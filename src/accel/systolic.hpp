@@ -46,11 +46,6 @@ struct SystolicConfig {
                                         std::int64_t m, std::int64_t k,
                                         std::int64_t n);
 
-/// Utilization of the array for the GEMM: useful MACs / (cycles * PEs).
-[[nodiscard]] double gemm_utilization(const SystolicConfig& config,
-                                      std::int64_t m, std::int64_t k,
-                                      std::int64_t n);
-
 /// Total cycles for a whole model workload on one array.
 [[nodiscard]] std::uint64_t workload_cycles(
     const SystolicConfig& config, const workload::ModelWorkload& workload);

@@ -109,6 +109,4 @@ double softmax_worst_error(int n, int breakpoints, int trials, double scale,
   return worst;
 }
 
-std::size_t softmax_approx_ops(std::size_t n) { return 2 * n + 1; }
-
 }  // namespace nova::approx

@@ -42,9 +42,4 @@ void gelu_pwl(std::span<const float> in, std::span<float> out,
                                          double scale = 3.0,
                                          std::uint64_t seed = 11);
 
-/// Counts how many non-linear *element* operations a softmax over n inputs
-/// costs on the vector unit: n exp lookups + 1 reciprocal lookup + n
-/// multiplies (executed on the same MAC datapath).
-[[nodiscard]] std::size_t softmax_approx_ops(std::size_t n);
-
 }  // namespace nova::approx

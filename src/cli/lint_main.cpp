@@ -111,6 +111,18 @@ void lint_graph(const nova::pipeline::OpGraph& graph,
   json_rows += "]}";
 }
 
+/// Writes `text` to `path`. False when the file cannot be opened, a write
+/// fails or closing it does: a full device shows only when the buffered
+/// bytes are flushed at close.
+bool write_file(const std::string& path, const std::string& text) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) return false;
+  const bool wrote =
+      std::fwrite(text.data(), 1, text.size(), out) == text.size();
+  const bool closed = std::fclose(out) == 0;
+  return wrote && closed;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,33 +204,26 @@ int main(int argc, char** argv) {
                         " warnings";
   std::printf("%s\n", summary.c_str());
 
-  if (!report_path.empty()) {
-    std::FILE* out = std::fopen(report_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "nova_lint: cannot write report to '%s'\n",
-                   report_path.c_str());
-      return 2;
-    }
-    std::fputs(body.c_str(), out);
-    std::fputs(summary.c_str(), out);
-    std::fputs("\n", out);
-    std::fclose(out);
+  if (!report_path.empty() &&
+      !write_file(report_path, body + summary + "\n")) {
+    std::fprintf(stderr, "nova_lint: cannot write report to '%s'\n",
+                 report_path.c_str());
+    return 2;
   }
 
   if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
+    const std::string json =
+        "{\n  \"tool\": \"nova_lint\",\n  \"graphs\": [\n" + json_rows +
+        "\n  ],\n  \"summary\": {\"graphs\": " +
+        std::to_string(totals.graphs) +
+        ", \"clean\": " + std::to_string(totals.clean) +
+        ", \"errors\": " + std::to_string(totals.errors) +
+        ", \"warnings\": " + std::to_string(totals.warnings) + "}\n}\n";
+    if (!write_file(json_path, json)) {
       std::fprintf(stderr, "nova_lint: cannot write JSON to '%s'\n",
                    json_path.c_str());
       return 2;
     }
-    std::fprintf(out,
-                 "{\n  \"tool\": \"nova_lint\",\n  \"graphs\": [\n%s\n  ],\n"
-                 "  \"summary\": {\"graphs\": %d, \"clean\": %d, "
-                 "\"errors\": %d, \"warnings\": %d}\n}\n",
-                 json_rows.c_str(), totals.graphs, totals.clean, totals.errors,
-                 totals.warnings);
-    std::fclose(out);
   }
   return totals.errors == 0 ? 0 : 1;
 }

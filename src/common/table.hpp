@@ -28,8 +28,6 @@ class Table {
   /// Renders to stdout (ASCII form).
   void print() const;
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -1,12 +1,12 @@
 // Paper synthesis anchors (Table III, Table IV) and the calibration layer
 // that pins our structural component model to them.
 //
-// Methodology (DESIGN.md Section 5): the structural model in
-// vector_unit_cost.cpp reproduces the paper's published numbers within a few
-// percent for most (accelerator, unit) pairs. Residuals -- chiefly the
-// paper's unstated switching-activity assumptions -- are absorbed into
-// per-pair multiplicative calibration factors, computed here as
-// anchor / structural. Every bench prints the factors so they are auditable;
+// Methodology (README, "Substitutions and calibration"): the structural
+// model in vector_unit_cost.cpp reproduces the paper's published numbers
+// within a few percent for most (accelerator, unit) pairs. Residuals --
+// chiefly the paper's unstated switching-activity assumptions -- are
+// absorbed into per-pair multiplicative calibration factors, computed here
+// as anchor / structural. Every bench prints the factors so they are auditable;
 // a regression test asserts the structural model stays within documented
 // tolerance bands.
 #pragma once

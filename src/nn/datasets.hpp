@@ -1,5 +1,6 @@
 // Synthetic dataset generators standing in for MNIST / CIFAR-10 / SST-2-like
-// corpora in the Table I accuracy study (see DESIGN.md, substitution table).
+// corpora in the Table I accuracy study (README, "Substitutions and
+// calibration").
 // Each generator is procedural and fully deterministic from its seed.
 #pragma once
 

@@ -4,7 +4,7 @@
 
 namespace nova::nn {
 
-Dense::Dense(ParamSet& params, int in, int out, Rng& rng) : out_(out) {
+Dense::Dense(ParamSet& params, int in, int out, Rng& rng) {
   // He-style scaling keeps activations in range for ReLU/GeLU stacks.
   const double stddev = std::sqrt(2.0 / in);
   w_ = params.add(Tensor::randn({in, out}, rng, stddev));

@@ -40,11 +40,9 @@ class Dense {
  public:
   Dense(ParamSet& params, int in, int out, Rng& rng);
   [[nodiscard]] Var forward(const Var& x) const;
-  [[nodiscard]] int out_features() const { return out_; }
 
  private:
   Var w_, b_;
-  int out_ = 0;
 };
 
 /// Standard convolution on CHW inputs.

@@ -1,7 +1,6 @@
 #include "nn/tensor.hpp"
 
 #include <numeric>
-#include <sstream>
 
 namespace nova::nn {
 
@@ -60,17 +59,6 @@ Tensor Tensor::reshaped(std::vector<int> shape) const {
 
 void Tensor::fill(float v) {
   for (auto& x : data_) x = v;
-}
-
-std::string Tensor::shape_str() const {
-  std::ostringstream out;
-  out << "[";
-  for (std::size_t i = 0; i < shape_.size(); ++i) {
-    if (i != 0) out << ",";
-    out << shape_[i];
-  }
-  out << "]";
-  return out.str();
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

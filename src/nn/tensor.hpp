@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -42,7 +41,6 @@ class Tensor {
   [[nodiscard]] Tensor reshaped(std::vector<int> shape) const;
 
   void fill(float v);
-  [[nodiscard]] std::string shape_str() const;
 
  private:
   std::vector<int> shape_;

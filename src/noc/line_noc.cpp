@@ -1,7 +1,7 @@
 #include "noc/line_noc.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -17,16 +17,6 @@ LineNoc::LineNoc(const LineNocConfig& config, sim::StatRegistry* stats)
     id_register_latches_ = stats_->counter_id("noc.register_latches");
     id_flits_injected_ = stats_->counter_id("noc.flits_injected");
   }
-}
-
-void LineNoc::set_observer(Observer observer) {
-  if (observer == nullptr) {
-    observer_adapter_.reset();
-    sink_ = nullptr;
-    return;
-  }
-  observer_adapter_ = std::make_unique<FunctionSink>(std::move(observer));
-  sink_ = observer_adapter_.get();
 }
 
 void LineNoc::inject(Flit flit) { inject_queue_.push_back(std::move(flit)); }

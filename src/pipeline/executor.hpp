@@ -126,8 +126,6 @@ class PipelineExecutor {
 
   [[nodiscard]] PipelineTimeline execute(const OpGraph& graph) const;
 
-  [[nodiscard]] double vector_rate() const { return vector_rate_; }
-
  private:
   accel::AcceleratorModel accel_;
   ExecutorConfig config_;

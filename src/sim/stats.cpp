@@ -18,11 +18,6 @@ double Histogram::mean() const {
   return sum_ / static_cast<double>(samples_.size());
 }
 
-double Histogram::min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
 double Histogram::max() const {
   if (samples_.empty()) return 0.0;
   return *std::max_element(samples_.begin(), samples_.end());
@@ -43,11 +38,6 @@ double Histogram::percentile(double p) const {
   return *nth;
 }
 
-void Histogram::clear() {
-  samples_.clear();
-  sum_ = 0.0;
-}
-
 StatId StatRegistry::counter_id(const std::string& name) {
   const auto it = counter_index_.find(name);
   if (it != counter_index_.end()) return StatId(it->second);
@@ -55,14 +45,6 @@ StatId StatRegistry::counter_id(const std::string& name) {
   counter_index_.emplace(name, index);
   counter_values_.push_back(0);
   return StatId(index);
-}
-
-void StatRegistry::bump(const std::string& name, std::uint64_t delta) {
-  bump(counter_id(name), delta);
-}
-
-void StatRegistry::sample(const std::string& name, double value) {
-  accumulators_[name].add(value);
 }
 
 Accumulator& StatRegistry::accumulator(const std::string& name) {
@@ -97,38 +79,6 @@ double StatRegistry::mean(const std::string& name) const {
   const auto it = accumulators_.find(name);
   if (it == accumulators_.end() || it->second.n == 0) return 0.0;
   return it->second.sum / static_cast<double>(it->second.n);
-}
-
-void StatRegistry::clear() {
-  // Issued StatIds must survive a clear, so the intern table stays and only
-  // the values reset.
-  std::fill(counter_values_.begin(), counter_values_.end(), 0);
-  accumulators_.clear();
-  histograms_.clear();
-}
-
-Table StatRegistry::to_table(const std::string& title) const {
-  Table t(title);
-  t.set_header({"stat", "value", "samples"});
-  for (const auto& [name, index] : counter_index_) {
-    // Interning alone (counter_id with no bump) adds no row; the rendered
-    // table depends only on what was counted, not on which face counted it.
-    if (counter_values_[index] == 0) continue;
-    t.add_row({name, std::to_string(counter_values_[index]), "-"});
-  }
-  for (const auto& [name, acc] : accumulators_) {
-    if (acc.n == 0) continue;  // resolved by accumulator() but never added to
-    t.add_row({name + " (mean)", Table::num(mean(name), 4),
-               std::to_string(acc.n)});
-  }
-  for (const auto& [name, hist] : histograms_) {
-    const std::string n = std::to_string(hist.count());
-    t.add_row({name + " (p50)", Table::num(hist.percentile(50.0), 4), n});
-    t.add_row({name + " (p95)", Table::num(hist.percentile(95.0), 4), n});
-    t.add_row({name + " (p99)", Table::num(hist.percentile(99.0), 4), n});
-    t.add_row({name + " (max)", Table::num(hist.max(), 4), n});
-  }
-  return t;
 }
 
 }  // namespace nova::sim

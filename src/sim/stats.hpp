@@ -1,4 +1,4 @@
-// Named statistic counters shared by the simulators; renders to a Table.
+// Named statistic counters shared by the simulators.
 #pragma once
 
 #include <cstddef>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/table.hpp"
 
 namespace nova::sim {
 
@@ -17,12 +16,12 @@ namespace nova::sim {
 /// here -- request latencies, batch sizes -- are bounded by request count,
 /// so exact percentiles are affordable and reproducible).
 ///
-/// Empty-histogram contract: count() == 0 and sum() == 0.0, and the three
-/// order statistics -- min(), max(), percentile(p) -- all return 0.0 (there
-/// is no sample to report; callers that need to distinguish "no samples"
-/// from "samples at zero" must check count() first). The contract is
-/// deliberately a documented return, not an assertion: to_table() renders
-/// registered-but-never-recorded histograms.
+/// Empty-histogram contract: count() == 0 and sum() == 0.0, and both
+/// order statistics -- max() and percentile(p) -- return 0.0 (there is no
+/// sample to report; callers that need to distinguish "no samples" from
+/// "samples at zero" must check count() first). The contract is
+/// deliberately a documented return, not an assertion: a report may read
+/// a histogram that was registered but never recorded.
 class Histogram {
  public:
   void record(double value);
@@ -33,8 +32,6 @@ class Histogram {
   [[nodiscard]] double sum() const { return sum_; }
   /// Mean of the samples; 0.0 when empty.
   [[nodiscard]] double mean() const;
-  /// Smallest sample; 0.0 when empty (see the empty-histogram contract).
-  [[nodiscard]] double min() const;
   /// Largest sample; 0.0 when empty (see the empty-histogram contract).
   [[nodiscard]] double max() const;
 
@@ -47,8 +44,6 @@ class Histogram {
   /// Reserves room for `n` samples, so a caller that knows its sample
   /// count records without regrowing the store.
   void reserve(std::size_t n) { samples_.reserve(n); }
-
-  void clear();
 
  private:
   /// In record order until percentile() partially reorders them; no query
@@ -72,8 +67,7 @@ struct Accumulator {
 /// Pre-resolved handle to a StatRegistry counter: a dense index interned
 /// once on a cold path (typically a constructor), then bumped with a single
 /// vector add on hot paths -- no string hashing or map walk per event.
-/// Valid only for the registry that issued it; registry.clear() zeroes the
-/// counter but keeps the handle valid.
+/// Valid only for the registry that issued it.
 class StatId {
  public:
   StatId() = default;
@@ -90,13 +84,10 @@ class StatId {
 /// for means), and histograms (distributions with percentiles). Lookup by
 /// name creates on first use so instrumentation sites stay one-liners.
 ///
-/// Counters have two faces over one dense store:
-///   * the string API (bump/counter by name) for cold paths and reporting,
-///   * the interned-ID API (counter_id once, then bump(StatId)) for hot
-///     loops -- the name resolves to an index into a dense value vector, so
-///     a bump is one add with no per-event string work.
-/// Both faces read and write the same values; mixing them on one name is
-/// fine and totals agree exactly.
+/// Counters are written through interned ids (counter_id once, then
+/// bump(StatId)): the name resolves to an index into a dense value vector,
+/// so a bump is one add with no per-event string work. Reports read them
+/// back by name.
 class StatRegistry {
  public:
   /// Interns `name` and returns its dense handle; idempotent (the same name
@@ -116,18 +107,9 @@ class StatRegistry {
     return counter_values_[id.index_];
   }
 
-  /// Increments counter `name` by `delta` (string face; interns on first
-  /// use).
-  void bump(const std::string& name, std::uint64_t delta = 1);
-
-  /// Adds a sample to accumulator `name`.
-  void sample(const std::string& name, double value);
-
-  /// Returns accumulator `name`, creating it empty on first use: the
-  /// hot-path face of sample(). Resolve the name once, then add() per
-  /// event -- no string work per sample. The reference stays valid until
-  /// clear(). An accumulator nothing was added to renders no to_table row,
-  /// so resolving one early changes no output.
+  /// Returns accumulator `name`, creating it empty on first use. Resolve
+  /// the name once, then add() per event -- no string work per sample; the
+  /// registry never drops an accumulator, so the reference stays valid.
   Accumulator& accumulator(const std::string& name);
 
   /// Returns histogram `name`, creating it on first use.
@@ -141,19 +123,8 @@ class StatRegistry {
   [[nodiscard]] double sum(const std::string& name) const;
   [[nodiscard]] std::uint64_t sample_count(const std::string& name) const;
 
-  /// Zeroes every counter (keeping issued StatIds valid) and drops all
-  /// accumulators and histograms.
-  void clear();
-
-  /// Renders all statistics as a two/three-column table; histograms expand
-  /// into p50/p95/p99/max rows. Counters appear once nonzero, so a name
-  /// that was interned but never bumped adds no row -- the table is
-  /// identical whether a site used the string or the interned face.
-  [[nodiscard]] Table to_table(const std::string& title = "statistics") const;
-
  private:
-  /// Name -> dense index; iteration order (sorted by name) fixes the
-  /// to_table row order.
+  /// Name -> dense index.
   std::map<std::string, std::uint32_t> counter_index_;
   std::vector<std::uint64_t> counter_values_;
   std::map<std::string, Accumulator> accumulators_;

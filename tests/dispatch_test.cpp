@@ -240,7 +240,9 @@ ServeReport reference_run(const ServeConfig& config,
     if (const auto failed_at = faults.outage_in(instance, start, finish)) {
       for (const Unit& unit : batch) {
         const auto us = static_cast<std::size_t>(unit.id);
-        if (continuous) report.stats.bump("serve.preempted_steps");
+        if (continuous) {
+          report.stats.bump(report.stats.counter_id("serve.preempted_steps"));
+        }
         if (unit.attempt > policy.max_retries) {
           report.outcomes[us].status = RequestStatus::kFailed;
           report.outcomes[us].attempts = retries[us] + unit.attempt;
@@ -248,8 +250,8 @@ ServeReport reference_run(const ServeConfig& config,
         } else {
           const double backoff_us =
               retry_backoff_us(policy, unit.attempt, unit.id, config.seed);
-          report.stats.sample("serve.backoff_us", backoff_us);
-          report.stats.bump("serve.retries");
+          report.stats.accumulator("serve.backoff_us").add(backoff_us);
+          report.stats.bump(report.stats.counter_id("serve.retries"));
           pending.push_back({*failed_at + backoff_us, unit.id,
                              unit.attempt + 1});
         }
@@ -273,7 +275,9 @@ ServeReport reference_run(const ServeConfig& config,
       }
       done[us] += 1;
       if (done[us] == 1) first_finish[us] = finish;
-      if (continuous) report.stats.bump("serve.steps");
+      if (continuous) {
+        report.stats.bump(report.stats.counter_id("serve.steps"));
+      }
       if (done[us] < units(unit.id)) {
         pending.push_back({finish, unit.id, 1});
         continue;
@@ -300,8 +304,9 @@ ServeReport reference_run(const ServeConfig& config,
     inst.busy_us += service_us;
     report.stats.histogram("serve.batch_size")
         .record(static_cast<double>(batch.size()));
-    report.stats.bump("serve.batches");
-    report.stats.bump("serve.requests", static_cast<std::uint64_t>(completed));
+    report.stats.bump(report.stats.counter_id("serve.batches"));
+    report.stats.bump(report.stats.counter_id("serve.requests"),
+                      static_cast<std::uint64_t>(completed));
     free_at[is] = finish;
     last_finish = std::max(last_finish, finish);
     ++batch_id;

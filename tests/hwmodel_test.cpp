@@ -141,8 +141,9 @@ TEST_P(CalibrationAccuracy, StructuralModelWithinToleranceOfPaper) {
   // The structural (uncalibrated) model must land near every published
   // anchor. Area is a clean synthesis output: 25% band. Power depends on
   // unpublished switching activity: 50% band, with two documented outliers
-  // (DESIGN.md Section 5): NVDLA-NOVA (paper's tiny 1.294 mW implies a far
-  // lower duty cycle than the synthesis default) and REACT-NOVA.
+  // (README, "Substitutions and calibration"): NVDLA-NOVA (paper's tiny
+  // 1.294 mW implies a far lower duty cycle than the synthesis default) and
+  // REACT-NOVA.
   const auto [accel, kind] = GetParam();
   const auto anchor = paper_anchor(accel, kind);
   ASSERT_TRUE(anchor.has_value());

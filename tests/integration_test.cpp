@@ -4,19 +4,15 @@
 //  * Differential: NOVA cycle simulation == LUT baseline == functional
 //    fixed-point evaluation, across a parameterized sweep of deployments
 //    and functions.
-//  * Softmax engine: on-unit softmax matches the reference softmax_pwl
-//    operator and keeps row sums near 1.
-//  * Traffic model: conservation and fold-scaling properties.
 //  * Energy: structural orderings that the paper's conclusions rest on.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
+#include <vector>
 
-#include "accel/traffic.hpp"
 #include "approx/mlp_fitter.hpp"
-#include "approx/softmax.hpp"
 #include "common/rng.hpp"
-#include "core/softmax_engine.hpp"
+#include "core/overlay.hpp"
 #include "lut/lut_unit.hpp"
 
 namespace nova {
@@ -87,229 +83,6 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{NonLinearFn::kSigmoid, 16, 10, 64, 128},
         SweepCase{NonLinearFn::kReciprocal, 16, 4, 32, 64},
         SweepCase{NonLinearFn::kSilu, 32, 4, 16, 50}));
-
-TEST(SoftmaxEngine, MatchesReferenceOperatorWithinQuantization) {
-  core::NovaConfig cfg;
-  cfg.routers = 4;
-  cfg.neurons_per_router = 32;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  Rng rng(31);
-  std::vector<std::vector<double>> rows(12);
-  for (auto& row : rows) {
-    for (int i = 0; i < 48; ++i) row.push_back(rng.normal(0.0, 2.0));
-  }
-  const auto report = engine.run(rows);
-  ASSERT_EQ(report.probabilities.size(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    std::vector<float> in(rows[r].begin(), rows[r].end());
-    std::vector<float> expect(in.size());
-    approx::softmax_pwl(in, expect, 16);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      // The engine's final scale runs in Q6.10; allow quantization slack
-      // around the float reference path.
-      EXPECT_NEAR(report.probabilities[r][i], expect[i], 3e-3);
-    }
-  }
-}
-
-TEST(SoftmaxEngine, RowSumsStayNearOne) {
-  core::NovaConfig cfg;
-  cfg.routers = 8;
-  cfg.neurons_per_router = 128;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  Rng rng(37);
-  std::vector<std::vector<double>> rows(16);
-  for (auto& row : rows) {
-    for (int i = 0; i < 256; ++i) row.push_back(rng.normal(0.0, 1.5));
-  }
-  const auto report = engine.run(rows);
-  EXPECT_LT(report.worst_row_sum_error, 0.05);
-  EXPECT_GT(report.exp_cycles, 0u);
-  EXPECT_GT(report.recip_cycles, 0u);
-  EXPECT_GT(report.energy.total_pj(), 0.0);
-}
-
-TEST(SoftmaxEngine, CycleCostDominatedByExpPhase) {
-  // exp does n lookups per row; reciprocal only one per row.
-  core::NovaConfig cfg;
-  cfg.routers = 4;
-  cfg.neurons_per_router = 64;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  Rng rng(41);
-  std::vector<std::vector<double>> rows(8);
-  for (auto& row : rows) {
-    for (int i = 0; i < 512; ++i) row.push_back(rng.normal(0.0, 1.0));
-  }
-  const auto report = engine.run(rows);
-  EXPECT_GT(report.exp_cycles, report.recip_cycles);
-}
-
-TEST(SoftmaxEngine, HandlesRaggedRows) {
-  // Rows of wildly different lengths distribute round-robin over routers;
-  // every row must still normalize independently.
-  core::NovaConfig cfg;
-  cfg.routers = 4;
-  cfg.neurons_per_router = 32;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  Rng rng(51);
-  const std::vector<std::size_t> lengths = {5, 1, 9, 3, 17, 2, 33};
-  std::vector<std::vector<double>> rows(lengths.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t i = 0; i < lengths[r]; ++i) {
-      rows[r].push_back(rng.normal(0.0, 1.5));
-    }
-  }
-  const auto report = engine.run(rows);
-  ASSERT_EQ(report.probabilities.size(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    ASSERT_EQ(report.probabilities[r].size(), lengths[r]) << "row " << r;
-    double sum = 0.0;
-    for (const double p : report.probabilities[r]) {
-      EXPECT_GE(p, 0.0);
-      EXPECT_LE(p, 1.0 + 5e-3);
-      sum += p;
-    }
-    EXPECT_NEAR(sum, 1.0, 0.05) << "row " << r;
-  }
-  EXPECT_LT(report.worst_row_sum_error, 0.05);
-}
-
-TEST(SoftmaxEngine, SingleElementRowsCollapseToOne) {
-  // softmax of a single logit is exactly 1 regardless of its value; the
-  // engine only pays quantization and fit error on the way there.
-  core::NovaConfig cfg;
-  cfg.routers = 4;
-  cfg.neurons_per_router = 16;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  std::vector<std::vector<double>> rows = {{-3.7}, {0.0}, {2.9}, {100.0}};
-  const auto report = engine.run(rows);
-  ASSERT_EQ(report.probabilities.size(), rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    ASSERT_EQ(report.probabilities[r].size(), 1u);
-    EXPECT_NEAR(report.probabilities[r][0], 1.0, 0.02) << "row " << r;
-  }
-  EXPECT_LT(report.worst_row_sum_error, 0.02);
-}
-
-TEST(SoftmaxEngine, EmptyBatchIsFreeAndErrorFree) {
-  core::NovaConfig cfg;
-  cfg.routers = 4;
-  cfg.neurons_per_router = 16;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  const auto report = engine.run({});
-  EXPECT_TRUE(report.probabilities.empty());
-  EXPECT_EQ(report.scale_cycles, 0u);
-  EXPECT_DOUBLE_EQ(report.worst_row_sum_error, 0.0);
-}
-
-TEST(SoftmaxEngine, EmptyRowsInsideABatchAreSkipped) {
-  core::NovaConfig cfg;
-  cfg.routers = 2;
-  cfg.neurons_per_router = 16;
-  auto& lib = approx::PwlLibrary::instance();
-  core::NovaSoftmaxEngine engine(cfg, lib.get(NonLinearFn::kExp, 16),
-                                 lib.get(NonLinearFn::kReciprocal, 16));
-  std::vector<std::vector<double>> rows = {{}, {0.5, -0.5}, {}, {1.0}};
-  const auto report = engine.run(rows);
-  ASSERT_EQ(report.probabilities.size(), rows.size());
-  EXPECT_TRUE(report.probabilities[0].empty());
-  EXPECT_TRUE(report.probabilities[2].empty());
-  double sum = 0.0;
-  for (const double p : report.probabilities[1]) sum += p;
-  EXPECT_NEAR(sum, 1.0, 0.05);
-  EXPECT_NEAR(report.probabilities[3][0], 1.0, 0.02);
-}
-
-TEST(SoftmaxEngine, RowSumErrorBoundedAcrossBreakpointCounts) {
-  // The quality knob the paper sweeps: more PWL segments must keep the
-  // worst row-sum deviation bounded, and high-resolution tables must not
-  // be (meaningfully) worse than coarse ones.
-  core::NovaConfig cfg;
-  cfg.routers = 4;
-  cfg.neurons_per_router = 64;
-  auto& lib = approx::PwlLibrary::instance();
-  Rng rng(61);
-  std::vector<std::vector<double>> rows(8);
-  for (auto& row : rows) {
-    for (int i = 0; i < 96; ++i) row.push_back(rng.normal(0.0, 1.5));
-  }
-  double coarse_error = 0.0;
-  double fine_error = 0.0;
-  for (const int breakpoints : {8, 16, 32, 64}) {
-    core::NovaSoftmaxEngine engine(
-        cfg, lib.get(NonLinearFn::kExp, breakpoints),
-        lib.get(NonLinearFn::kReciprocal, breakpoints));
-    const auto report = engine.run(rows);
-    EXPECT_LT(report.worst_row_sum_error, 0.08)
-        << breakpoints << " breakpoints";
-    if (breakpoints == 8) coarse_error = report.worst_row_sum_error;
-    if (breakpoints == 64) fine_error = report.worst_row_sum_error;
-  }
-  // Allow fixed-point noise, but 64 segments must not lose badly to 8.
-  EXPECT_LE(fine_error, coarse_error + 0.01);
-}
-
-TEST(Traffic, WeightStationarySingleFoldHandCount) {
-  // 8x8 array, m=4, k=8, n=8 (one fold): filter 8*8*2 B, ifmap 4*8*2 B,
-  // ofmap 4*8*2 B; DRAM identical (no partial-sum spill).
-  const accel::SystolicConfig cfg{8, 8, accel::Dataflow::kWeightStationary};
-  const auto t = accel::gemm_traffic(cfg, 4, 8, 8);
-  EXPECT_EQ(t.filter_sram_reads, 128);
-  EXPECT_EQ(t.ifmap_sram_reads, 64);
-  EXPECT_EQ(t.ofmap_sram_writes, 64);
-  EXPECT_EQ(t.dram_ofmap, 64);
-}
-
-TEST(Traffic, PartialSumSpillGrowsWithRowFolds) {
-  const accel::SystolicConfig cfg{8, 8, accel::Dataflow::kWeightStationary};
-  const auto one_fold = accel::gemm_traffic(cfg, 4, 8, 8);
-  const auto two_folds = accel::gemm_traffic(cfg, 4, 16, 8);
-  // k doubled -> 2 row folds -> ofmap DRAM = m*n*(2*2-1) = 3x the single
-  // fold's m*n.
-  EXPECT_EQ(two_folds.dram_ofmap, 3 * one_fold.dram_ofmap);
-}
-
-TEST(Traffic, OutputStationaryWritesOutputsOnce) {
-  const accel::SystolicConfig cfg{8, 8, accel::Dataflow::kOutputStationary};
-  const auto t = accel::gemm_traffic(cfg, 16, 64, 16);
-  EXPECT_EQ(t.ofmap_sram_writes, 16 * 16 * 2);
-  EXPECT_EQ(t.dram_ofmap, 16 * 16 * 2);
-}
-
-TEST(Traffic, WorkloadTrafficSumsGemms) {
-  const accel::SystolicConfig cfg{128, 128,
-                                  accel::Dataflow::kWeightStationary};
-  const auto wl = workload::model_workload(workload::bert_tiny(128));
-  const auto total = accel::workload_traffic(cfg, wl);
-  std::int64_t by_hand = 0;
-  for (const auto& g : wl.gemms) {
-    by_hand += accel::gemm_traffic(cfg, g.m, g.k, g.n).total_dram() * g.count;
-  }
-  EXPECT_EQ(total.total_dram(), by_hand);
-}
-
-TEST(Traffic, ArithmeticIntensityIsPositiveAndFinite) {
-  const accel::SystolicConfig cfg{128, 128,
-                                  accel::Dataflow::kWeightStationary};
-  for (const auto& model : workload::paper_benchmarks(1024)) {
-    const double ai =
-        accel::arithmetic_intensity(cfg, workload::model_workload(model));
-    EXPECT_GT(ai, 0.0) << model.name;
-    EXPECT_TRUE(std::isfinite(ai)) << model.name;
-  }
-}
 
 TEST(EnergyOrdering, NovaPerElementEnergyFallsWithNeuronCount) {
   // The broadcast amortizes across neurons: NOVA's marginal energy per

@@ -25,6 +25,20 @@ namespace {
 
 class NocProperties : public ::testing::TestWithParam<int> {};
 
+/// Records the cycle each (flit tag, router) observation happens in, and
+/// counts repeats.
+class ScheduleSink final : public noc::CaptureSink {
+ public:
+  void on_observation(int router, const noc::Flit& flit,
+                      sim::Cycle noc_now) override {
+    const auto key = std::make_pair(flit.tag(), router);
+    if (seen.contains(key)) ++duplicates;
+    seen[key] = noc_now;
+  }
+  std::map<std::pair<int, int>, sim::Cycle> seen;
+  int duplicates = 0;
+};
+
 TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   for (int trial = 0; trial < 8; ++trial) {
@@ -34,15 +48,9 @@ TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
 
     sim::StatRegistry stats;
     noc::LineNoc line(noc::LineNocConfig{routers, hops}, &stats);
-    // observation[(flit tag, router)] -> cycle
-    std::map<std::pair<int, int>, sim::Cycle> seen;
-    int duplicates = 0;
-    line.set_observer([&](int router, const noc::Flit& flit,
-                          sim::Cycle now) {
-      const auto key = std::make_pair(flit.tag(), router);
-      if (seen.contains(key)) ++duplicates;
-      seen[key] = now;
-    });
+    ScheduleSink sink;
+    line.set_sink(&sink);
+    auto& seen = sink.seen;
     for (int f = 0; f < flits; ++f) {
       line.inject(noc::Flit(f, std::vector<noc::SlopeBiasPair>(8)));
     }
@@ -50,7 +58,7 @@ TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
       line.tick(static_cast<sim::Cycle>(c));
     }
     EXPECT_TRUE(line.idle());
-    EXPECT_EQ(duplicates, 0);
+    EXPECT_EQ(sink.duplicates, 0);
     ASSERT_EQ(seen.size(), static_cast<std::size_t>(routers) * flits);
     for (int f = 0; f < flits; ++f) {
       for (int j = 0; j < routers; ++j) {

@@ -26,85 +26,23 @@ TEST(Stats, CounterIdInterningIsIdempotent) {
   EXPECT_EQ(stats.counter_id("noc.observations"), a);
 }
 
-TEST(Stats, DenseAndStringFacesShareOneCounter) {
-  StatRegistry stats;
-  const StatId id = stats.counter_id("ops");
-  stats.bump(id, 5);
-  stats.bump("ops", 2);
-  stats.bump(id);
-  EXPECT_EQ(stats.counter("ops"), 8u);
-  EXPECT_EQ(stats.counter(id), 8u);
-  // A name first seen by the string face resolves to the same counter.
-  stats.bump("late", 3);
-  EXPECT_EQ(stats.counter(stats.counter_id("late")), 3u);
-}
-
-TEST(Stats, ToTableParityBetweenFaces) {
-  StatRegistry by_string;
-  by_string.bump("alpha", 3);
-  by_string.bump("beta", 7);
-
-  StatRegistry by_id;
-  const StatId alpha = by_id.counter_id("alpha");
-  const StatId beta = by_id.counter_id("beta");
-  // Interned but never bumped: must not add a row.
-  (void)by_id.counter_id("never_bumped");
-  by_id.bump(alpha, 2);
-  by_id.bump(alpha);
-  by_id.bump(beta, 7);
-
-  EXPECT_EQ(by_string.to_table().to_ascii(), by_id.to_table().to_ascii());
-  EXPECT_EQ(by_id.to_table().to_ascii().find("never_bumped"),
-            std::string::npos);
-}
-
-TEST(Stats, ClearZeroesCountersButKeepsIdsValid) {
-  StatRegistry stats;
-  const StatId id = stats.counter_id("x");
-  stats.bump(id, 9);
-  stats.clear();
-  EXPECT_EQ(stats.counter(id), 0u);
-  EXPECT_EQ(stats.counter("x"), 0u);
-  stats.bump(id, 4);  // the handle survives the clear
-  EXPECT_EQ(stats.counter("x"), 4u);
-}
-
 TEST(Stats, CountersAccumulate) {
   StatRegistry stats;
-  stats.bump("flits");
-  stats.bump("flits", 4);
+  const StatId flits = stats.counter_id("flits");
+  stats.bump(flits);
+  stats.bump(flits, 4);
+  EXPECT_EQ(stats.counter(flits), 5u);
   EXPECT_EQ(stats.counter("flits"), 5u);
   EXPECT_EQ(stats.counter("missing"), 0u);
 }
 
 TEST(Stats, AccumulatorsTrackMeanAndSum) {
   StatRegistry stats;
-  stats.sample("latency", 2.0);
-  stats.sample("latency", 4.0);
+  stats.accumulator("latency").add(2.0);
+  stats.accumulator("latency").add(4.0);
   EXPECT_DOUBLE_EQ(stats.mean("latency"), 3.0);
   EXPECT_DOUBLE_EQ(stats.sum("latency"), 6.0);
   EXPECT_EQ(stats.sample_count("latency"), 2u);
-}
-
-TEST(Stats, ClearResetsEverything) {
-  StatRegistry stats;
-  stats.bump("x");
-  stats.sample("y", 1.0);
-  stats.clear();
-  EXPECT_EQ(stats.counter("x"), 0u);
-  EXPECT_EQ(stats.sample_count("y"), 0u);
-}
-
-TEST(Stats, TableContainsAllEntries) {
-  StatRegistry stats;
-  stats.bump("alpha", 3);
-  stats.sample("beta", 1.5);
-  stats.histogram("gamma").record(2.0);
-  const auto table = stats.to_table();
-  const std::string ascii = table.to_ascii();
-  EXPECT_NE(ascii.find("alpha"), std::string::npos);
-  EXPECT_NE(ascii.find("beta"), std::string::npos);
-  EXPECT_NE(ascii.find("gamma (p99)"), std::string::npos);
 }
 
 TEST(Histogram, NearestRankPercentiles) {
@@ -117,7 +55,6 @@ TEST(Histogram, NearestRankPercentiles) {
   EXPECT_DOUBLE_EQ(hist.percentile(100.0), 100.0);
   EXPECT_EQ(hist.count(), 100u);
   EXPECT_DOUBLE_EQ(hist.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
   EXPECT_DOUBLE_EQ(hist.max(), 100.0);
 }
 
@@ -176,9 +113,6 @@ TEST(Histogram, PercentilesMatchASortedCopyOnSeededSamples) {
             << label << " p" << p;
       }
       ASSERT_EQ(hist.count(), recorded.size()) << label;
-      ASSERT_EQ(hist.min(), *std::min_element(recorded.begin(),
-                                              recorded.end()))
-          << label;
       ASSERT_EQ(hist.max(), *std::max_element(recorded.begin(),
                                               recorded.end()))
           << label;
@@ -187,36 +121,16 @@ TEST(Histogram, PercentilesMatchASortedCopyOnSeededSamples) {
 }
 
 TEST(Histogram, EmptyIsZero) {
-  // The empty-histogram contract: all three order statistics (min, max,
-  // percentile) and the moments return 0.0, consistently.
+  // The empty-histogram contract: both order statistics (max, percentile)
+  // and the moments return 0.0, consistently.
   const Histogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_DOUBLE_EQ(hist.percentile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(hist.percentile(99.0), 0.0);
   EXPECT_DOUBLE_EQ(hist.percentile(100.0), 0.0);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
   EXPECT_DOUBLE_EQ(hist.max(), 0.0);
   EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
   EXPECT_DOUBLE_EQ(hist.sum(), 0.0);
-}
-
-TEST(Histogram, ClearRestoresEmptyContract) {
-  Histogram hist;
-  hist.record(4.0);
-  hist.record(-2.0);
-  hist.clear();
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_DOUBLE_EQ(hist.min(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 0.0);
-  EXPECT_DOUBLE_EQ(hist.percentile(50.0), 0.0);
-}
-
-TEST(Histogram, RegistryClearDropsHistograms) {
-  StatRegistry stats;
-  stats.histogram("lat").record(3.0);
-  EXPECT_NE(stats.find_histogram("lat"), nullptr);
-  stats.clear();
-  EXPECT_EQ(stats.find_histogram("lat"), nullptr);
 }
 
 }  // namespace
