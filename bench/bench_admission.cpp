@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "approx/mlp_fitter.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
 #include "serve/request.hpp"
@@ -202,42 +203,36 @@ int main(int argc, char** argv) {
   std::puts("");
   checks.print();
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") +
-                     ",\n  \"requests\": " + std::to_string(stream.size()) +
-                     ",\n  \"kv_max\": " + std::to_string(kv_max) +
-                     ",\n  \"sim_elements_cap\": " + std::to_string(cap) +
-                     ",\n  \"distinct_shapes\": " +
-                     std::to_string(audit.distinct_shapes) +
-                     ",\n  \"pricing_classes\": " +
-                     std::to_string(audit.classes) + ",\n  \"modes\": [\n";
   const auto mode_json = [](const char* name, const ModeResult& r) {
-    return std::string("    {\"mode\": \"") + name +
-           "\", \"seconds\": " + Table::num(r.seconds, 4) +
-           ", \"requests_per_sec\": " + Table::num(r.requests_per_sec, 1) +
-           ", \"anchor_runs\": " +
-           std::to_string(r.report.surrogate.anchors_priced) + "}";
+    return nova::json::Object()
+        .str("mode", name)
+        .num("seconds", r.seconds, 4)
+        .num("requests_per_sec", r.requests_per_sec, 1)
+        .num("anchor_runs", r.report.surrogate.anchors_priced);
   };
-  json += mode_json("exact", exact) + ",\n";
-  json += mode_json("surrogate", surrogate) + ",\n";
-  json += mode_json("hybrid", hybrid) + "\n  ],\n";
-  json += "  \"surrogate_speedup\": " + Table::num(speedup, 2) + ",\n";
-  json += "  \"max_rel_error\": " + Table::num(max_rel_error, 6) + ",\n";
-  json += "  \"hybrid_max_rel_error\": " +
-          Table::num(audit.max_rel_error, 6) + ",\n";
-  json += std::string("  \"hybrid_within_tolerance\": ") +
-          (audit.within_tolerance ? "true" : "false") + ",\n";
-  json += std::string("  \"hybrid_thread_identical\": ") +
-          (thread_identical ? "true" : "false") + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_admission.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_admission.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_admission.json");
+  if (!nova::json::write_file(
+          "BENCH_admission.json",
+          nova::json::Object()
+              .flag("smoke", smoke)
+              .num("requests", stream.size())
+              .num("kv_max", kv_max)
+              .num("sim_elements_cap", cap)
+              .num("distinct_shapes", audit.distinct_shapes)
+              .num("pricing_classes", audit.classes)
+              .list("modes", {mode_json("exact", exact),
+                              mode_json("surrogate", surrogate),
+                              mode_json("hybrid", hybrid)})
+              .num("surrogate_speedup", speedup, 2)
+              .num("max_rel_error", max_rel_error, 6)
+              .num("hybrid_max_rel_error", audit.max_rel_error, 6)
+              .flag("hybrid_within_tolerance", audit.within_tolerance)
+              .flag("hybrid_thread_identical", thread_identical)
+              .document())) {
+    std::fputs("bench_admission: cannot write BENCH_admission.json\n",
+               stderr);
+    return 2;
   }
+  std::puts("\nwrote BENCH_admission.json");
 
   bool ok = true;
   if (max_rel_error > 0.02) {

@@ -5,11 +5,8 @@
 // the whole session under whole-request dispatch. The grid sweeps
 // {whole, continuous} x {moderate, overload} arrival rates; each cell
 // reports p50/p99 latency, mean TTFT, goodput, and the outcome counts.
-// Emits BENCH_continuous.json for cross-PR tracking.
-//
-// `--smoke` shrinks the stream so CI can run the binary in seconds; the
-// JSON then carries "smoke": true so readers never compare smoke numbers
-// against full runs. Exit is non-zero when a gate fails:
+// Emits BENCH_continuous.json for cross-PR tracking. Exit is non-zero when
+// a gate fails:
 //   * at the overload rate, continuous p99 must beat whole-request p99 by
 //     at least 2x (iteration-level scheduling unblocks the short requests
 //     queued behind heavy sessions),
@@ -18,10 +15,10 @@
 //   * continuous reports must be byte-identical across --threads {1,2,8}
 //     at the overload rate, in hybrid pricing mode.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
 #include "serve/request.hpp"
@@ -110,48 +107,36 @@ struct Cell {
   nova::serve::ServeReport report;
 };
 
-std::string cell_json(const Cell& cell) {
+nova::json::Object cell_json(const Cell& cell) {
   const auto& r = cell.report;
   using nova::serve::RequestStatus;
-  return std::string("    {\"mode\": \"") + cell.mode +
-         "\", \"rate_rps\": " + Table::num(cell.rate_rps, 1) +
-         ", \"goodput_rps\": " + Table::num(r.goodput_rps, 1) +
-         ", \"throughput_rps\": " + Table::num(r.throughput_rps, 1) +
-         ", \"latency_p50_us\": " +
-         Table::num(r.latency_percentile_us(50.0), 3) +
-         ", \"latency_p99_us\": " +
-         Table::num(r.latency_percentile_us(99.0), 3) +
-         ", \"mean_ttft_us\": " + Table::num(mean_ttft_us(r), 3) +
-         ", \"ok\": " + std::to_string(r.status_count(RequestStatus::kOk)) +
-         ", \"retried\": " +
-         std::to_string(r.status_count(RequestStatus::kRetried)) +
-         ", \"shed\": " +
-         std::to_string(r.status_count(RequestStatus::kShed)) +
-         ", \"deadline_miss\": " +
-         std::to_string(r.status_count(RequestStatus::kDeadlineMiss)) +
-         ", \"failed\": " +
-         std::to_string(r.status_count(RequestStatus::kFailed)) +
-         ", \"steps\": " + std::to_string(r.stats.counter("serve.steps")) +
-         "}";
+  return nova::json::Object()
+      .str("mode", cell.mode)
+      .num("rate_rps", cell.rate_rps, 1)
+      .num("goodput_rps", r.goodput_rps, 1)
+      .num("throughput_rps", r.throughput_rps, 1)
+      .num("latency_p50_us", r.latency_percentile_us(50.0), 3)
+      .num("latency_p99_us", r.latency_percentile_us(99.0), 3)
+      .num("mean_ttft_us", mean_ttft_us(r), 3)
+      .num("ok", r.status_count(RequestStatus::kOk))
+      .num("retried", r.status_count(RequestStatus::kRetried))
+      .num("shed", r.status_count(RequestStatus::kShed))
+      .num("deadline_miss", r.status_count(RequestStatus::kDeadlineMiss))
+      .num("failed", r.status_count(RequestStatus::kFailed))
+      .num("steps", r.stats.counter("serve.steps"));
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
-  const int count = smoke ? 450 : 3000;
+int main() {
+  const int count = 3000;
   const double moderate_rps = 45000.0;
   const double overload_rps = 70000.0;
   const double deadline_us = 4000.0;
 
-  std::printf("Continuous batching%s: %d Poisson requests on %d NOVA "
+  std::printf("Continuous batching: %d Poisson requests on %d NOVA "
               "instances, tpuv4 host, hybrid pricing, chunk %d tokens\n\n",
-              smoke ? " (smoke mode)" : "", count, kInstances,
-              kChunkTokens);
+              count, kInstances, kChunkTokens);
 
   std::vector<Cell> cells;
   for (const double rate : {moderate_rps, overload_rps}) {
@@ -217,31 +202,25 @@ int main(int argc, char** argv) {
   std::puts("");
   checks.print();
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") +
-                     ",\n  \"requests\": " + std::to_string(count) +
-                     ",\n  \"instances\": " + std::to_string(kInstances) +
-                     ",\n  \"chunk_tokens\": " + std::to_string(kChunkTokens) +
-                     ",\n  \"deadline_us\": " + Table::num(deadline_us, 1) +
-                     ",\n  \"grid\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    json += cell_json(cells[i]) + (i + 1 < cells.size() ? ",\n" : "\n");
+  std::vector<nova::json::Object> grid;
+  grid.reserve(cells.size());
+  for (const auto& cell : cells) grid.push_back(cell_json(cell));
+  if (!nova::json::write_file("BENCH_continuous.json",
+                              nova::json::Object()
+                                  .num("requests", count)
+                                  .num("instances", kInstances)
+                                  .num("chunk_tokens", kChunkTokens)
+                                  .num("deadline_us", deadline_us, 1)
+                                  .list("grid", grid)
+                                  .num("p99_ratio_overload", p99_ratio, 3)
+                                  .flag("goodput_no_worse", goodput_ok)
+                                  .flag("thread_identical", thread_identical)
+                                  .document())) {
+    std::fputs("bench_continuous: cannot write BENCH_continuous.json\n",
+               stderr);
+    return 2;
   }
-  json += "  ],\n";
-  json += "  \"p99_ratio_overload\": " + Table::num(p99_ratio, 3) + ",\n";
-  json += std::string("  \"goodput_no_worse\": ") +
-          (goodput_ok ? "true" : "false") + ",\n";
-  json += std::string("  \"thread_identical\": ") +
-          (thread_identical ? "true" : "false") + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_continuous.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_continuous.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_continuous.json");
-  }
+  std::puts("\nwrote BENCH_continuous.json");
 
   bool ok = true;
   if (!thread_identical) {
@@ -250,21 +229,18 @@ int main(int argc, char** argv) {
                  "--threads {1,2,8}\n");
     ok = false;
   }
-  if (!smoke) {
-    if (p99_ratio < 2.0) {
-      std::fprintf(stderr,
-                   "bench_continuous: FAIL p99 at overload improved only "
-                   "%.3fx over whole-request dispatch, below the 2x "
-                   "floor\n",
-                   p99_ratio);
-      ok = false;
-    }
-    if (!goodput_ok) {
-      std::fprintf(stderr,
-                   "bench_continuous: FAIL continuous goodput fell below "
-                   "whole-request goodput at some grid rate\n");
-      ok = false;
-    }
+  if (p99_ratio < 2.0) {
+    std::fprintf(stderr,
+                 "bench_continuous: FAIL p99 at overload improved only "
+                 "%.3fx over whole-request dispatch, below the 2x floor\n",
+                 p99_ratio);
+    ok = false;
+  }
+  if (!goodput_ok) {
+    std::fprintf(stderr,
+                 "bench_continuous: FAIL continuous goodput fell below "
+                 "whole-request goodput at some grid rate\n");
+    ok = false;
   }
   return ok ? 0 : 1;
 }

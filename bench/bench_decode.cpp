@@ -8,45 +8,29 @@
 // so a bug in either cannot cancel out of the comparison. Emits every
 // series as machine-readable BENCH_decode.json for cross-PR tracking, like
 // BENCH_pipeline.json.
-//
-// `--smoke` shrinks the kv_len sweep so CI can run the binary in seconds;
-// the JSON then carries "smoke": true so readers never compare smoke
-// numbers against full runs.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/op_graph.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace nova;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
-  std::printf("Decode-step operator-graph timelines%s: kv_len sweep per "
-              "host\n\n",
-              smoke ? " (smoke mode)" : "");
+  std::puts("Decode-step operator-graph timelines: kv_len sweep per host\n");
 
   // Hosts come from the resolver catalog so a newly added host can never
   // silently skip the decode reconciliation sweep.
   std::vector<hw::AcceleratorKind> hosts;
   for (const auto& entry : accel::host_catalog()) hosts.push_back(entry.kind);
-  const std::vector<std::int64_t> kv_lens =
-      smoke ? std::vector<std::int64_t>{128, 1024}
-            : std::vector<std::int64_t>{128, 256, 512, 1024, 2048, 4096};
+  const std::vector<std::int64_t> kv_lens = {128, 256, 512, 1024, 2048, 4096};
 
   bool all_reconciled = true;
-  std::string json =
-      std::string("{\n  \"smoke\": ") + (smoke ? "true" : "false") +
-      ",\n  \"decode\": [\n";
-  bool first_row = true;
+  std::vector<json::Object> rows;
 
   for (const auto host : hosts) {
     const auto accel = accel::make_accelerator(host);
@@ -82,33 +66,28 @@ int main(int argc, char** argv) {
                        Table::num(eval.overlap_win, 3),
                        reconciled ? "exact" : "MISMATCH"});
 
-        json += std::string(first_row ? "" : ",\n") + "    {\"host\": \"" +
-                accel.name + "\", \"benchmark\": \"" + config.name +
-                "\", \"kv_len\": " + std::to_string(kv) +
-                ", \"decode_ops\": " +
-                std::to_string(graph.total_approx_ops()) +
-                ", \"serial_cycles\": " +
-                std::to_string(eval.serial.span_cycles) +
-                ", \"overlapped_cycles\": " +
-                std::to_string(eval.overlapped.span_cycles) +
-                ", \"overlap_win\": " + Table::num(eval.overlap_win, 4) +
-                ", \"reconciled\": " + (reconciled ? "true" : "false") + "}";
-        first_row = false;
+        rows.push_back(json::Object()
+                           .str("host", accel.name)
+                           .str("benchmark", config.name)
+                           .num("kv_len", kv)
+                           .num("decode_ops", graph.total_approx_ops())
+                           .num("serial_cycles", eval.serial.span_cycles)
+                           .num("overlapped_cycles",
+                                eval.overlapped.span_cycles)
+                           .num("overlap_win", eval.overlap_win, 4)
+                           .flag("reconciled", reconciled));
       }
     }
     table.print();
     std::puts("");
   }
-  json += "\n  ]\n}\n";
 
-  FILE* out = std::fopen("BENCH_decode.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("wrote BENCH_decode.json");
-  } else {
-    std::puts("warning: could not write BENCH_decode.json");
+  if (!json::write_file("BENCH_decode.json",
+                        json::Object().list("decode", rows).document())) {
+    std::fputs("bench_decode: cannot write BENCH_decode.json\n", stderr);
+    return 2;
   }
+  std::puts("wrote BENCH_decode.json");
 
   if (!all_reconciled) {
     std::puts("FAILED: a decode timeline diverged from the closed-form "

@@ -4,11 +4,8 @@
 // arrival rate. Each cell reports goodput, throughput, the per-status
 // outcome counts, and mean availability; a deadline + overload-shedding
 // row pair shows the policy trading late work for on-time work. Emits
-// BENCH_faults.json for cross-PR tracking.
-//
-// `--smoke` shrinks the stream so CI can run the binary in seconds; the
-// JSON then carries "smoke": true so readers never compare smoke numbers
-// against full runs. Exit is non-zero when a gate fails:
+// BENCH_faults.json for cross-PR tracking. Exit is non-zero when a gate
+// fails:
 //   * a hand-built zero-fault plan must be byte-identical to a run with no
 //     plan at all (the failure-aware dispatch loop reduces exactly to the
 //     pre-fault one),
@@ -21,10 +18,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
 #include "serve/faults.hpp"
@@ -113,21 +110,16 @@ struct Cell {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
-  const int count = smoke ? 400 : 3000;
+int main() {
+  const int count = 3000;
   const double moderate_rps = 60000.0;
   const double saturating_rps = 140000.0;
   const double deadline_us = 2000.0;
   const double shed_us = 500.0;
 
-  std::printf("Failure-aware serving%s: %d Poisson requests on %d NOVA "
+  std::printf("Failure-aware serving: %d Poisson requests on %d NOVA "
               "instances, tpuv4 host, hybrid pricing\n\n",
-              smoke ? " (smoke mode)" : "", count, kInstances);
+              count, kInstances);
 
   // The sweep: downtime x load, deadline + overload shedding active.
   std::vector<Cell> cells;
@@ -230,59 +222,42 @@ int main(int argc, char** argv) {
   std::puts("");
   checks.print();
 
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") +
-                     ",\n  \"requests\": " + std::to_string(count) +
-                     ",\n  \"instances\": " + std::to_string(kInstances) +
-                     ",\n  \"mttr_us\": " + Table::num(kMttrUs, 1) +
-                     ",\n  \"configs\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& cell = cells[i];
+  std::vector<nova::json::Object> configs;
+  for (const auto& cell : cells) {
     const auto& r = cell.report;
-    json += std::string("    {\"config\": \"") + cell.config +
-            "\", \"downtime\": " + Table::num(cell.downtime, 2) +
-            ", \"rate_rps\": " + Table::num(cell.rate_rps, 1) +
-            ", \"goodput_rps\": " + Table::num(r.goodput_rps, 1) +
-            ", \"throughput_rps\": " + Table::num(r.throughput_rps, 1) +
-            ", \"ok\": " +
-            std::to_string(r.status_count(nova::serve::RequestStatus::kOk)) +
-            ", \"retried\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kRetried)) +
-            ", \"shed\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kShed)) +
-            ", \"deadline_miss\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kDeadlineMiss)) +
-            ", \"failed\": " +
-            std::to_string(
-                r.status_count(nova::serve::RequestStatus::kFailed)) +
-            ", \"mean_availability\": " +
-            Table::num(mean_availability(r), 4) +
-            ", \"latency_p95_us\": " +
-            Table::num(r.latency_percentile_us(95.0), 3) + "}" +
-            (i + 1 < cells.size() ? ",\n" : "\n");
+    using nova::serve::RequestStatus;
+    configs.push_back(
+        nova::json::Object()
+            .str("config", cell.config)
+            .num("downtime", cell.downtime, 2)
+            .num("rate_rps", cell.rate_rps, 1)
+            .num("goodput_rps", r.goodput_rps, 1)
+            .num("throughput_rps", r.throughput_rps, 1)
+            .num("ok", r.status_count(RequestStatus::kOk))
+            .num("retried", r.status_count(RequestStatus::kRetried))
+            .num("shed", r.status_count(RequestStatus::kShed))
+            .num("deadline_miss", r.status_count(RequestStatus::kDeadlineMiss))
+            .num("failed", r.status_count(RequestStatus::kFailed))
+            .num("mean_availability", mean_availability(r), 4)
+            .num("latency_p95_us", r.latency_percentile_us(95.0), 3));
   }
-  json += "  ],\n";
-  json += std::string("  \"zero_fault_identical\": ") +
-          (zero_fault_identical ? "true" : "false") + ",\n";
-  json += std::string("  \"calm_plan_empty\": ") +
-          (calm_plan_empty ? "true" : "false") + ",\n";
-  json += "  \"goodput_ratio_10pct\": " + Table::num(goodput_ratio, 4) +
-          ",\n";
-  json += "  \"failed_10pct\": " + std::to_string(failed_10) + ",\n";
-  json += std::string("  \"thread_identical\": ") +
-          (thread_identical ? "true" : "false") + "\n}\n";
-
-  FILE* out = std::fopen("BENCH_faults.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_faults.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_faults.json");
+  if (!nova::json::write_file("BENCH_faults.json",
+                              nova::json::Object()
+                                  .num("requests", count)
+                                  .num("instances", kInstances)
+                                  .num("mttr_us", kMttrUs, 1)
+                                  .list("configs", configs)
+                                  .flag("zero_fault_identical",
+                                        zero_fault_identical)
+                                  .flag("calm_plan_empty", calm_plan_empty)
+                                  .num("goodput_ratio_10pct", goodput_ratio, 4)
+                                  .num("failed_10pct", failed_10)
+                                  .flag("thread_identical", thread_identical)
+                                  .document())) {
+    std::fputs("bench_faults: cannot write BENCH_faults.json\n", stderr);
+    return 2;
   }
+  std::puts("\nwrote BENCH_faults.json");
 
   bool ok = true;
   if (!zero_fault_identical) {
@@ -303,22 +278,20 @@ int main(int argc, char** argv) {
                  "{1,2,8} with faults\n");
     ok = false;
   }
-  if (!smoke) {
-    if (goodput_ratio < 0.7) {
-      std::fprintf(stderr,
-                   "bench_faults: FAIL goodput at 10%% downtime is %.4f "
-                   "of fault-free, below the 0.70 floor\n",
-                   goodput_ratio);
-      ok = false;
-    }
-    if (failed_10 != 0 || shed_10 != 0) {
-      std::fprintf(stderr,
-                   "bench_faults: FAIL retry starvation at 10%% downtime "
-                   "(%llu failed, %llu shed)\n",
-                   static_cast<unsigned long long>(failed_10),
-                   static_cast<unsigned long long>(shed_10));
-      ok = false;
-    }
+  if (goodput_ratio < 0.7) {
+    std::fprintf(stderr,
+                 "bench_faults: FAIL goodput at 10%% downtime is %.4f of "
+                 "fault-free, below the 0.70 floor\n",
+                 goodput_ratio);
+    ok = false;
+  }
+  if (failed_10 != 0 || shed_10 != 0) {
+    std::fprintf(stderr,
+                 "bench_faults: FAIL retry starvation at 10%% downtime "
+                 "(%llu failed, %llu shed)\n",
+                 static_cast<unsigned long long>(failed_10),
+                 static_cast<unsigned long long>(shed_10));
+    ok = false;
   }
   return ok ? 0 : 1;
 }

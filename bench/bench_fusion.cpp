@@ -15,33 +15,23 @@
 //   3. Verified rewrites: the fully fused graph of every point passes the
 //      complete analysis::run_passes suite (structure, phase, shape,
 //      conservation) with zero errors.
-//
-// `--smoke` shrinks the sequence/KV lengths so CI can run the binary in
-// seconds; the JSON then carries "smoke": true so readers never compare
-// smoke numbers against full runs.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/fusion.hpp"
 #include "pipeline/op_graph.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace nova;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
-  std::printf("Fusion rewrite-space tuning%s: all 8 masks per host x "
-              "benchmark x phase\n\n",
-              smoke ? " (smoke mode)" : "");
+  std::puts("Fusion rewrite-space tuning: all 8 masks per host x benchmark "
+            "x phase\n");
 
   std::vector<hw::AcceleratorKind> hosts;
   for (const auto& entry : accel::host_catalog()) hosts.push_back(entry.kind);
@@ -50,18 +40,14 @@ int main(int argc, char** argv) {
   bool all_verified = true;
   int improved_points = 0;
   int total_points = 0;
-  std::string json =
-      std::string("{\n  \"smoke\": ") + (smoke ? "true" : "false") +
-      ",\n  \"fusion\": [\n";
-  bool first_row = true;
+  std::vector<json::Object> rows;
 
   for (const auto host : hosts) {
     const auto accel = accel::make_accelerator(host);
     // Same sequence protocol as bench_pipeline: seq 1024 everywhere except
     // REACT (128, edge-representative); decode runs one step against a KV
-    // cache of the same length. Smoke shrinks both.
-    const int seq = smoke ? (host == hw::AcceleratorKind::kReact ? 32 : 128)
-                          : (host == hw::AcceleratorKind::kReact ? 128 : 1024);
+    // cache of the same length.
+    const int seq = host == hw::AcceleratorKind::kReact ? 128 : 1024;
     const int kv = seq;
 
     pipeline::ExecutorConfig exec_config;
@@ -109,19 +95,18 @@ int main(int argc, char** argv) {
                        Table::num(tuning.speedup(), 4),
                        verified ? "ok" : "FAIL"});
 
-        json += std::string(first_row ? "" : ",\n") + "    {\"host\": \"" +
-                accel.name + "\", \"benchmark\": \"" + config.name +
-                "\", \"phase\": \"" + phase +
-                "\", \"seq_len\": " + std::to_string(seq) +
-                ", \"kv_len\": " + std::to_string(kv) +
-                ", \"baseline_cycles\": " +
-                std::to_string(tuning.baseline_span) +
-                ", \"best_cycles\": " + std::to_string(tuning.best_span) +
-                ", \"best_mask\": \"" +
-                pipeline::to_string_fusion_set(tuning.best) +
-                "\", \"speedup\": " + Table::num(tuning.speedup(), 6) +
-                ", \"verified\": " + (verified ? "true" : "false") + "}";
-        first_row = false;
+        rows.push_back(
+            json::Object()
+                .str("host", accel.name)
+                .str("benchmark", config.name)
+                .str("phase", phase)
+                .num("seq_len", seq)
+                .num("kv_len", kv)
+                .num("baseline_cycles", tuning.baseline_span)
+                .num("best_cycles", tuning.best_span)
+                .str("best_mask", pipeline::to_string_fusion_set(tuning.best))
+                .num("speedup", tuning.speedup(), 6)
+                .flag("verified", verified));
       };
       bench_point("prefill", pipeline::build_graph(config));
       bench_point("decode", pipeline::build_decode_graph(config, kv));
@@ -129,18 +114,17 @@ int main(int argc, char** argv) {
     table.print();
     std::puts("");
   }
-  json += "\n  ],\n  \"improved_points\": " +
-          std::to_string(improved_points) +
-          ",\n  \"total_points\": " + std::to_string(total_points) + "\n}\n";
 
-  FILE* out = std::fopen("BENCH_fusion.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("wrote BENCH_fusion.json");
-  } else {
-    std::puts("warning: could not write BENCH_fusion.json");
+  if (!json::write_file("BENCH_fusion.json",
+                        json::Object()
+                            .list("fusion", rows)
+                            .num("improved_points", improved_points)
+                            .num("total_points", total_points)
+                            .document())) {
+    std::fputs("bench_fusion: cannot write BENCH_fusion.json\n", stderr);
+    return 2;
   }
+  std::puts("wrote BENCH_fusion.json");
 
   std::printf("tuner improved %d of %d host x benchmark x phase points\n",
               improved_points, total_points);

@@ -4,18 +4,14 @@
 // second through BatchScheduler). Emits every series as machine-readable
 // BENCH_hotpath.json so this and future perf PRs are tracked cross-PR, like
 // BENCH_scalability.json.
-//
-// `--smoke` shrinks the element counts so CI can run the binary in seconds;
-// the JSON then carries "smoke": true so readers never compare smoke numbers
-// against full runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "approx/mlp_fitter.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/overlay.hpp"
@@ -147,17 +143,11 @@ ServeResultRow run_serve_case(int requests, int sim_elements_cap) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+int main() {
+  std::puts("Simulation hot-path throughput: elements/sec through "
+            "SimSession::run, Table II deployments\n");
 
-  std::printf("Simulation hot-path throughput%s: elements/sec through "
-              "SimSession::run, Table II deployments\n\n",
-              smoke ? " (smoke mode)" : "");
-
-  const std::size_t elements_per_router = smoke ? 4096 : 65536;
+  const std::size_t elements_per_router = 65536;
   const std::vector<SessionCase> cases = {
       {"react-10x256@240", nova::hw::AcceleratorKind::kReact, 16},
       {"tpuv3-4x128@1400", nova::hw::AcceleratorKind::kTpuV3, 16},
@@ -169,51 +159,49 @@ int main(int argc, char** argv) {
   Table table("SimSession end-to-end throughput (higher is better)");
   table.set_header({"deployment", "elements", "seconds", "Melem/s",
                     "accel cycles"});
-  std::string json = std::string("{\n  \"smoke\": ") +
-                     (smoke ? "true" : "false") + ",\n  \"sim_session\": [\n";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const auto r = run_session_case(cases[i], elements_per_router);
-    table.add_row({cases[i].label, std::to_string(r.elements),
+  std::vector<nova::json::Object> session_rows;
+  for (const auto& session_case : cases) {
+    const auto r = run_session_case(session_case, elements_per_router);
+    table.add_row({session_case.label, std::to_string(r.elements),
                    Table::num(r.seconds, 3),
                    Table::num(r.elements_per_sec / 1e6, 2),
                    std::to_string(r.accel_cycles)});
-    json += "    {\"config\": \"" + cases[i].label +
-            "\", \"breakpoints\": " + std::to_string(cases[i].breakpoints) +
-            ", \"elements\": " + std::to_string(r.elements) +
-            ", \"seconds\": " + Table::num(r.seconds, 4) +
-            ", \"elements_per_sec\": " + Table::num(r.elements_per_sec, 0) +
-            "}" + (i + 1 < cases.size() ? "," : "") + "\n";
+    session_rows.push_back(nova::json::Object()
+                               .str("config", session_case.label)
+                               .num("breakpoints", session_case.breakpoints)
+                               .num("elements", r.elements)
+                               .num("seconds", r.seconds, 4)
+                               .num("elements_per_sec", r.elements_per_sec, 0));
   }
   table.print();
-  json += "  ],\n  \"serve_pricing\": [\n";
 
   std::puts("\nServing-layer pricing throughput (BatchScheduler::run, "
             "1 worker thread)\n");
   Table serve_table("Serve pricing throughput");
   serve_table.set_header({"requests", "distinct shapes", "seconds", "req/s"});
-  const int requests = smoke ? 64 : 512;
-  const int cap = smoke ? 2048 : 8192;
+  const int requests = 512;
+  const int cap = 8192;
   const auto row = run_serve_case(requests, cap);
   serve_table.add_row({std::to_string(row.requests),
                        std::to_string(row.distinct_shapes),
                        Table::num(row.seconds, 3),
                        Table::num(row.requests_per_sec, 1)});
   serve_table.print();
-  json += "    {\"requests\": " + std::to_string(row.requests) +
-          ", \"distinct_shapes\": " + std::to_string(row.distinct_shapes) +
-          ", \"sim_elements_cap\": " + std::to_string(cap) +
-          ", \"seconds\": " + Table::num(row.seconds, 4) +
-          ", \"requests_per_sec\": " + Table::num(row.requests_per_sec, 1) +
-          "}\n";
-  json += "  ]\n}\n";
+  const auto serve_row = nova::json::Object()
+                             .num("requests", row.requests)
+                             .num("distinct_shapes", row.distinct_shapes)
+                             .num("sim_elements_cap", cap)
+                             .num("seconds", row.seconds, 4)
+                             .num("requests_per_sec", row.requests_per_sec, 1);
 
-  FILE* out = std::fopen("BENCH_hotpath.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("\nwrote BENCH_hotpath.json");
-  } else {
-    std::puts("\nwarning: could not write BENCH_hotpath.json");
+  if (!nova::json::write_file("BENCH_hotpath.json",
+                              nova::json::Object()
+                                  .list("sim_session", session_rows)
+                                  .list("serve_pricing", {serve_row})
+                                  .document())) {
+    std::fputs("bench_hotpath: cannot write BENCH_hotpath.json\n", stderr);
+    return 2;
   }
+  std::puts("\nwrote BENCH_hotpath.json");
   return 0;
 }

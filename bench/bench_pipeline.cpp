@@ -6,31 +6,21 @@
 // EXACTLY with accel::inference_cycles + the closed-form non-linear cycle
 // total. Emits every series as machine-readable BENCH_pipeline.json for
 // cross-PR tracking, like BENCH_hotpath.json / BENCH_scalability.json.
-//
-// `--smoke` shrinks the sequence lengths so CI can run the binary in
-// seconds; the JSON then carries "smoke": true so readers never compare
-// smoke numbers against full runs.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "pipeline/executor.hpp"
 #include "pipeline/op_graph.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace nova;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-
-  std::printf("Attention-pipeline operator-graph timelines%s: serial vs "
-              "overlapped spans per host\n\n",
-              smoke ? " (smoke mode)" : "");
+  std::puts("Attention-pipeline operator-graph timelines: serial vs "
+            "overlapped spans per host\n");
 
   // Hosts come from the resolver catalog so a newly added host can never
   // silently skip the reconciliation sweep.
@@ -38,17 +28,13 @@ int main(int argc, char** argv) {
   for (const auto& entry : accel::host_catalog()) hosts.push_back(entry.kind);
 
   bool all_reconciled = true;
-  std::string json =
-      std::string("{\n  \"smoke\": ") + (smoke ? "true" : "false") +
-      ",\n  \"pipeline\": [\n";
-  bool first_row = true;
+  std::vector<json::Object> rows;
 
   for (const auto host : hosts) {
     const auto accel = accel::make_accelerator(host);
     // Paper protocol: seq 1024 everywhere except REACT (128,
-    // edge-representative); smoke shrinks both.
-    const int seq = smoke ? (host == hw::AcceleratorKind::kReact ? 32 : 128)
-                          : (host == hw::AcceleratorKind::kReact ? 128 : 1024);
+    // edge-representative).
+    const int seq = host == hw::AcceleratorKind::kReact ? 128 : 1024;
     Table table(std::string("Pipeline / ") + accel.name + " (seq_len " +
                 std::to_string(seq) + ")");
     table.set_header({"benchmark", "fabric cyc", "vector cyc", "serial cyc",
@@ -79,30 +65,25 @@ int main(int argc, char** argv) {
                      Table::num(eval.overlap_win, 3),
                      reconciled ? "exact" : "MISMATCH"});
 
-      json += std::string(first_row ? "" : ",\n") + "    {\"host\": \"" +
-              accel.name + "\", \"benchmark\": \"" + config.name +
-              "\", \"seq_len\": " + std::to_string(seq) +
-              ", \"serial_cycles\": " +
-              std::to_string(eval.serial.span_cycles) +
-              ", \"overlapped_cycles\": " +
-              std::to_string(eval.overlapped.span_cycles) +
-              ", \"overlap_win\": " + Table::num(eval.overlap_win, 4) +
-              ", \"reconciled\": " + (reconciled ? "true" : "false") + "}";
-      first_row = false;
+      rows.push_back(json::Object()
+                         .str("host", accel.name)
+                         .str("benchmark", config.name)
+                         .num("seq_len", seq)
+                         .num("serial_cycles", eval.serial.span_cycles)
+                         .num("overlapped_cycles", eval.overlapped.span_cycles)
+                         .num("overlap_win", eval.overlap_win, 4)
+                         .flag("reconciled", reconciled));
     }
     table.print();
     std::puts("");
   }
-  json += "\n  ]\n}\n";
 
-  FILE* out = std::fopen("BENCH_pipeline.json", "w");
-  if (out != nullptr) {
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-    std::puts("wrote BENCH_pipeline.json");
-  } else {
-    std::puts("warning: could not write BENCH_pipeline.json");
+  if (!json::write_file("BENCH_pipeline.json",
+                        json::Object().list("pipeline", rows).document())) {
+    std::fputs("bench_pipeline: cannot write BENCH_pipeline.json\n", stderr);
+    return 2;
   }
+  std::puts("wrote BENCH_pipeline.json");
 
   if (!all_reconciled) {
     std::puts("FAILED: a serial timeline diverged from the closed-form "

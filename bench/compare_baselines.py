@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare freshly emitted BENCH_*.json files against bench/baselines/.
 
-CI runs the benches in --smoke mode while the tracked baselines are
-full-size runs, so the numbers are not comparable -- the *shape* is.
+CI runs every bench at the size its baseline records except
+bench_admission, which still runs at --smoke size; host-time numbers
+differ from run to run anyway, so what is compared is the *shape*.
 For every baseline this checks that the matching emitted file exists,
 parses, carries the same top-level keys, and (for arrays of labelled
 series rows) the same per-row key sets and the same label sequence.

@@ -20,6 +20,7 @@
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
+#include "common/json.hpp"
 #include "pipeline/op_graph.hpp"
 #include "workload/bert.hpp"
 
@@ -32,46 +33,13 @@ struct LintTotals {
   int warnings = 0;
 };
 
-/// JSON string escaping for the --json emission: labels and messages carry
-/// arbitrary builder text (quotes in benchmark names would otherwise break
-/// the document). Control characters degrade to \u00XX.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// One sweep unit: verify `graph` on `accel` and append the outcome to the
 /// console, the optional report body, and the optional JSON rows.
 void lint_graph(const nova::pipeline::OpGraph& graph,
                 const nova::accel::AcceleratorModel& accel,
                 const std::string& what, LintTotals& totals,
-                std::string& report_body, std::string& json_rows) {
+                std::string& report_body,
+                std::vector<nova::json::Object>& json_rows) {
   const nova::accel::ApproximatorChoice choice{nova::hw::UnitKind::kNovaNoc,
                                                16};
   const auto report = nova::analysis::reconcile_cycles(graph, accel, choice);
@@ -91,41 +59,27 @@ void lint_graph(const nova::pipeline::OpGraph& graph,
   // Every sweep unit gets a JSON row -- clean graphs included, so tooling
   // can tell "not linted" from "linted clean". Field names are part of the
   // CLI contract; keep them in lockstep with the README.
-  if (!json_rows.empty()) json_rows += ",\n";
-  json_rows += "    {\"graph\": \"" + json_escape(what) + "\", \"ok\": " +
-               (report.ok() ? "true" : "false") + ", \"diagnostics\": [";
-  bool first = true;
+  std::vector<nova::json::Object> diagnostics;
   for (const auto& diag : report.diagnostics) {
-    if (!first) json_rows += ", ";
-    first = false;
-    json_rows += std::string("{\"severity\": \"") +
-                 nova::analysis::to_string(diag.severity) +
-                 "\", \"check\": \"" + nova::analysis::to_string(diag.check) +
-                 "\", \"node\": " + std::to_string(diag.node) +
-                 ", \"kind\": \"" +
-                 (diag.node >= 0 ? nova::pipeline::to_string(diag.node_kind)
-                                 : "") +
-                 "\", \"label\": \"" + json_escape(diag.node_label) +
-                 "\", \"message\": \"" + json_escape(diag.message) + "\"}";
+    diagnostics.push_back(
+        nova::json::Object()
+            .str("severity", nova::analysis::to_string(diag.severity))
+            .str("check", nova::analysis::to_string(diag.check))
+            .num("node", diag.node)
+            .str("kind", diag.node >= 0
+                             ? nova::pipeline::to_string(diag.node_kind)
+                             : "")
+            .str("label", diag.node_label)
+            .str("message", diag.message));
   }
-  json_rows += "]}";
+  json_rows.push_back(nova::json::Object()
+                          .str("graph", what)
+                          .flag("ok", report.ok())
+                          .list("diagnostics", diagnostics));
 }
 
-/// Writes `text` to `path`. False when the file cannot be opened, a write
-/// fails or closing it does: a full device shows only when the buffered
-/// bytes are flushed at close.
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), out) == text.size();
-  const bool closed = std::fclose(out) == 0;
-  return wrote && closed;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Parses the flags and runs the sweep; the exit status.
+int lint(int argc, char** argv) {
   std::string report_path;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
@@ -175,7 +129,7 @@ int main(int argc, char** argv) {
   const std::vector<std::int64_t> lengths = {1, 128, 1024};
   LintTotals totals;
   std::string body;
-  std::string json_rows;
+  std::vector<nova::json::Object> json_rows;
   for (const auto& host : nova::accel::host_catalog()) {
     const auto accel = nova::accel::make_accelerator(host.kind);
     for (const std::int64_t len : lengths) {
@@ -205,25 +159,40 @@ int main(int argc, char** argv) {
   std::printf("%s\n", summary.c_str());
 
   if (!report_path.empty() &&
-      !write_file(report_path, body + summary + "\n")) {
+      !nova::json::write_file(report_path, body + summary + "\n")) {
     std::fprintf(stderr, "nova_lint: cannot write report to '%s'\n",
                  report_path.c_str());
     return 2;
   }
 
   if (!json_path.empty()) {
-    const std::string json =
-        "{\n  \"tool\": \"nova_lint\",\n  \"graphs\": [\n" + json_rows +
-        "\n  ],\n  \"summary\": {\"graphs\": " +
-        std::to_string(totals.graphs) +
-        ", \"clean\": " + std::to_string(totals.clean) +
-        ", \"errors\": " + std::to_string(totals.errors) +
-        ", \"warnings\": " + std::to_string(totals.warnings) + "}\n}\n";
-    if (!write_file(json_path, json)) {
+    const auto summary_json = nova::json::Object()
+                                  .num("graphs", totals.graphs)
+                                  .num("clean", totals.clean)
+                                  .num("errors", totals.errors)
+                                  .num("warnings", totals.warnings);
+    const std::string json = nova::json::Object()
+                                 .str("tool", "nova_lint")
+                                 .list("graphs", json_rows)
+                                 .obj("summary", summary_json)
+                                 .document();
+    if (!nova::json::write_file(json_path, json)) {
       std::fprintf(stderr, "nova_lint: cannot write JSON to '%s'\n",
                    json_path.c_str());
       return 2;
     }
   }
   return totals.errors == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int status = lint(argc, argv);
+  // A full device shows only when the buffered output is flushed.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fputs("nova_lint: cannot write to standard output\n", stderr);
+    return 2;
+  }
+  return status;
 }

@@ -5,7 +5,10 @@
 #include "cli/driver.hpp"
 #include "cli/options.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+/// Parses the flags and runs the report they ask for; the exit status.
+int run(int argc, char** argv) {
   nova::cli::Options options;
   std::string error;
   if (!nova::cli::parse_options(argc, argv, options, error)) {
@@ -22,4 +25,16 @@ int main(int argc, char** argv) {
     return 0;
   }
   return nova::cli::run(options);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int status = run(argc, argv);
+  // A full device shows only when the buffered output is flushed.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fputs("nova_sim: cannot write to standard output\n", stderr);
+    return 2;
+  }
+  return status;
 }

@@ -62,7 +62,19 @@ std::string Table::to_csv() const {
   auto emit = [&out](const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (i != 0) out << ",";
-      out << row[i];
+      // RFC 4180: a cell holding a separator, quote or line break is
+      // quoted, and each quote inside it doubled.
+      const std::string& cell = row[i];
+      if (cell.find_first_of(",\"\n") == std::string::npos) {
+        out << cell;
+        continue;
+      }
+      out << '"';
+      for (const char c : cell) {
+        if (c == '"') out << '"';
+        out << c;
+      }
+      out << '"';
     }
     out << "\n";
   };

@@ -23,6 +23,7 @@ class Table {
   static std::string num(double v, int precision = 3);
 
   [[nodiscard]] std::string to_ascii() const;
+  /// Comma-separated, cells quoted as RFC 4180 requires.
   [[nodiscard]] std::string to_csv() const;
 
   /// Renders to stdout (ASCII form).

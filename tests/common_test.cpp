@@ -1,13 +1,19 @@
 // Unit tests for the common substrate: fixed-point arithmetic (pinned
-// against int64 reference formulas), RNG determinism, and table rendering.
+// against int64 reference formulas), RNG determinism, table rendering and
+// the JSON writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/fixed_point.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -163,9 +169,77 @@ TEST(Table, CsvHasOneLinePerRowPlusHeader) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
+TEST(Table, CsvQuotesCellsHoldingSeparatorsOrQuotes) {
+  Table t;
+  t.set_header({"range", "note", "value"});
+  t.add_row({"[-8.0, 8.0]", "say \"hi\"", "0.5"});
+  EXPECT_EQ(t.to_csv(),
+            "range,note,value\n\"[-8.0, 8.0]\",\"say \"\"hi\"\"\",0.5\n");
+}
+
 TEST(Table, NumFormatsWithRequestedPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(json::Object().str("k\"ey", "a\"b\\c\nd\te\x01z").line(),
+            R"({"k\"ey": "a\"b\\c\nd\te\u0001z"})");
+  EXPECT_EQ(json::Object().str("plain", "plain text").line(),
+            R"({"plain": "plain text"})");
+}
+
+TEST(Json, LineKeepsNestedObjectsAndArraysOnOneLine) {
+  const std::string line =
+      json::Object()
+          .str("name", "a \"b\"")
+          .obj("inner", json::Object().num("x", 1))
+          .list("none", {})
+          .list("two", {json::Object().flag("ok", true),
+                        json::Object().num("v", 0.5, 2)})
+          .line();
+  EXPECT_EQ(line,
+            R"({"name": "a \"b\"", "inner": {"x": 1}, "none": [], )"
+            R"("two": [{"ok": true}, {"v": 0.50}]})");
+}
+
+TEST(Json, DocumentPutsMembersAndTopLevelElementsOnTheirOwnLines) {
+  const std::string doc =
+      json::Object()
+          .num("count", std::uint64_t{3})
+          .list("rows", {json::Object().str("a", "x"),
+                         json::Object().str("a", "y").list(
+                             "inner", {json::Object().num("n", -1)})})
+          .list("empty", {})
+          .obj("summary", json::Object().num("n", 2).flag("ok", false))
+          .document();
+  EXPECT_EQ(doc,
+            "{\n"
+            "  \"count\": 3,\n"
+            "  \"rows\": [\n"
+            "    {\"a\": \"x\"},\n"
+            "    {\"a\": \"y\", \"inner\": [{\"n\": -1}]}\n"
+            "  ],\n"
+            "  \"empty\": [],\n"
+            "  \"summary\": {\"n\": 2, \"ok\": false}\n"
+            "}\n");
+}
+
+TEST(Json, WriteFileReportsWhetherTheWholeTextReachedTheFile) {
+  const std::string path = testing::TempDir() + "common_test_write.json";
+  ASSERT_TRUE(json::write_file(path, "{}\n"));
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), "{}\n");
+  std::filesystem::remove(path);
+
+  EXPECT_FALSE(json::write_file(
+      testing::TempDir() + "no-such-directory/out.json", "{}\n"));
+  // A full device accepts the open and fails only when close flushes.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_FALSE(json::write_file("/dev/full", "{}\n"));
+  }
 }
 
 }  // namespace
