@@ -164,8 +164,9 @@ int main(int argc, char** argv) {
   // outcomes, same dispatch, same audit verdict.
   const auto hybrid_mt =
       run_mode(stream, nova::serve::PricingMode::kHybrid, 8, cap);
-  const bool thread_identical = outcome_fingerprint(hybrid.report) ==
-                                outcome_fingerprint(hybrid_mt.report);
+  const bool thread_identical =
+      outcome_fingerprint(stream, hybrid.report) ==
+      outcome_fingerprint(stream, hybrid_mt.report);
 
   const double speedup = exact.seconds > 0.0 && surrogate.seconds > 0.0
                              ? exact.seconds / surrogate.seconds

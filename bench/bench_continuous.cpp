@@ -90,12 +90,14 @@ nova::serve::ServeReport run(
   return scheduler.run(stream);
 }
 
-double mean_ttft_us(const nova::serve::ServeReport& report) {
+double mean_ttft_us(const std::vector<nova::serve::InferenceRequest>& stream,
+                    const nova::serve::ServeReport& report) {
   double sum = 0.0;
   int count = 0;
-  for (const auto& outcome : report.outcomes) {
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const auto& outcome = report.outcomes[i];
     if (!outcome.served()) continue;
-    sum += outcome.first_finish_us - outcome.arrival_us;
+    sum += outcome.first_finish_us - stream[i].arrival_us;
     ++count;
   }
   return count > 0 ? sum / count : 0.0;
@@ -104,6 +106,7 @@ double mean_ttft_us(const nova::serve::ServeReport& report) {
 struct Cell {
   std::string mode;
   double rate_rps = 0.0;
+  std::vector<nova::serve::InferenceRequest> stream;
   nova::serve::ServeReport report;
 };
 
@@ -117,7 +120,7 @@ nova::json::Object cell_json(const Cell& cell) {
       .num("throughput_rps", r.throughput_rps, 1)
       .num("latency_p50_us", r.latency_percentile_us(50.0), 3)
       .num("latency_p99_us", r.latency_percentile_us(99.0), 3)
-      .num("mean_ttft_us", mean_ttft_us(r), 3)
+      .num("mean_ttft_us", mean_ttft_us(cell.stream, r), 3)
       .num("ok", r.status_count(RequestStatus::kOk))
       .num("retried", r.status_count(RequestStatus::kRetried))
       .num("shed", r.status_count(RequestStatus::kShed))
@@ -144,8 +147,8 @@ int main() {
       Cell cell;
       cell.mode = continuous ? "continuous" : "whole";
       cell.rate_rps = rate;
-      cell.report = run(build_stream(count, rate, deadline_us),
-                        continuous, 1);
+      cell.stream = build_stream(count, rate, deadline_us);
+      cell.report = run(cell.stream, continuous, 1);
       cells.push_back(std::move(cell));
     }
   }
@@ -160,7 +163,7 @@ int main() {
          Table::num(r.goodput_rps, 1),
          Table::num(r.latency_percentile_us(50.0), 3),
          Table::num(r.latency_percentile_us(99.0), 3),
-         Table::num(mean_ttft_us(r), 3),
+         Table::num(mean_ttft_us(cell.stream, r), 3),
          std::to_string(r.status_count(nova::serve::RequestStatus::kOk)),
          std::to_string(
              r.status_count(nova::serve::RequestStatus::kDeadlineMiss)),
@@ -186,9 +189,12 @@ int main() {
 
   // Gate 3: byte-identical continuous reports across pricing threads.
   const auto gate_stream = build_stream(count, overload_rps, deadline_us);
-  const auto t1 = outcome_fingerprint(run(gate_stream, true, 1));
-  const auto t2 = outcome_fingerprint(run(gate_stream, true, 2));
-  const auto t8 = outcome_fingerprint(run(gate_stream, true, 8));
+  const auto t1 =
+      outcome_fingerprint(gate_stream, run(gate_stream, true, 1));
+  const auto t2 =
+      outcome_fingerprint(gate_stream, run(gate_stream, true, 2));
+  const auto t8 =
+      outcome_fingerprint(gate_stream, run(gate_stream, true, 8));
   const bool thread_identical = t1 == t2 && t1 == t8;
 
   Table checks("Gates");

@@ -173,7 +173,8 @@ int main() {
       std::vector<std::vector<nova::serve::FaultWindow>>(kInstances));
   const auto zero = run(gate_stream, zero_plan, 0.0, 1);
   const bool zero_fault_identical =
-      outcome_fingerprint(plain) == outcome_fingerprint(zero);
+      outcome_fingerprint(gate_stream, plain) ==
+      outcome_fingerprint(gate_stream, zero);
   nova::serve::FaultProfile calm;
   calm.mtbf_us = 1e12;
   calm.mttr_us = kMttrUs;
@@ -199,12 +200,12 @@ int main() {
   // faults active.
   const auto chaos_stream = build_stream(count, saturating_rps, deadline_us);
   const auto chaos_plan = draw_plan(chaos_stream, 0.1);
-  const auto t1 =
-      outcome_fingerprint(run(chaos_stream, chaos_plan, shed_us, 1));
-  const auto t2 =
-      outcome_fingerprint(run(chaos_stream, chaos_plan, shed_us, 2));
-  const auto t8 =
-      outcome_fingerprint(run(chaos_stream, chaos_plan, shed_us, 8));
+  const auto t1 = outcome_fingerprint(
+      chaos_stream, run(chaos_stream, chaos_plan, shed_us, 1));
+  const auto t2 = outcome_fingerprint(
+      chaos_stream, run(chaos_stream, chaos_plan, shed_us, 2));
+  const auto t8 = outcome_fingerprint(
+      chaos_stream, run(chaos_stream, chaos_plan, shed_us, 8));
   const bool thread_identical = t1 == t2 && t1 == t8;
 
   Table checks("Gates");

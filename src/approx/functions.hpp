@@ -3,6 +3,7 @@
 // input domains over which the approximators are fit.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -12,8 +13,9 @@ namespace nova::approx {
 /// Non-linear operations supported by the approximation pipeline. These are
 /// the functions NN-LUT/NOVA target: softmax is decomposed into kExp and
 /// kReciprocal (exp of shifted logits, then multiplication by the
-/// reciprocal of their sum).
-enum class NonLinearFn {
+/// reciprocal of their sum). One byte, so a request record carries it
+/// without padding.
+enum class NonLinearFn : std::uint8_t {
   kExp,         ///< e^x on (-inf, 0] as used by max-shifted softmax
   kReciprocal,  ///< 1/x on [1, n] for the softmax denominator
   kGelu,        ///< 0.5 x (1 + erf(x / sqrt 2))

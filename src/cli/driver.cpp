@@ -686,8 +686,8 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
       ++count;
       ops += static_cast<std::uint64_t>(outcome.approx_ops);
       service += outcome.service_us;
-      latency += outcome.latency_us();
-      max_latency = std::max(max_latency, outcome.latency_us());
+      latency += outcome.latency_us(requests[i]);
+      max_latency = std::max(max_latency, outcome.latency_us(requests[i]));
     }
     if (count == 0) continue;
     per_phase.add_row({pipeline::to_string(phase), std::to_string(count),

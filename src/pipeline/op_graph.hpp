@@ -25,8 +25,9 @@ namespace nova::pipeline {
 /// through every operator (the PR 4 graph); decode is one autoregressive
 /// step -- a single query token attending over a kv_len-entry KV cache, so
 /// the QKV/proj/FFN GEMMs shrink to m=1 while the score/context GEMMs and
-/// the softmax rows grow with the cache length instead of seq_len.
-enum class Phase { kPrefill, kDecode };
+/// the softmax rows grow with the cache length instead of seq_len. One
+/// byte, so a request record carries it without padding.
+enum class Phase : std::uint8_t { kPrefill, kDecode };
 
 [[nodiscard]] const char* to_string(Phase phase);
 

@@ -41,7 +41,7 @@ struct Pending {
   /// continuous batching: the retry budget is per step, not per session).
   int attempt = 1;
   /// Index of the plan step this entry dispatches: the session's completed
-  /// steps. A whole-request unit is steps [0, session_steps) and always
+  /// steps. A whole-request unit is every step of its session and always
   /// starts at 0, as does every not-yet-started session.
   int step = 0;
 

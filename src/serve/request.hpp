@@ -22,31 +22,25 @@
 namespace nova::serve {
 
 /// One inference request against a served NOVA instance pool. Trivially
-/// copyable and 48 bytes: a serve run holds one per request, and 10^6 of
-/// them are a 48 MB array.
+/// copyable and 40 bytes, its fields ordered by size so that only one tail
+/// byte pads: a serve run holds one per request, and 10^6 of them are a
+/// 40 MB array.
 struct InferenceRequest {
-  int id = 0;
-  /// Benchmark whose non-linear op volume this request carries, as a
-  /// catalog handle (workload::WorkloadName::parse accepts the
-  /// workload::by_name spellings, e.g. "bert-tiny").
-  workload::WorkloadName workload;
   /// Simulated arrival time, microseconds since serving start.
   double arrival_us = 0.0;
+  /// Optional SLO: the latency budget in microseconds relative to
+  /// arrival_us (the request's deadline is arrival_us + deadline_us).
+  /// 0 means no deadline -- best-effort work, the first to be shed under
+  /// overload. Must be finite and >= 0.
+  double deadline_us = 0.0;
+  int id = 0;
   /// Sequence length of the inference (scales the op volume). Decode
   /// requests carry seq_len == 1 by convention (one query token); their
   /// volume scales with kv_len instead.
   int seq_len = 128;
-  /// Dominant non-linear operator; requests batch only with requests
-  /// sharing this function's broadcast table.
-  approx::NonLinearFn function = approx::NonLinearFn::kGelu;
   /// PWL segments per lookup (fixes the flit-train length / NoC clock), in
   /// [2, kMaxBreakpoints].
   int breakpoints = 16;
-  /// Request class: prefill prices the full-sequence operator graph at
-  /// seq_len; decode prices one autoregressive step against a kv_len-entry
-  /// KV cache. The scheduler never batch-fuses across phases (they share
-  /// no wave shape).
-  pipeline::Phase phase = pipeline::Phase::kPrefill;
   /// KV-cache length of a decode request (>= 1); prefill keeps 0.
   int kv_len = 0;
   /// Additional autoregressive decode steps chained onto this request,
@@ -59,11 +53,18 @@ struct InferenceRequest {
   /// lines, steps == gen_steps + 1 for decode lines (a decode request's
   /// own step counts toward its generation). Must be in [0, kMaxGenSteps].
   int gen_steps = 0;
-  /// Optional SLO: the latency budget in microseconds relative to
-  /// arrival_us (the request's deadline is arrival_us + deadline_us).
-  /// 0 means no deadline -- best-effort work, the first to be shed under
-  /// overload. Must be finite and >= 0.
-  double deadline_us = 0.0;
+  /// Benchmark whose non-linear op volume this request carries, as a
+  /// catalog handle (workload::WorkloadName::parse accepts the
+  /// workload::by_name spellings, e.g. "bert-tiny").
+  workload::WorkloadName workload;
+  /// Dominant non-linear operator; requests batch only with requests
+  /// sharing this function's broadcast table.
+  approx::NonLinearFn function = approx::NonLinearFn::kGelu;
+  /// Request class: prefill prices the full-sequence operator graph at
+  /// seq_len; decode prices one autoregressive step against a kv_len-entry
+  /// KV cache. The scheduler never batch-fuses across phases (they share
+  /// no wave shape).
+  pipeline::Phase phase = pipeline::Phase::kPrefill;
 
   [[nodiscard]] bool has_deadline() const { return deadline_us > 0.0; }
 };

@@ -81,15 +81,19 @@ double ServeReport::latency_percentile_us(double p) const {
   return hist == nullptr ? 0.0 : hist->percentile(p);
 }
 
-std::string outcome_fingerprint(const ServeReport& report) {
+std::string outcome_fingerprint(const std::vector<InferenceRequest>& requests,
+                                const ServeReport& report) {
+  NOVA_EXPECTS(requests.size() == report.outcomes.size());
   std::string out;
   char buf[256];
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
     const auto& outcome = report.outcomes[i];
+    const int session_steps =
+        outcome.prefill_chunks + decode_steps(requests[i]);
     std::snprintf(buf, sizeof(buf),
                   "%zu|%s|%d|%d|%d|%d|%lld|%lld|%d|%a|%a|%a|%a\n", i,
                   to_string(outcome.status), outcome.attempts,
-                  outcome.instance, outcome.batch_id, outcome.session_steps,
+                  outcome.instance, outcome.batch_id, session_steps,
                   static_cast<long long>(outcome.approx_ops),
                   static_cast<long long>(outcome.service_cycles),
                   outcome.wave_latency_cycles, outcome.service_us,
@@ -121,7 +125,8 @@ BatchScheduler::BatchScheduler(const ServeConfig& config) : config_(config) {
 
 std::vector<ShapeCost> BatchScheduler::price_requests(
     const std::vector<InferenceRequest>& requests, const PlanIndex& index,
-    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const {
+    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit,
+    std::uint64_t& total_steps) const {
   // A request's price is a function of its shape alone (where wave timing
   // depends on the data, the calibration synthesizes that data from the
   // shape), so pricing is memoized per distinct shape; only the distinct
@@ -220,9 +225,8 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
     const SessionLayout layout = session_layout(
         requests[i], config_.continuous, config_.chunk_tokens);
     const PlanSlots& plan = index.plans[i];
-    outcome.arrival_us = requests[i].arrival_us;
-    outcome.session_steps = layout.total_steps();
     outcome.prefill_chunks = layout.chunks;
+    total_steps += static_cast<std::uint64_t>(layout.total_steps());
     double cycles = 0.0;
     std::int64_t ops = 0;
     if (layout.chunks > 0) {
@@ -251,6 +255,7 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
 double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
                                 const PlanIndex& index,
                                 const std::vector<ShapeCost>& costs,
+                                std::uint64_t total_steps,
                                 ServeReport& report) const {
   // The step-clocked event loop of both serving modes. A session pins to
   // the instance that completes its first dispatch unit (its KV cache lives
@@ -273,10 +278,11 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   const int slot_cap = config_.max_batch;
 
   auto& batch_hist = report.stats.histogram("serve.batch_size");
-  // One sample per batch, which whole mode keeps to at most one per
-  // request. Continuous mode's per-step batch count is not known up front,
-  // so its store grows as it fills.
-  if (!continuous) batch_hist.reserve(requests.size());
+  // One sample per successful dispatch, reserved once so the store never
+  // regrows. A successful dispatch completes at least one unit and a killed
+  // one records nothing, so whole mode records at most one sample per
+  // request and continuous mode at most one per session step.
+  batch_hist.reserve(continuous ? total_steps : requests.size());
   auto& backoff_acc = report.stats.accumulator("serve.backoff_us");
   const sim::StatId id_batches = report.stats.counter_id("serve.batches");
   const sim::StatId id_requests = report.stats.counter_id("serve.requests");
@@ -557,18 +563,18 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
         outcome.instance = instance_index;
         slots_used[instance] += 1;
       }
-      if (continuous) report.stats.bump(id_steps);
-      const int next_step =
-          continuous ? member.step + 1 : outcome.session_steps;
-      if (next_step < outcome.session_steps) {
+      if (continuous) {
+        report.stats.bump(id_steps);
         // The next step becomes ready the instant this one finishes.
-        enqueue_pinned(instance, Pending{finish, member.id, 1, next_step});
-        continue;
+        const int next_step = member.step + 1;
+        if (next_step < outcome.prefill_chunks + decode_steps(req)) {
+          enqueue_pinned(instance, Pending{finish, member.id, 1, next_step});
+          continue;
+        }
       }
       slots_used[instance] -= 1;
       completed += 1;
       outcome.batch_id = batch_id;
-      outcome.batch_size = batch_size;
       outcome.finish_us = finish;
       if (req.has_deadline() && finish > req.arrival_us + req.deadline_us) {
         outcome.status = RequestStatus::kDeadlineMiss;
@@ -603,20 +609,27 @@ ServeReport BatchScheduler::run(
   report.surrogate.tolerance = config_.surrogate_tol;
   if (requests.empty()) return report;
 
-  // Phase 1: price every session step (exact, surrogate, or hybrid mode).
-  const PlanIndex index = build_plan_index(requests);
-  const std::vector<ShapeCost> costs =
-      price_requests(requests, index, report.outcomes, report.surrogate);
+  // The plan index and the shape costs live in this block alone, so the
+  // latency samples the aggregate pass reserves never share the peak with
+  // them.
+  double last_finish = 0.0;
+  {
+    // Phase 1: price every session step (exact, surrogate, or hybrid mode).
+    const PlanIndex index = build_plan_index(requests);
+    std::uint64_t total_steps = 0;
+    const std::vector<ShapeCost> costs = price_requests(
+        requests, index, report.outcomes, report.surrogate, total_steps);
 
-  // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
-  auto& latency_hist = report.stats.histogram("serve.latency_us");
-  const double last_finish = dispatch(requests, index, costs, report);
+    // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
+    last_finish = dispatch(requests, index, costs, total_steps, report);
+  }
 
   // Aggregates, in request order for determinism. Latency and service
   // samples cover served requests only (shed/failed outcomes never
   // finished -- recording their zeros would drag every percentile down);
   // unserved outcomes have their service-side fields zeroed to enforce the
   // RequestOutcome unserved contract.
+  auto& latency_hist = report.stats.histogram("serve.latency_us");
   sim::Histogram* ttft_hist =
       config_.continuous ? &report.stats.histogram("serve.ttft_us") : nullptr;
   latency_hist.reserve(report.outcomes.size());
@@ -625,14 +638,16 @@ ServeReport BatchScheduler::run(
   auto& queue_acc = report.stats.accumulator("serve.queue_us");
   auto& attempts_acc = report.stats.accumulator("serve.attempts");
   std::uint64_t served = 0;
-  for (auto& outcome : report.outcomes) {
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    auto& outcome = report.outcomes[i];
+    const auto& req = requests[i];
     if (outcome.served()) {
       ++served;
-      latency_hist.record(outcome.latency_us());
+      latency_hist.record(outcome.latency_us(req));
       service_acc.add(outcome.service_us);
-      queue_acc.add(outcome.queue_us());
+      queue_acc.add(outcome.queue_us(req));
       if (ttft_hist != nullptr) {
-        ttft_hist->record(outcome.first_finish_us - outcome.arrival_us);
+        ttft_hist->record(outcome.first_finish_us - req.arrival_us);
       }
     } else {
       outcome.service_cycles = 0;

@@ -43,7 +43,9 @@
 //      (PlanSlots::slot), and costs costs[slot] scaled by its share in the
 //      request's SessionLayout, so the per-request fold and the dispatch
 //      loop read every step from its request. Nothing is stored per step,
-//      and no per-request plan or cost vector stays resident.
+//      and no per-request plan or cost vector stays resident: the index
+//      and the shape costs are freed when dispatch returns, before the
+//      aggregate pass records its latency samples.
 //
 //   2. Dispatch (serial, deterministic): one step-clocked event loop
 //      serves both modes. Every session has one pending dispatch unit at a
@@ -183,10 +185,14 @@ struct ServeConfig {
 /// Where and when one request was served -- or why it was not.
 ///
 /// Outcomes are indexed like the request array, by request id, and carry
-/// no copy of the request: the one request field they keep is arrival_us,
-/// which latency_us() and queue_us() measure from; a reader that wants any
-/// other request field indexes the request array with the outcome's
-/// index. Trivially copyable and 88 bytes.
+/// no copy of the request: latency_us() and queue_us() take the request
+/// whose arrival they measure from, and a reader that wants any other
+/// request field indexes the request array with the outcome's index. The
+/// session's step count is prefill_chunks + decode_steps(request)
+/// (serve/session.hpp), and the size of the batch that finished it is the
+/// number of outcomes sharing its batch_id in whole-request mode; the
+/// "serve.batch_size" histogram records every dispatch's size. Trivially
+/// copyable and 72 bytes.
 ///
 /// Unserved contract: outcomes whose status is kShed or kFailed were never
 /// serviced to completion, and every service-side field stays at its zero
@@ -195,12 +201,10 @@ struct ServeConfig {
 /// first_finish_us == 0.0 (enforced by the scheduler, not merely
 /// documented; shed requests are priced for the admission projection but
 /// the price is not part of their outcome). Aggregate consumers must filter
-/// on served() rather than probing instance == -1. arrival_us, approx_ops
-/// and the plan fields session_steps / prefill_chunks describe the request,
-/// not its service, and survive the zeroing.
+/// on served() rather than probing instance == -1. approx_ops and the plan
+/// field prefill_chunks describe the request, not its service, and survive
+/// the zeroing.
 struct RequestOutcome {
-  /// The request's arrival (InferenceRequest::arrival_us).
-  double arrival_us = 0.0;
   /// Terminal status; kOk/kRetried/kDeadlineMiss outcomes were served to
   /// completion, kShed/kFailed never were (see the unserved contract).
   RequestStatus status = RequestStatus::kOk;
@@ -210,14 +214,11 @@ struct RequestOutcome {
   int attempts = 1;
   int instance = -1;
   int batch_id = -1;
-  int batch_size = 1;
   int wave_latency_cycles = 0;
-  /// Steps in this request's session plan: prefill chunks + decode steps,
-  /// 1 for a classic single-step request. A plan property (set by
-  /// pricing), so it survives the unserved zeroing.
-  int session_steps = 1;
-  /// Chunks the prefill split into (0 for decode-phase requests); also a
-  /// plan property.
+  /// Chunks the prefill split into (0 for decode-phase requests). A plan
+  /// property (set by pricing), so it survives the unserved zeroing. The
+  /// dispatch loop reads it for every fusion candidate, so it is kept here
+  /// rather than derived from the request.
   int prefill_chunks = 0;
   /// Non-linear element operations one inference of this request costs.
   std::int64_t approx_ops = 0;
@@ -239,10 +240,15 @@ struct RequestOutcome {
            status == RequestStatus::kRetried ||
            status == RequestStatus::kDeadlineMiss;
   }
-  /// End-to-end latency; meaningful only for served() outcomes (0 minus
+  /// End-to-end latency from `request`'s arrival (the request this outcome
+  /// is indexed like); meaningful only for served() outcomes (0 minus
   /// arrival otherwise -- check served() first).
-  [[nodiscard]] double latency_us() const { return finish_us - arrival_us; }
-  [[nodiscard]] double queue_us() const { return start_us - arrival_us; }
+  [[nodiscard]] double latency_us(const InferenceRequest& request) const {
+    return finish_us - request.arrival_us;
+  }
+  [[nodiscard]] double queue_us(const InferenceRequest& request) const {
+    return start_us - request.arrival_us;
+  }
 };
 
 /// Per-instance utilization and availability accounting.
@@ -293,16 +299,18 @@ struct ServeReport {
 };
 
 /// Bit-strict serialization of every per-request field pricing and
-/// dispatch produce: one line per outcome with its index (the request
-/// id), status, attempts,
-/// instance, batch_id, session_steps, approx_ops, service_cycles,
-/// wave_latency_cycles, service_us, start_us, finish_us and
-/// first_finish_us, doubles printed as exact hex floats (%a). Two reports
-/// are byte-identical iff their fingerprints match. Not named plain
-/// `fingerprint`: perfbench/nova_perf.cpp keeps its own
-/// fingerprint(const ServeReport&) and calls it unqualified, which a
-/// library overload would make ambiguous through argument-dependent lookup.
-[[nodiscard]] std::string outcome_fingerprint(const ServeReport& report);
+/// dispatch produce for `report`, the run of `requests`: one line per
+/// outcome with its index (the request id), status, attempts, instance,
+/// batch_id, session steps (prefill_chunks + decode_steps of its request),
+/// approx_ops, service_cycles, wave_latency_cycles, service_us, start_us,
+/// finish_us and first_finish_us, doubles printed as exact hex floats
+/// (%a). Two reports of one stream are byte-identical iff their
+/// fingerprints match. Not named plain `fingerprint`:
+/// perfbench/nova_perf.cpp keeps its own fingerprint(const ServeReport&)
+/// and calls it unqualified, which a library overload would make ambiguous
+/// through argument-dependent lookup.
+[[nodiscard]] std::string outcome_fingerprint(
+    const std::vector<InferenceRequest>& requests, const ServeReport& report);
 
 /// Deterministic request-to-instance packing over a worker pool.
 class BatchScheduler {
@@ -321,17 +329,19 @@ class BatchScheduler {
  private:
   /// Prices every distinct step shape (index.shapes) and folds the results
   /// into the per-request aggregates of `outcomes`, with each request's
-  /// arrival and plan-shape fields (session_steps, prefill_chunks).
-  /// Returns the shapes' costs, indexed by slot.
+  /// prefill_chunks, and adds every session's step count to
+  /// `total_steps`. Returns the shapes' costs, indexed by slot.
   [[nodiscard]] std::vector<ShapeCost> price_requests(
       const std::vector<InferenceRequest>& requests, const PlanIndex& index,
-      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit) const;
+      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit,
+      std::uint64_t& total_steps) const;
 
   /// The serial dispatch loop of both modes (whole-request and
-  /// step-clocked continuous batching). Returns the last finish time.
+  /// step-clocked continuous batching) over sessions of `total_steps`
+  /// steps in all. Returns the last finish time.
   double dispatch(const std::vector<InferenceRequest>& requests,
                   const PlanIndex& index, const std::vector<ShapeCost>& costs,
-                  ServeReport& report) const;
+                  std::uint64_t total_steps, ServeReport& report) const;
 
   ServeConfig config_;
 };

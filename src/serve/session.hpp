@@ -69,6 +69,15 @@ struct SessionLayout {
   }
 };
 
+/// Decode steps in `req`'s session, the same in both dispatch modes: its
+/// generation, plus its own step for a decode request. A session's steps
+/// are its prefill chunks plus these, so a reader that knows the chunk
+/// count (RequestOutcome::prefill_chunks) needs no layout.
+[[nodiscard]] inline int decode_steps(const InferenceRequest& req) {
+  return req.phase == pipeline::Phase::kDecode ? req.gen_steps + 1
+                                               : req.gen_steps;
+}
+
 /// The layout of `req`'s session. `continuous` controls prefill chunking
 /// (off = one chunk of the whole prompt); `chunk_tokens` >= 1 is the chunk
 /// size in prompt tokens under continuous batching.
@@ -84,10 +93,8 @@ struct SessionLayout {
     // pass 2^30. An unchunked prompt is one chunk, with no division for
     // the serve path to pay per request.
     layout.chunks = continuous ? 1 + (req.seq_len - 1) / chunk_tokens : 1;
-    layout.decode_steps = req.gen_steps;
-  } else {
-    layout.decode_steps = req.gen_steps + 1;
   }
+  layout.decode_steps = decode_steps(req);
   return layout;
 }
 

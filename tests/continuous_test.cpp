@@ -13,8 +13,10 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/overlay.hpp"
+#include "histogram_samples.hpp"
 #include "serve/faults.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
@@ -44,10 +46,21 @@ InferenceRequest prefill_request(int id, double arrival, int seq_len,
   return req;
 }
 
-/// Bitwise comparison of two reports' per-request outcomes and scalar
-/// aggregates (EXPECT_DOUBLE_EQ is exact equality, not a tolerance).
-void expect_identical_outcomes(const ServeReport& a, const ServeReport& b) {
+/// Bitwise comparison of two reports of `requests`: per-request outcomes,
+/// their fingerprints (which print each session's step count,
+/// prefill_chunks + decode_steps of its request), every dispatch's batch
+/// size, and the scalar aggregates (EXPECT_DOUBLE_EQ is exact equality,
+/// not a tolerance).
+void expect_identical_outcomes(const std::vector<InferenceRequest>& requests,
+                               const ServeReport& a, const ServeReport& b) {
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  EXPECT_EQ(outcome_fingerprint(requests, a),
+            outcome_fingerprint(requests, b));
+  const sim::Histogram* a_sizes = a.stats.find_histogram("serve.batch_size");
+  const sim::Histogram* b_sizes = b.stats.find_histogram("serve.batch_size");
+  ASSERT_NE(a_sizes, nullptr);
+  ASSERT_NE(b_sizes, nullptr);
+  EXPECT_EQ(sim::sorted_samples(*a_sizes), sim::sorted_samples(*b_sizes));
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     const auto& x = a.outcomes[i];
     const auto& y = b.outcomes[i];
@@ -55,9 +68,7 @@ void expect_identical_outcomes(const ServeReport& a, const ServeReport& b) {
     EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
     EXPECT_EQ(x.instance, y.instance) << "request " << i;
     EXPECT_EQ(x.batch_id, y.batch_id) << "request " << i;
-    EXPECT_EQ(x.batch_size, y.batch_size) << "request " << i;
     EXPECT_EQ(x.service_cycles, y.service_cycles) << "request " << i;
-    EXPECT_EQ(x.session_steps, y.session_steps) << "request " << i;
     EXPECT_EQ(x.prefill_chunks, y.prefill_chunks) << "request " << i;
     EXPECT_DOUBLE_EQ(x.service_us, y.service_us) << "request " << i;
     EXPECT_DOUBLE_EQ(x.start_us, y.start_us) << "request " << i;
@@ -183,8 +194,10 @@ TEST(ContinuousScheduler, ChunkingPreservesTheSessionPrice) {
   const auto a = BatchScheduler(whole).run(requests);
   const auto b = BatchScheduler(chunked).run(requests);
 
-  EXPECT_EQ(a.outcomes[0].session_steps, 3);   // 1 chunk + 2 decode steps
-  EXPECT_EQ(b.outcomes[0].session_steps, 6);   // 4 chunks + 2 decode steps
+  // A session's steps are its prefill chunks plus its decode steps.
+  const int decode = decode_steps(requests[0]);
+  EXPECT_EQ(a.outcomes[0].prefill_chunks + decode, 3);  // 1 chunk + 2 decode
+  EXPECT_EQ(b.outcomes[0].prefill_chunks + decode, 6);  // 4 chunks + 2 decode
   EXPECT_EQ(b.outcomes[0].prefill_chunks, 4);
   EXPECT_NEAR(b.outcomes[0].service_us, a.outcomes[0].service_us,
               1e-9 * a.outcomes[0].service_us);
@@ -207,7 +220,7 @@ TEST(ContinuousScheduler, SingleStepStreamMatchesWholeDispatch) {
   continuous.continuous = true;
   const auto a = BatchScheduler(whole).run(requests);
   const auto b = BatchScheduler(continuous).run(requests);
-  expect_identical_outcomes(a, b);
+  expect_identical_outcomes(requests, a, b);
 }
 
 TEST(ContinuousScheduler, DeterministicAcrossThreadsAndPricingModes) {
@@ -229,8 +242,8 @@ TEST(ContinuousScheduler, DeterministicAcrossThreadsAndPricingModes) {
     const auto four = BatchScheduler(config).run(requests);
     config.threads = 8;
     const auto eight = BatchScheduler(config).run(requests);
-    expect_identical_outcomes(one, four);
-    expect_identical_outcomes(one, eight);
+    expect_identical_outcomes(requests, one, four);
+    expect_identical_outcomes(requests, one, eight);
     EXPECT_EQ(one.stats.counter("serve.steps"),
               eight.stats.counter("serve.steps"));
   }
@@ -404,7 +417,7 @@ std::uint64_t golden_hash(const GoldenCase& golden, bool continuous) {
           return outcome.attempts >= 2 && outcome.start_us < last_arrival;
         }));
   }
-  return fnv1a(outcome_fingerprint(report));
+  return fnv1a(outcome_fingerprint(requests, report));
 }
 
 class ContinuousGolden : public ::testing::TestWithParam<GoldenCase> {};

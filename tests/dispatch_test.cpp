@@ -9,8 +9,9 @@
 // tombstones and no per-instance queues, and it prices through the public
 // API alone (build_session_plan, ExactPricer, price_shapes). The test
 // serves hundreds of seeded small streams through both and requires the
-// same outcome fingerprint, dispatch counters, TTFT samples, backoff
-// total, per-instance accounting and makespan, bit for bit.
+// same outcome fingerprint, dispatch counters, TTFT and batch-size
+// samples, backoff total, per-instance accounting and makespan, bit for
+// bit.
 //
 // The two modes differ in three rules only. A whole-request unit is the
 // session's whole plan, charged at its folded service_us; a continuous unit
@@ -29,6 +30,7 @@
 
 #include "common/rng.hpp"
 #include "core/overlay.hpp"
+#include "histogram_samples.hpp"
 #include "serve/faults.hpp"
 #include "serve/policy.hpp"
 #include "serve/request.hpp"
@@ -83,8 +85,6 @@ ServeReport reference_run(const ServeConfig& config,
   for (std::size_t i = 0; i < n; ++i) {
     auto& outcome = report.outcomes[i];
     const auto& steps = plans[i].steps;
-    outcome.arrival_us = requests[i].arrival_us;
-    outcome.session_steps = plans[i].total_steps();
     outcome.prefill_chunks = plans[i].prefill_chunks;
     double cycles = 0.0;
     for (std::size_t s = 0; s < steps.size(); ++s) {
@@ -108,8 +108,7 @@ ServeReport reference_run(const ServeConfig& config,
   std::vector<double> started(n, 0.0);
   std::vector<double> first_finish(n, 0.0);
   const auto units = [&](int id) {
-    return continuous ? report.outcomes[static_cast<std::size_t>(id)]
-                            .session_steps
+    return continuous ? plans[static_cast<std::size_t>(id)].total_steps()
                       : 1;
   };
   const auto step_of = [&](int id) -> const SessionStep& {
@@ -286,7 +285,6 @@ ServeReport reference_run(const ServeConfig& config,
       completed += 1;
       outcome.instance = instance;
       outcome.batch_id = batch_id;
-      outcome.batch_size = static_cast<int>(batch.size());
       outcome.start_us = started[us];
       outcome.finish_us = finish;
       outcome.first_finish_us = first_finish[us];
@@ -313,11 +311,12 @@ ServeReport reference_run(const ServeConfig& config,
   }
 
   // Aggregates, as BatchScheduler::run documents them.
-  for (auto& outcome : report.outcomes) {
+  for (std::size_t i = 0; i < n; ++i) {
+    auto& outcome = report.outcomes[i];
     if (outcome.served()) {
       if (continuous) {
         report.stats.histogram("serve.ttft_us")
-            .record(outcome.first_finish_us - outcome.arrival_us);
+            .record(outcome.first_finish_us - requests[i].arrival_us);
       }
     } else {
       outcome.service_cycles = 0;
@@ -341,15 +340,11 @@ ServeReport reference_run(const ServeConfig& config,
 }
 
 /// Requires `got` (the scheduler) to equal `want` (the reference) on
-/// every output the dispatch loop decides.
-void expect_same_dispatch(const ServeReport& got, const ServeReport& want) {
-  EXPECT_EQ(outcome_fingerprint(got), outcome_fingerprint(want));
-  for (std::size_t i = 0; i < want.outcomes.size(); ++i) {
-    EXPECT_EQ(got.outcomes[i].arrival_us, want.outcomes[i].arrival_us)
-        << "request " << i;
-    EXPECT_EQ(got.outcomes[i].batch_size, want.outcomes[i].batch_size)
-        << "request " << i;
-  }
+/// every output the dispatch loop decides for `requests`.
+void expect_same_dispatch(const std::vector<InferenceRequest>& requests,
+                          const ServeReport& got, const ServeReport& want) {
+  EXPECT_EQ(outcome_fingerprint(requests, got),
+            outcome_fingerprint(requests, want));
   for (const char* name : {"serve.batches", "serve.requests", "serve.retries",
                            "serve.steps", "serve.preempted_steps"}) {
     EXPECT_EQ(got.stats.counter(name), want.stats.counter(name)) << name;
@@ -358,6 +353,8 @@ void expect_same_dispatch(const ServeReport& got, const ServeReport& want) {
             want.stats.sample_count("serve.backoff_us"));
   EXPECT_EQ(got.stats.sum("serve.backoff_us"),
             want.stats.sum("serve.backoff_us"));
+  // Every sample, not a summary: the batch-size samples are the only
+  // record of each dispatch's size.
   for (const char* name : {"serve.ttft_us", "serve.batch_size"}) {
     const sim::Histogram* g = got.stats.find_histogram(name);
     const sim::Histogram* w = want.stats.find_histogram(name);
@@ -365,8 +362,7 @@ void expect_same_dispatch(const ServeReport& got, const ServeReport& want) {
     if (w == nullptr) continue;
     EXPECT_EQ(g->count(), w->count()) << name;
     EXPECT_EQ(g->sum(), w->sum()) << name;
-    EXPECT_EQ(g->percentile(50.0), w->percentile(50.0)) << name;
-    EXPECT_EQ(g->max(), w->max()) << name;
+    EXPECT_EQ(sim::sorted_samples(*g), sim::sorted_samples(*w)) << name;
   }
   ASSERT_EQ(got.instances.size(), want.instances.size());
   for (std::size_t j = 0; j < want.instances.size(); ++j) {
@@ -472,10 +468,38 @@ Scenario draw_scenario(std::uint64_t seed, bool continuous,
   return s;
 }
 
+/// Requires every outcome's chunk count plus its request's decode steps to
+/// be the session's plan length, which dispatch ends a continuous session
+/// on, and the batch-size samples to fit the store dispatch reserved for
+/// them: one per request in whole mode, one per session step in continuous
+/// mode (a successful dispatch completes at least one unit, a killed one
+/// records nothing).
+void expect_samples_within_steps(const ServeConfig& config,
+                                 const std::vector<InferenceRequest>& requests,
+                                 const ServeReport& report) {
+  std::uint64_t total_steps = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const int steps =
+        build_session_plan(requests[i], config.continuous, config.chunk_tokens)
+            .total_steps();
+    EXPECT_EQ(report.outcomes[i].prefill_chunks + decode_steps(requests[i]),
+              steps)
+        << "request " << i;
+    total_steps += static_cast<std::uint64_t>(steps);
+  }
+  const sim::Histogram* batches =
+      report.stats.find_histogram("serve.batch_size");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_LE(batches->count(),
+            config.continuous ? total_steps : requests.size());
+}
+
 /// What the streams exercised, so the suite can check it reached every
 /// mechanism it claims to compare.
 struct Coverage {
-  int fused = 0;      ///< sessions finished by a batch of two or more
+  /// Members of successful dispatches of two or more: the sessions such a
+  /// batch finished in whole mode, the steps it ran in continuous mode.
+  int fused = 0;
   int shed = 0;
   int failed = 0;
   int retried = 0;
@@ -490,10 +514,12 @@ void run_mode(bool continuous, std::uint64_t first_seed,
     const Scenario s = draw_scenario(seed, continuous, pool);
     const ServeReport got = BatchScheduler(s.config).run(s.requests);
     const ServeReport want = reference_run(s.config, s.requests);
-    expect_same_dispatch(got, want);
+    expect_same_dispatch(s.requests, got, want);
+    expect_samples_within_steps(s.config, s.requests, got);
     ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
-    for (const auto& outcome : want.outcomes) {
-      if (outcome.batch_size > 1) ++seen.fused;
+    for (const double size :
+         sim::sorted_samples(*want.stats.find_histogram("serve.batch_size"))) {
+      if (size > 1.0) seen.fused += static_cast<int>(size);
     }
     seen.shed += static_cast<int>(want.status_count(RequestStatus::kShed));
     seen.failed +=
@@ -573,7 +599,65 @@ TEST(ContinuousDispatch, FailedPinnedSessionEndsUnservedAndFreesItsSlot) {
   EXPECT_EQ(waiting.instance, 0);
   EXPECT_EQ(waiting.start_us, outage_end);
   EXPECT_EQ(report.stats.counter("serve.preempted_steps"), 1u);
-  expect_same_dispatch(report, reference_run(config, requests));
+  expect_same_dispatch(requests, report, reference_run(config, requests));
+}
+
+TEST(ContinuousDispatch, BatchSamplesNeverExceedTheSessionSteps) {
+  // Dispatch reserves the batch-size store at the stream's total session
+  // steps, once, so the bound must hold however a run goes: served plain,
+  // preempted by faults, or thinned by shedding. With one session slot and
+  // no faults every step is its own dispatch, and the bound is met exactly.
+  TrafficProfile profile;
+  profile.rate_rps = 2e6;
+  profile.max_steps = 8;
+  profile.deadline_us = 16000.0;
+  auto requests = generate_poisson(240, profile, 23);
+  for (auto& req : requests) {
+    if (req.id % 2 == 1) req.deadline_us = 0.0;  // best-effort half
+  }
+  ServeConfig config = small_pool();
+  config.continuous = true;
+  config.instances = 2;
+  config.max_batch = 4;
+  config.chunk_tokens = 48;
+  config.pricing = PricingMode::kSurrogate;
+  config.policy.shed_on_deadline = false;
+
+  const ServeReport plain = BatchScheduler(config).run(requests);
+  expect_samples_within_steps(config, requests, plain);
+
+  ServeConfig faulted = config;
+  FaultProfile fault_profile;
+  fault_profile.mtbf_us = 2000.0;
+  fault_profile.mttr_us = 200.0;
+  faulted.faults = draw_fault_plan(fault_profile, faulted.instances,
+                                   60000.0, 23);
+  const ServeReport preempted = BatchScheduler(faulted).run(requests);
+  EXPECT_GT(preempted.stats.counter("serve.preempted_steps"), 0u);
+  expect_samples_within_steps(faulted, requests, preempted);
+
+  ServeConfig shedding = config;
+  shedding.policy.shed_on_deadline = true;
+  shedding.policy.overload_queue_us = 4000.0;
+  const ServeReport thinned = BatchScheduler(shedding).run(requests);
+  EXPECT_GT(thinned.status_count(RequestStatus::kShed), 0u);
+  expect_samples_within_steps(shedding, requests, thinned);
+
+  ServeConfig one_slot = config;
+  one_slot.max_batch = 1;
+  const ServeReport single = BatchScheduler(one_slot).run(requests);
+  expect_samples_within_steps(one_slot, requests, single);
+  std::uint64_t total_steps = 0;
+  for (const auto& req : requests) {
+    total_steps += static_cast<std::uint64_t>(
+        session_layout(req, /*continuous=*/true, config.chunk_tokens)
+            .total_steps());
+  }
+  EXPECT_EQ(single.status_count(RequestStatus::kShed) +
+                single.status_count(RequestStatus::kFailed),
+            0u);
+  EXPECT_EQ(single.stats.find_histogram("serve.batch_size")->count(),
+            total_steps);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "accel/accelerator.hpp"
 #include "approx/mlp_fitter.hpp"
@@ -31,6 +32,21 @@ ServeConfig small_pool(int instances, int threads) {
   // Keep the cycle-accurate pricing slice small so the suite stays fast.
   config.sim_elements_cap = 512;
   return config;
+}
+
+/// The size of the batch that finished each outcome of a whole-request
+/// run, where every member of a successful dispatch finishes in it: the
+/// number of outcomes sharing its batch_id (0 for an unserved outcome).
+std::vector<int> whole_batch_sizes(const ServeReport& report) {
+  std::map<int, int> members;
+  for (const auto& outcome : report.outcomes) {
+    if (outcome.served()) ++members[outcome.batch_id];
+  }
+  std::vector<int> sizes;
+  for (const auto& outcome : report.outcomes) {
+    sizes.push_back(outcome.served() ? members[outcome.batch_id] : 0);
+  }
+  return sizes;
 }
 
 TEST(RequestGenerator, PoissonIsDeterministicAndSorted) {
@@ -420,13 +436,14 @@ TEST(BatchScheduler, DeterministicAcrossThreadCounts) {
 
   ASSERT_EQ(one.outcomes.size(), four.outcomes.size());
   ASSERT_EQ(one.outcomes.size(), eight.outcomes.size());
+  EXPECT_EQ(whole_batch_sizes(one), whole_batch_sizes(four));
+  EXPECT_EQ(whole_batch_sizes(one), whole_batch_sizes(eight));
   for (std::size_t i = 0; i < one.outcomes.size(); ++i) {
     for (const auto* other : {&four, &eight}) {
       const auto& a = one.outcomes[i];
       const auto& b = other->outcomes[i];
       EXPECT_EQ(a.instance, b.instance);
       EXPECT_EQ(a.batch_id, b.batch_id);
-      EXPECT_EQ(a.batch_size, b.batch_size);
       EXPECT_EQ(a.service_cycles, b.service_cycles);
       // Bit-identical, not merely close: the dispatch phase is serial and
       // the pricing phase writes to disjoint slots.
@@ -449,8 +466,9 @@ TEST(BatchScheduler, OutcomesAreCausallyOrdered) {
 
   ASSERT_EQ(report.outcomes.size(), requests.size());
   double max_finish = 0.0;
-  for (const auto& outcome : report.outcomes) {
-    EXPECT_GE(outcome.start_us, outcome.arrival_us);
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const auto& outcome = report.outcomes[i];
+    EXPECT_GE(outcome.start_us, requests[i].arrival_us);
     EXPECT_GT(outcome.finish_us, outcome.start_us);
     EXPECT_GE(outcome.instance, 0);
     EXPECT_LT(outcome.instance, 2);
@@ -490,9 +508,11 @@ TEST(BatchScheduler, FusesBackloggedCompatibleRequests) {
   auto config = small_pool(1, 1);
   config.max_batch = 4;
   const auto report = BatchScheduler(config).run(requests);
-  for (const auto& outcome : report.outcomes) {
+  const std::vector<int> sizes = whole_batch_sizes(report);
+  for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
+    const auto& outcome = report.outcomes[i];
     EXPECT_EQ(outcome.batch_id, 0);
-    EXPECT_EQ(outcome.batch_size, 4);
+    EXPECT_EQ(sizes[i], 4);
     EXPECT_DOUBLE_EQ(outcome.finish_us, report.outcomes[0].finish_us);
   }
   // The fused dispatch is cheaper than four standalone ones (pipeline
@@ -576,9 +596,10 @@ TEST(BatchScheduler, DecodeNeverFusesWithPrefill) {
           << "batch " << outcome.batch_id << " mixes phases";
     }
   }
-  EXPECT_EQ(report.outcomes[0].batch_size, 2);
-  EXPECT_EQ(report.outcomes[2].batch_size, 3);
-  EXPECT_EQ(report.outcomes[5].batch_size, 1);
+  const std::vector<int> sizes = whole_batch_sizes(report);
+  EXPECT_EQ(sizes[0], 2);
+  EXPECT_EQ(sizes[2], 3);
+  EXPECT_EQ(sizes[5], 1);
 }
 
 TEST(BatchScheduler, MixedPhaseOutcomesIdenticalAcrossThreadCounts) {
@@ -598,14 +619,15 @@ TEST(BatchScheduler, MixedPhaseOutcomesIdenticalAcrossThreadCounts) {
   const auto eight = BatchScheduler(small_pool(3, 8)).run(requests);
   ASSERT_EQ(one.outcomes.size(), four.outcomes.size());
   ASSERT_EQ(one.outcomes.size(), eight.outcomes.size());
+  EXPECT_EQ(whole_batch_sizes(one), whole_batch_sizes(four));
+  EXPECT_EQ(whole_batch_sizes(one), whole_batch_sizes(eight));
   for (std::size_t i = 0; i < one.outcomes.size(); ++i) {
     for (const auto* other : {&four, &eight}) {
       const auto& a = one.outcomes[i];
       const auto& b = other->outcomes[i];
-      EXPECT_EQ(a.arrival_us, b.arrival_us);
+      EXPECT_EQ(a.latency_us(requests[i]), b.latency_us(requests[i]));
       EXPECT_EQ(a.instance, b.instance);
       EXPECT_EQ(a.batch_id, b.batch_id);
-      EXPECT_EQ(a.batch_size, b.batch_size);
       EXPECT_EQ(a.approx_ops, b.approx_ops);
       EXPECT_EQ(a.service_cycles, b.service_cycles);
       EXPECT_DOUBLE_EQ(a.service_us, b.service_us);
@@ -1036,10 +1058,11 @@ TEST(RequestRecords, DefaultsNameBertTiny) {
 TEST(RequestRecords, AreCompactAndTriviallyCopyable) {
   // A run holds a request and an outcome per request and a ShapeKey per
   // distinct shape, so these sizes are most of the serve path's memory:
-  // 10^6 requests hold 136 MB of requests and outcomes.
-  EXPECT_LE(sizeof(InferenceRequest), 48u);
+  // 10^6 requests hold 112 MB of requests and outcomes. Both records order
+  // their fields by size, so padding costs one byte in all.
+  EXPECT_EQ(sizeof(InferenceRequest), 40u);
   EXPECT_LE(sizeof(ShapeKey), 24u);
-  EXPECT_LE(sizeof(RequestOutcome), 88u);
+  EXPECT_EQ(sizeof(RequestOutcome), 72u);
   EXPECT_TRUE(std::is_trivially_copyable_v<InferenceRequest>);
   EXPECT_TRUE(std::is_trivially_copyable_v<ShapeKey>);
   EXPECT_TRUE(std::is_trivially_copyable_v<RequestOutcome>);
@@ -1122,7 +1145,7 @@ TEST(BatchScheduler, OutageDelaysDispatchUntilRecovery) {
   const auto report = BatchScheduler(config).run(requests);
   EXPECT_EQ(report.outcomes[0].status, RequestStatus::kOk);
   EXPECT_DOUBLE_EQ(report.outcomes[0].start_us, 10.0);
-  EXPECT_DOUBLE_EQ(report.outcomes[0].queue_us(), 10.0);
+  EXPECT_DOUBLE_EQ(report.outcomes[0].queue_us(requests[0]), 10.0);
   EXPECT_GT(report.instances[0].down_us, 0.0);
   EXPECT_LT(report.instances[0].availability, 1.0);
 }
@@ -1262,14 +1285,15 @@ TEST(BatchScheduler, OverloadShrinksBatchesBeforeShedding) {
   auto config = small_pool(1, 1);
   config.max_batch = 4;
   const auto base = BatchScheduler(config).run(requests);
-  EXPECT_EQ(base.outcomes[4].batch_size, 4);
+  EXPECT_EQ(whole_batch_sizes(base)[4], 4);
   const double first_batch_service = base.outcomes[0].finish_us;
 
   config.policy.overload_queue_us = 0.5 * first_batch_service;
   config.policy.overload_shed_factor = 1000.0;  // isolate degradation
   const auto degraded = BatchScheduler(config).run(requests);
-  EXPECT_EQ(degraded.outcomes[0].batch_size, 4);  // head wait 0: full cap
-  EXPECT_EQ(degraded.outcomes[4].batch_size, 2);  // wait 2x threshold
+  const std::vector<int> degraded_sizes = whole_batch_sizes(degraded);
+  EXPECT_EQ(degraded_sizes[0], 4);  // head wait 0: full cap
+  EXPECT_EQ(degraded_sizes[4], 2);  // wait 2x threshold
   for (const auto& outcome : degraded.outcomes) {
     EXPECT_TRUE(outcome.served());
   }

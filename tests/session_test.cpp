@@ -9,7 +9,9 @@
 // stream with thousands of distinct runs grows the run table through many
 // rehashes, and every slot a plan does not use must read 0. Also pins the
 // size of the per-request record, the index of the exact-decode benchmark
-// stream, and how closely chunk shares sum to 1.
+// stream, how closely chunk shares sum to 1, and that a session's steps
+// are its chunks plus decode_steps of its request for every generation
+// length.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -356,6 +358,62 @@ TEST(PlanIndex, IndexesTheExactDecodeStreamWithoutPerStepStorage) {
   EXPECT_EQ(steps, 257400);
   EXPECT_EQ(index.plans.size(), 8000u);
   EXPECT_EQ(index.shapes.size(), 3067u);
+}
+
+TEST(SessionSteps, AreTheChunksPlusTheRequestsDecodeSteps) {
+  // The scheduler keeps only a session's chunk count (the outcome's
+  // prefill_chunks, written from session_layout) and takes its step count
+  // as prefill_chunks + decode_steps(request): dispatch ends a continuous
+  // session on it and outcome_fingerprint prints it. Seeded requests of
+  // both phases, generations from 0 to kMaxGenSteps steps and prompts at
+  // and one token either side of a multiple of the chunk size, in both
+  // dispatch modes, against the layout, the listed plan and the per-step
+  // reference.
+  Rng rng(2405);
+  constexpr int kEdges[] = {0, 1, 2, kMaxGenSteps - 1, kMaxGenSteps};
+  int prefills = 0;
+  int decodes = 0;
+  int longest = 0;
+  for (int draw = 0; draw < 160; ++draw) {
+    const int chunk_tokens = 1 + static_cast<int>(rng.next_below(160));
+    InferenceRequest req;
+    req.gen_steps =
+        rng.next_below(2) == 0
+            ? kEdges[rng.next_below(std::size(kEdges))]
+            : static_cast<int>(rng.next_below(kMaxGenSteps + 1));
+    if (rng.next_below(2) == 0) {
+      req.phase = pipeline::Phase::kDecode;
+      req.seq_len = 1 + static_cast<int>(rng.next_below(4));
+      req.kv_len = 1 + static_cast<int>(rng.next_below(4096));
+      ++decodes;
+    } else {
+      const int multiple = 1 + static_cast<int>(rng.next_below(40));
+      const int offset = static_cast<int>(rng.next_below(3)) - 1;
+      req.seq_len = std::max(1, multiple * chunk_tokens + offset);
+      ++prefills;
+    }
+    longest = std::max(longest, req.gen_steps);
+    for (const bool continuous : {false, true}) {
+      const std::string label = "draw " + std::to_string(draw) +
+                                (continuous ? " continuous" : " whole");
+      const int chunks =
+          session_layout(req, continuous, chunk_tokens).chunks;
+      const int steps = chunks + decode_steps(req);
+      EXPECT_EQ(steps,
+                session_layout(req, continuous, chunk_tokens).total_steps())
+          << label;
+      const SessionPlan listed =
+          build_session_plan(req, continuous, chunk_tokens);
+      EXPECT_EQ(steps, listed.total_steps()) << label;
+      EXPECT_EQ(chunks, listed.prefill_chunks) << label;
+      const SessionPlan want = reference_plan(req, continuous, chunk_tokens);
+      EXPECT_EQ(steps, want.total_steps()) << label;
+      EXPECT_EQ(chunks, want.prefill_chunks) << label;
+    }
+  }
+  EXPECT_GT(prefills, 40);
+  EXPECT_GT(decodes, 40);
+  EXPECT_EQ(longest, kMaxGenSteps);
 }
 
 TEST(ChunkShares, SumToOneWithinRounding) {
