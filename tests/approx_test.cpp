@@ -255,20 +255,25 @@ INSTANTIATE_TEST_SUITE_P(
         MlpPin{NonLinearFn::kReciprocal, 8, 0x654c5cd05b51812fULL},
         MlpPin{NonLinearFn::kReciprocal, 32, 0xced801d7acc12db2ULL},
         MlpPin{NonLinearFn::kReciprocal, 64, 0xd3b6419b70cb9399ULL},
-        // Hidden widths 1, 2, 4, 5, 8, 16 and 32 (breakpoints - 1): a lone
-        // unit, and below, at and one past whole blocks of four units.
+        // Hidden widths 1, 2, 4, 5, 6, 8, 14, 16 and 32 (breakpoints - 1):
+        // a lone unit, and below, at and one past whole blocks of four and
+        // of eight units.
         MlpPin{NonLinearFn::kSigmoid, 2, 0x50babe0fe88e2905ULL},
         MlpPin{NonLinearFn::kSigmoid, 3, 0xd947d82c61c814c0ULL},
         MlpPin{NonLinearFn::kSigmoid, 5, 0xa9f66937aeca697dULL},
         MlpPin{NonLinearFn::kSigmoid, 6, 0xafda14ac3ac0609bULL},
+        MlpPin{NonLinearFn::kSigmoid, 7, 0xb90fb23cedd4474dULL},
         MlpPin{NonLinearFn::kSigmoid, 9, 0xf10308eda710be0aULL},
+        MlpPin{NonLinearFn::kSigmoid, 15, 0x4314d3603381fc7dULL},
         MlpPin{NonLinearFn::kSigmoid, 17, 0x910afb9ac90b52deULL},
         MlpPin{NonLinearFn::kSigmoid, 33, 0xc4735aba579eed86ULL},
         MlpPin{NonLinearFn::kTanh, 2, 0x6d59336175a254d6ULL},
         MlpPin{NonLinearFn::kTanh, 3, 0xc36c08ce6242072bULL},
         MlpPin{NonLinearFn::kTanh, 5, 0xfd6438b6a81af5bbULL},
         MlpPin{NonLinearFn::kTanh, 6, 0x39d971a627a050a1ULL},
+        MlpPin{NonLinearFn::kTanh, 7, 0xe2cf563201687c37ULL},
         MlpPin{NonLinearFn::kTanh, 9, 0x33a9f097df55643bULL},
+        MlpPin{NonLinearFn::kTanh, 15, 0x657669699b047794ULL},
         MlpPin{NonLinearFn::kTanh, 17, 0xa80ab1db5772f937ULL},
         MlpPin{NonLinearFn::kTanh, 33, 0x42620a22c2e9afe6ULL}),
     mlp_pin_name);
