@@ -4,6 +4,8 @@
 // the SCALE-Sim-like analytic model.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "accel/systolic.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "approx/softmax.hpp"
@@ -122,20 +124,34 @@ void BM_SystolicWorkloadModel(benchmark::State& state) {
 }
 BENCHMARK(BM_SystolicWorkloadModel);
 
-// tanh at 4, 16 and 64 breakpoints: one padded block of hidden units, the
-// serve tables' size, and many blocks.
+// tanh at 4, 16 and 64 breakpoints (one padded block of hidden units, the
+// serve tables' size, and many blocks) through each gradient kernel: 0 the
+// per-unit loop, 1 four lanes of AVX2, 2 eight lanes of AVX-512F. A kernel
+// this build or CPU lacks is skipped with a message.
 void BM_MlpBreakpointTraining(benchmark::State& state) {
+  constexpr const char* kKernelNames[] = {"per-unit", "avx2", "avx512"};
   const int breakpoints = static_cast<int>(state.range(0));
+  const auto kernel = static_cast<approx::detail::MlpKernel>(state.range(1));
+  const std::string name = kKernelNames[state.range(1)];
+  if (!approx::detail::kernel_available(kernel)) {
+    state.SkipWithError(
+        ("no " + name + " kernel in this build or on this CPU").c_str());
+    return;
+  }
+  state.SetLabel(name);
+  const approx::NonLinearFn fn = approx::NonLinearFn::kTanh;
+  const approx::ScalarFn exact = [fn](double x) {
+    return approx::eval_exact(fn, x);
+  };
   approx::MlpFitOptions options;
   options.iterations = 500;  // truncated fit; measures trainer throughput
   for (auto _ : state) {
-    auto table = approx::fit_mlp(approx::NonLinearFn::kTanh, breakpoints,
-                                 approx::default_domain(approx::NonLinearFn::kTanh),
-                                 options);
+    auto table = approx::detail::fit_mlp(kernel, exact, "tanh", breakpoints,
+                                         approx::default_domain(fn), options);
     benchmark::DoNotOptimize(&table);
   }
 }
-BENCHMARK(BM_MlpBreakpointTraining)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MlpBreakpointTraining)->ArgsProduct({{4, 16, 64}, {0, 1, 2}});
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -9,13 +10,14 @@
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
-// The blocked kernel needs a function compiled for AVX2 next to portable
-// code and a run-time CPU check: x86-64 GCC and Clang builds have both.
+// The blocked kernels need functions compiled for AVX2 and for AVX-512F
+// next to portable code, and a run-time CPU check: x86-64 GCC and Clang
+// builds have all three.
 #if defined(__x86_64__) && defined(__GNUC__)
-#define NOVA_MLP_AVX2 1
+#define NOVA_MLP_SIMD 1
 #include <immintrin.h>
 #else
-#define NOVA_MLP_AVX2 0
+#define NOVA_MLP_SIMD 0
 #endif
 
 #if defined(__GNUC__)
@@ -61,8 +63,8 @@ struct Adam {
 
   /// One step t >= 1, given the bias corrections bc1 = 1 - kBeta1^t and
   /// bc2 = 1 - kBeta2^t that every parameter vector shares at step t.
-  NOVA_MLP_INLINE void step(std::vector<double>& param,
-                            const std::vector<double>& grad, double lr,
+  NOVA_MLP_INLINE void step(std::span<double> param,
+                            std::span<const double> grad, double lr,
                             double bc1, double bc2) {
     for (std::size_t i = 0; i < param.size(); ++i) {
       m[i] = kBeta1 * m[i] + (1.0 - kBeta1) * grad[i];
@@ -162,56 +164,135 @@ struct PerUnitGradients {
   }
 };
 
-#if NOVA_MLP_AVX2
-/// Four units' coefficients and running sums, one unit per lane.
-struct Block {
-  __m256d w, c, v;
-  __m256i first, last;
-  __m256d sv, sw, sc;
+#if NOVA_MLP_SIMD
+/// One block's lanes as plain arrays: its units' coefficients in, their
+/// three sums out. Padding lanes keep w = c = v = 0.
+template <std::size_t kWidth>
+struct LaneBlock {
+  std::array<double, kWidth> w{}, c{}, v{};
+  std::array<double, kWidth> sv{}, sw{}, sc{};
 };
 
-/// Adds the terms of samples [from, to) to every lane of `block`, with the
-/// per-unit loop's products. kMasked replaces the terms of a lane whose run
-/// does not hold the sample by +0.0.
-template <bool kMasked>
-[[gnu::target("avx2")]] NOVA_MLP_INLINE void accumulate(
-    Block& block, const UnitGradients& s, std::size_t from, std::size_t to) {
-  for (std::size_t k = from; k < to; ++k) {
-    const __m256d x = _mm256_set1_pd(s.xs[k]);
-    const __m256d g = _mm256_set1_pd(s.gs[k]);
-    const __m256d gv = _mm256_mul_pd(g, block.v);
-    __m256d tv = _mm256_mul_pd(
-        g, _mm256_add_pd(_mm256_mul_pd(block.w, x), block.c));
-    __m256d tw = _mm256_mul_pd(gv, x);
-    __m256d tc = gv;
-    if constexpr (kMasked) {
-      const __m256i kv = _mm256_set1_epi64x(static_cast<long long>(k));
-      const __m256d active = _mm256_castsi256_pd(
-          _mm256_andnot_si256(_mm256_cmpgt_epi64(block.first, kv),
-                              _mm256_cmpgt_epi64(block.last, kv)));
-      tv = _mm256_and_pd(active, tv);
-      tw = _mm256_and_pd(active, tw);
-      tc = _mm256_and_pd(active, tc);
-    }
-    block.sv = _mm256_add_pd(block.sv, tv);
-    block.sw = _mm256_add_pd(block.sw, tw);
-    block.sc = _mm256_add_pd(block.sc, tc);
-  }
-}
+/// Four lanes per 256-bit AVX2 vector.
+struct Avx2Lanes {
+  static constexpr std::size_t kWidth = 4;
+  struct Regs {
+    __m256d w, c, v;
+    __m256d sv, sw, sc;
+  };
 
-/// The blocked kernel. Units with a non-empty run are ordered by
-/// (first, last) and taken four at a time, the last block padded with
-/// empty lanes (w = c = v = 0, run [0, 0)). A block walks the union of its
-/// runs in ascending k: the samples every lane is active on unmasked, the
-/// head and tail around them masked. Each lane thus adds exactly its own
-/// unit's terms in the per-unit loop's order, so the sums are
-/// bit-identical: a lane starts at +0.0, a round-to-nearest sum from +0.0
-/// never becomes -0.0, and adding a masked +0.0 leaves any sum as it is,
-/// inf and NaN included. Target "avx2" alone: with FMA enabled the
-/// compiler may contract w*x + c into one rounding.
+  [[gnu::target("avx2")]] static void load(Regs& r, const LaneBlock<4>& b) {
+    r.w = _mm256_loadu_pd(b.w.data());
+    r.c = _mm256_loadu_pd(b.c.data());
+    r.v = _mm256_loadu_pd(b.v.data());
+    r.sv = r.sw = r.sc = _mm256_setzero_pd();
+  }
+
+  /// Adds one sample's terms to every lane, with the per-unit loop's
+  /// products.
+  [[gnu::target("avx2")]] static void add(Regs& r, double xk, double gk) {
+    const __m256d x = _mm256_set1_pd(xk);
+    const __m256d g = _mm256_set1_pd(gk);
+    const __m256d gv = _mm256_mul_pd(g, r.v);
+    r.sv = _mm256_add_pd(
+        r.sv, _mm256_mul_pd(g, _mm256_add_pd(_mm256_mul_pd(r.w, x), r.c)));
+    r.sw = _mm256_add_pd(r.sw, _mm256_mul_pd(gv, x));
+    r.sc = _mm256_add_pd(r.sc, gv);
+  }
+
+  /// Sets lane j's three sums to +0.0.
+  [[gnu::target("avx2")]] static void restart(Regs& r, unsigned j) {
+    const __m256d lane = lane_mask(j);
+    r.sv = _mm256_andnot_pd(lane, r.sv);
+    r.sw = _mm256_andnot_pd(lane, r.sw);
+    r.sc = _mm256_andnot_pd(lane, r.sc);
+  }
+
+  /// Stores lane j's three sums into the block.
+  [[gnu::target("avx2")]] static void capture(const Regs& r, unsigned j,
+                                              LaneBlock<4>& b) {
+    const __m256i lane = _mm256_castpd_si256(lane_mask(j));
+    _mm256_maskstore_pd(b.sv.data(), lane, r.sv);
+    _mm256_maskstore_pd(b.sw.data(), lane, r.sw);
+    _mm256_maskstore_pd(b.sc.data(), lane, r.sc);
+  }
+
+ private:
+  /// All ones in lane j, zero elsewhere.
+  [[gnu::target("avx2")]] static __m256d lane_mask(unsigned j) {
+    return _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        _mm256_set1_epi64x(j), _mm256_set_epi64x(3, 2, 1, 0)));
+  }
+};
+
+/// Eight lanes per 512-bit AVX-512F vector.
+struct Avx512Lanes {
+  static constexpr std::size_t kWidth = 8;
+  struct Regs {
+    __m512d w, c, v;
+    __m512d sv, sw, sc;
+  };
+
+  [[gnu::target("avx512f")]] static void load(Regs& r,
+                                              const LaneBlock<8>& b) {
+    r.w = _mm512_loadu_pd(b.w.data());
+    r.c = _mm512_loadu_pd(b.c.data());
+    r.v = _mm512_loadu_pd(b.v.data());
+    r.sv = r.sw = r.sc = _mm512_setzero_pd();
+  }
+
+  /// Adds one sample's terms to every lane, with the per-unit loop's
+  /// products.
+  [[gnu::target("avx512f")]] static void add(Regs& r, double xk,
+                                             double gk) {
+    const __m512d x = _mm512_set1_pd(xk);
+    const __m512d g = _mm512_set1_pd(gk);
+    const __m512d gv = _mm512_mul_pd(g, r.v);
+    r.sv = _mm512_add_pd(
+        r.sv, _mm512_mul_pd(g, _mm512_add_pd(_mm512_mul_pd(r.w, x), r.c)));
+    r.sw = _mm512_add_pd(r.sw, _mm512_mul_pd(gv, x));
+    r.sc = _mm512_add_pd(r.sc, gv);
+  }
+
+  /// Sets lane j's three sums to +0.0.
+  [[gnu::target("avx512f")]] static void restart(Regs& r, unsigned j) {
+    const auto others = static_cast<__mmask8>(~(1U << j));
+    r.sv = _mm512_maskz_mov_pd(others, r.sv);
+    r.sw = _mm512_maskz_mov_pd(others, r.sw);
+    r.sc = _mm512_maskz_mov_pd(others, r.sc);
+  }
+
+  /// Stores lane j's three sums into the block.
+  [[gnu::target("avx512f")]] static void capture(const Regs& r, unsigned j,
+                                                 LaneBlock<8>& b) {
+    const auto lane = static_cast<__mmask8>(1U << j);
+    _mm512_mask_storeu_pd(b.sv.data(), lane, r.sv);
+    _mm512_mask_storeu_pd(b.sw.data(), lane, r.sw);
+    _mm512_mask_storeu_pd(b.sc.data(), lane, r.sc);
+  }
+};
+
+/// The blocked kernel, one template built at each lane width. Units with a
+/// non-empty run are ordered by (first, last) and taken kWidth at a time,
+/// the last block padded with empty lanes. A block walks the union of its
+/// runs in ascending k and adds every lane's terms on every sample, with
+/// no mask; a lane's sums restart from +0.0 where its run starts and are
+/// stored where it ends, and samples where no lane is active are skipped.
+/// Each stored sum thus adds exactly its own unit's terms in the per-unit
+/// loop's order, from +0.0, so the sums are bit-identical, inf and NaN
+/// included; whatever a lane adds outside its run is overwritten or never
+/// read. The lane types' functions carry their own target and are not
+/// always_inline: GCC rejects an always_inline callee whose target its
+/// caller lacks, and this template has none until it is inlined into a
+/// target entry below, where they inline too. The build keeps
+/// -ffp-contract=off: an avx512f target (or avx2 with fma) would let the
+/// compiler contract w*x + c into one rounding.
+template <typename Lanes>
 class BlockedGradients {
  public:
-  [[gnu::target("avx2")]] void operator()(const UnitGradients& s) {
+  static constexpr std::size_t kWidth = Lanes::kWidth;
+
+  NOVA_MLP_INLINE void operator()(const UnitGradients& s) {
     order_.clear();
     for (std::size_t i = 0; i < s.w.size(); ++i) {
       if (s.first[i] < s.last[i]) {
@@ -226,67 +307,73 @@ class BlockedGradients {
       return s.first[a] != s.first[b] ? s.first[a] < s.first[b]
                                       : s.last[a] < s.last[b];
     });
-    for (std::size_t b = 0; b < order_.size(); b += 4) {
-      const std::size_t lanes = std::min<std::size_t>(4, order_.size() - b);
-      std::array<double, 4> w{}, c{}, v{};
-      std::array<long long, 4> first{}, last{};
-      std::size_t lo = s.first[order_[b]], hi = s.last[order_[b]];
-      std::size_t shared_lo = lo, shared_hi = hi;
+    for (std::size_t b = 0; b < order_.size(); b += kWidth) {
+      const std::size_t lanes = std::min(kWidth, order_.size() - b);
+      LaneBlock<kWidth> block;
+      // Each event packs (sample, starts, lane) as sample * 16 + starts * 8
+      // + lane, so that sorting puts the events in sample order.
+      events_.clear();
       for (std::size_t j = 0; j < lanes; ++j) {
         const std::size_t i = order_[b + j];
-        w[j] = s.w[i];
-        c[j] = s.c[i];
-        v[j] = s.v[i];
-        first[j] = static_cast<long long>(s.first[i]);
-        last[j] = static_cast<long long>(s.last[i]);
-        lo = std::min(lo, s.first[i]);
-        hi = std::max(hi, s.last[i]);
-        shared_lo = std::max(shared_lo, s.first[i]);
-        shared_hi = std::min(shared_hi, s.last[i]);
+        block.w[j] = s.w[i];
+        block.c[j] = s.c[i];
+        block.v[j] = s.v[i];
+        events_.push_back(s.first[i] * 16 + 8 + j);
+        events_.push_back(s.last[i] * 16 + j);
       }
-      // Disjoint runs share no samples: the whole union runs masked.
-      if (shared_lo >= shared_hi) shared_lo = shared_hi = hi;
+      std::sort(events_.begin(), events_.end());
 
-      Block block{_mm256_set_pd(w[3], w[2], w[1], w[0]),
-                  _mm256_set_pd(c[3], c[2], c[1], c[0]),
-                  _mm256_set_pd(v[3], v[2], v[1], v[0]),
-                  _mm256_set_epi64x(first[3], first[2], first[1], first[0]),
-                  _mm256_set_epi64x(last[3], last[2], last[1], last[0]),
-                  _mm256_setzero_pd(),
-                  _mm256_setzero_pd(),
-                  _mm256_setzero_pd()};
-      accumulate<true>(block, s, lo, shared_lo);
-      accumulate<false>(block, s, shared_lo, shared_hi);
-      accumulate<true>(block, s, shared_hi, hi);
-
-      std::array<double, 4> sv{}, sw{}, sc{};
-      _mm256_storeu_pd(sv.data(), block.sv);
-      _mm256_storeu_pd(sw.data(), block.sw);
-      _mm256_storeu_pd(sc.data(), block.sc);
+      typename Lanes::Regs regs;
+      Lanes::load(regs, block);
+      std::size_t at = 0, live = 0;
+      for (const std::size_t event : events_) {
+        const std::size_t sample = event / 16;
+        const auto lane = static_cast<unsigned>(event % 8);
+        if (live > 0) {
+          for (std::size_t k = at; k < sample; ++k) {
+            Lanes::add(regs, s.xs[k], s.gs[k]);
+          }
+        }
+        at = sample;
+        if (event % 16 >= 8) {
+          Lanes::restart(regs, lane);
+          ++live;
+        } else {
+          Lanes::capture(regs, lane, block);
+          --live;
+        }
+      }
       for (std::size_t j = 0; j < lanes; ++j) {
         const std::size_t i = order_[b + j];
-        s.gv[i] = sv[j];
-        s.gw[i] = sw[j];
-        s.gc[i] = sc[j];
+        s.gv[i] = block.sv[j];
+        s.gw[i] = block.sw[j];
+        s.gc[i] = block.sc[j];
       }
     }
   }
 
  private:
-  std::vector<std::size_t> order_;
+  std::vector<std::size_t> order_, events_;
 };
-
-bool cpu_has_avx2() {
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return has;
-}
 #endif
 
-/// The training loop, inlined into one plain and one AVX2 build, which
-/// differ only in `gradients`, the kernel of the hidden-unit sums.
+/// The partition point of `pred` over the ascending samples xs: the p in
+/// [0, n] with pred true on xs[0, p) and false on xs[p, n). Walks from
+/// `from`, any index in [0, n], right while pred holds and then left while
+/// it fails, so it relies on the monotone predicate std::partition_point
+/// relies on. A kink moves a few samples per iteration, so starting at the
+/// last iteration's boundary takes a step or two, not a binary search.
+template <typename Pred>
+NOVA_MLP_INLINE std::size_t walk_partition(const std::vector<double>& xs,
+                                           std::size_t from, Pred pred) {
+  std::size_t p = from;
+  while (p < xs.size() && pred(xs[p])) ++p;
+  while (p > 0 && !pred(xs[p - 1])) --p;
+  return p;
+}
+
+/// The training loop, inlined into one plain build and one per lane width,
+/// which differ only in `gradients`, the kernel of the hidden-unit sums.
 template <typename Gradients>
 NOVA_MLP_INLINE Pieces train_loop(const ScalarFn& exact, const PwlTable& seed,
                                   int breakpoints, Domain domain,
@@ -334,18 +421,35 @@ NOVA_MLP_INLINE Pieces train_loop(const ScalarFn& exact, const PwlTable& seed,
   net.gamma = chord.front();
   net.beta = exact(domain.lo) - net.gamma * domain.lo;
 
-  Adam opt_w(net.w.size()), opt_c(net.c.size()), opt_v(net.v.size());
+  const std::size_t units = net.w.size();
+  Adam opt_w(units), opt_c(units), opt_v(units);
   Adam opt_scalars(2);
-  std::vector<double> gw(net.w.size()), gc(net.c.size()), gv(net.v.size());
   std::vector<double> scalars(2), gscalars(2);
-  // Per-sample network outputs and loss gradients, and each unit's active
-  // samples [first[i], last[i]), all refilled every iteration.
+  // Per-sample network outputs and loss gradients, refilled every
+  // iteration.
   const std::size_t n = xs.size();
   std::vector<double> ys_net(n), gs(n);
-  std::vector<std::size_t> first(net.w.size()), last(net.w.size());
+  // The gradient kernel's units: the hidden units, whose coefficients are
+  // copied in every iteration next to their active samples
+  // [first[i], last[i]), then the constant lane, w = 0, c = 1 and v = 1 on
+  // every sample. That lane's gc sums g*1 and its gw (g*1)*x, in ascending
+  // k from +0.0, so they are the beta and gamma gradients a serial loop
+  // over the samples would add, bit for bit. It is not a parameter: Adam,
+  // reprojection and extract_pieces never see it.
+  std::vector<double> lane_w(units + 1, 0.0), lane_c(units + 1, 1.0),
+      lane_v(units + 1, 1.0);
+  std::vector<std::size_t> first(units + 1, 0), last(units + 1, n);
+  std::vector<double> gv(units + 1), gw(units + 1), gc(units + 1);
+  const std::span<const double> unit_gv(gv.data(), units),
+      unit_gw(gw.data(), units), unit_gc(gc.data(), units);
+  // 2*err/n: for n = 2^j, multiplying 2*err by the exact reciprocal 2^-j
+  // rounds the same real number once, so it gives the division's bits.
+  const double dn = static_cast<double>(n);
+  const bool pow2_samples = std::has_single_bit(n);
+  const double inv_n = 1.0 / dn;
 
   // Views of vectors that keep their size through training.
-  const UnitGradients sums{xs, gs, net.w, net.c, net.v, first, last,
+  const UnitGradients sums{xs, gs, lane_w, lane_c, lane_v, first, last,
                            gv, gw, gc};
 
   Mlp best = net;
@@ -362,55 +466,57 @@ NOVA_MLP_INLINE Pieces train_loop(const ScalarFn& exact, const PwlTable& seed,
     // units in ascending i, each gradient over its unit's samples in
     // ascending k), so the tables are bit-identical to that loop's, which
     // tests/approx_test.cpp keeps as the reference.
-    for (std::size_t i = 0; i < net.w.size(); ++i) {
+    for (std::size_t i = 0; i < units; ++i) {
       const double w = net.w[i];
       const double c = net.c[i];
       const auto active = [w, c](double x) { return w * x + c > 0.0; };
       if (w > 0.0) {
-        first[i] = static_cast<std::size_t>(
-            std::partition_point(xs.begin(), xs.end(),
-                                 [&](double x) { return !active(x); }) -
-            xs.begin());
+        first[i] = walk_partition(xs, first[i],
+                                  [&](double x) { return !active(x); });
         last[i] = n;
       } else if (w < 0.0) {
         first[i] = 0;
-        last[i] = static_cast<std::size_t>(
-            std::partition_point(xs.begin(), xs.end(), active) - xs.begin());
+        last[i] = walk_partition(xs, last[i], active);
       } else {
         first[i] = 0;
         last[i] = active(xs.front()) ? n : 0;
       }
     }
+    std::copy(net.w.begin(), net.w.end(), lane_w.begin());
+    std::copy(net.c.begin(), net.c.end(), lane_c.begin());
+    std::copy(net.v.begin(), net.v.end(), lane_v.begin());
 
     for (std::size_t k = 0; k < n; ++k) {
       ys_net[k] = net.gamma * xs[k] + net.beta;
     }
-    for (std::size_t i = 0; i < net.w.size(); ++i) {
+    for (std::size_t i = 0; i < units; ++i) {
       const double w = net.w[i], c = net.c[i], v = net.v[i];
       for (std::size_t k = first[i]; k < last[i]; ++k) {
         ys_net[k] += v * (w * xs[k] + c);
       }
     }
 
-    double ggamma = 0.0, gbeta = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double err = ys_net[k] - ys[k];
-      gs[k] = 2.0 * err / static_cast<double>(n);
-      gbeta += gs[k];
-      ggamma += gs[k] * xs[k];
+    if (pow2_samples) {
+      for (std::size_t k = 0; k < n; ++k) {
+        gs[k] = 2.0 * (ys_net[k] - ys[k]) * inv_n;
+      }
+    } else {
+      for (std::size_t k = 0; k < n; ++k) {
+        gs[k] = 2.0 * (ys_net[k] - ys[k]) / dn;
+      }
     }
     gradients(sums);
 
     const int t = it + 1;
     const double bc1 = 1.0 - std::pow(kBeta1, t);
     const double bc2 = 1.0 - std::pow(kBeta2, t);
-    opt_w.step(net.w, gw, options.learning_rate, bc1, bc2);
-    opt_c.step(net.c, gc, options.learning_rate, bc1, bc2);
-    opt_v.step(net.v, gv, options.learning_rate, bc1, bc2);
+    opt_w.step(net.w, unit_gw, options.learning_rate, bc1, bc2);
+    opt_c.step(net.c, unit_gc, options.learning_rate, bc1, bc2);
+    opt_v.step(net.v, unit_gv, options.learning_rate, bc1, bc2);
     scalars[0] = net.gamma;
     scalars[1] = net.beta;
-    gscalars[0] = ggamma;
-    gscalars[1] = gbeta;
+    gscalars[0] = gw[units];  // sum of g*x: the gamma gradient
+    gscalars[1] = gc[units];  // sum of g: the beta gradient
     opt_scalars.step(scalars, gscalars, options.learning_rate, bc1, bc2);
     net.gamma = scalars[0];
     net.beta = scalars[1];
@@ -446,31 +552,55 @@ NOVA_MLP_INLINE Pieces train_loop(const ScalarFn& exact, const PwlTable& seed,
   return extract_pieces(best, domain, breakpoints);
 }
 
-#if NOVA_MLP_AVX2
-[[gnu::target("avx2")]] Pieces train_blocked(const ScalarFn& exact,
-                                             const PwlTable& seed,
-                                             int breakpoints, Domain domain,
-                                             const MlpFitOptions& options) {
-  BlockedGradients gradients;
+#if NOVA_MLP_SIMD
+// One entry per lane width, each compiled for its target with the kernel
+// and the whole training loop inlined.
+[[gnu::target("avx2")]] Pieces train_avx2(const ScalarFn& exact,
+                                          const PwlTable& seed,
+                                          int breakpoints, Domain domain,
+                                          const MlpFitOptions& options) {
+  BlockedGradients<Avx2Lanes> gradients;
   return train_loop(exact, seed, breakpoints, domain, options, gradients);
+}
+
+[[gnu::target("avx512f")]] Pieces train_avx512(const ScalarFn& exact,
+                                               const PwlTable& seed,
+                                               int breakpoints, Domain domain,
+                                               const MlpFitOptions& options) {
+  BlockedGradients<Avx512Lanes> gradients;
+  return train_loop(exact, seed, breakpoints, domain, options, gradients);
+}
+
+[[gnu::target("avx2")]] void sums_avx2(const UnitGradients& sums) {
+  BlockedGradients<Avx2Lanes>{}(sums);
+}
+
+[[gnu::target("avx512f")]] void sums_avx512(const UnitGradients& sums) {
+  BlockedGradients<Avx512Lanes>{}(sums);
 }
 #endif
 
+/// The widest kernel this build and CPU run.
 MlpKernel fastest_kernel() {
-  return detail::blocked_kernel_available() ? MlpKernel::kBlockedAvx2
-                                            : MlpKernel::kPerUnit;
+  for (const MlpKernel kernel :
+       {MlpKernel::kBlockedAvx512, MlpKernel::kBlockedAvx2}) {
+    if (detail::kernel_available(kernel)) return kernel;
+  }
+  return MlpKernel::kPerUnit;
 }
 
 Pieces train_mlp_pieces(MlpKernel kernel, const ScalarFn& exact,
                         const PwlTable& seed, int breakpoints, Domain domain,
                         const MlpFitOptions& options) {
-#if NOVA_MLP_AVX2
+  NOVA_EXPECTS(detail::kernel_available(kernel));
+#if NOVA_MLP_SIMD
+  if (kernel == MlpKernel::kBlockedAvx512) {
+    return train_avx512(exact, seed, breakpoints, domain, options);
+  }
   if (kernel == MlpKernel::kBlockedAvx2) {
-    NOVA_EXPECTS(cpu_has_avx2());
-    return train_blocked(exact, seed, breakpoints, domain, options);
+    return train_avx2(exact, seed, breakpoints, domain, options);
   }
 #endif
-  NOVA_EXPECTS(kernel == MlpKernel::kPerUnit);
   PerUnitGradients gradients;
   return train_loop(exact, seed, breakpoints, domain, options, gradients);
 }
@@ -479,12 +609,21 @@ Pieces train_mlp_pieces(MlpKernel kernel, const ScalarFn& exact,
 
 namespace detail {
 
-bool blocked_kernel_available() {
-#if NOVA_MLP_AVX2
-  return cpu_has_avx2();
-#else
-  return false;
+bool kernel_available(MlpKernel kernel) {
+#if NOVA_MLP_SIMD
+  // Asked once each, under the thread-safe initialization of a static.
+  static const bool avx2 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  static const bool avx512 = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  if (kernel == MlpKernel::kBlockedAvx2) return avx2;
+  if (kernel == MlpKernel::kBlockedAvx512) return avx512;
 #endif
+  return kernel == MlpKernel::kPerUnit;
 }
 
 PwlTable fit_mlp(MlpKernel kernel, const ScalarFn& fn, std::string label,
@@ -498,14 +637,11 @@ PwlTable fit_mlp(MlpKernel kernel, const ScalarFn& fn, std::string label,
 }
 
 void unit_gradients(MlpKernel kernel, const UnitGradients& sums) {
-#if NOVA_MLP_AVX2
-  if (kernel == MlpKernel::kBlockedAvx2) {
-    NOVA_EXPECTS(cpu_has_avx2());
-    BlockedGradients{}(sums);
-    return;
-  }
+  NOVA_EXPECTS(kernel_available(kernel));
+#if NOVA_MLP_SIMD
+  if (kernel == MlpKernel::kBlockedAvx512) return sums_avx512(sums);
+  if (kernel == MlpKernel::kBlockedAvx2) return sums_avx2(sums);
 #endif
-  NOVA_EXPECTS(kernel == MlpKernel::kPerUnit);
   PerUnitGradients{}(sums);
 }
 

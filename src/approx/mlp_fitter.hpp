@@ -7,10 +7,12 @@
 //
 // Full-batch training spends most of its time summing each hidden unit's
 // gradients over the samples where the unit is active. On x86-64 GCC and
-// Clang builds whose CPU has AVX2, fit_mlp sums four units per 256-bit
-// vector; elsewhere it sums one unit at a time. Each vector lane adds only
-// its own unit's terms, in the same order the per-unit loop does, so both
-// kernels train the same tables bit for bit.
+// Clang builds, fit_mlp sums eight units per 512-bit vector when the CPU
+// has AVX-512F, four per 256-bit vector when it has AVX2, and one unit at a
+// time elsewhere. The loss gradients of the output bias and slope ride in
+// the same sums as one more, constant, unit. Every unit's sums add exactly
+// its own terms, in the order the per-unit loop adds them, so every kernel
+// trains the same tables bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -48,17 +50,19 @@ struct MlpFitOptions {
 
 namespace detail {
 
-/// The two gradient kernels of the trainer. fit_mlp runs kBlockedAvx2 when
-/// blocked_kernel_available() and kPerUnit otherwise; both train the same
-/// tables bit for bit. Declared here so tests can run both on one host.
-enum class MlpKernel { kPerUnit, kBlockedAvx2 };
+/// The gradient kernels of the trainer. fit_mlp runs the widest one
+/// kernel_available() allows: kBlockedAvx512, then kBlockedAvx2, then
+/// kPerUnit. All train the same tables bit for bit. Declared here so tests
+/// and benches can run each kernel the host has.
+enum class MlpKernel { kPerUnit, kBlockedAvx2, kBlockedAvx512 };
 
-/// True when this build compiled kBlockedAvx2 (x86-64 GCC or Clang) and
-/// the CPU supports AVX2.
-[[nodiscard]] bool blocked_kernel_available();
+/// True when this build compiled `kernel` (the blocked ones on x86-64 GCC
+/// or Clang) and the CPU supports its instructions (AVX2, AVX-512F).
+/// Always true for kPerUnit.
+[[nodiscard]] bool kernel_available(MlpKernel kernel);
 
-/// fit_mlp's custom-function overload, trained through `kernel`.
-/// kBlockedAvx2 requires blocked_kernel_available().
+/// fit_mlp's custom-function overload, trained through `kernel`, which
+/// must be kernel_available().
 [[nodiscard]] PwlTable fit_mlp(MlpKernel kernel, const ScalarFn& fn,
                                std::string label, int breakpoints,
                                Domain domain,
@@ -75,8 +79,7 @@ struct UnitGradients {
   std::span<double> gv, gw, gc;
 };
 
-/// Fills gv, gw and gc through `kernel`; kBlockedAvx2 requires
-/// blocked_kernel_available().
+/// Fills gv, gw and gc through `kernel`, which must be kernel_available().
 void unit_gradients(MlpKernel kernel, const UnitGradients& sums);
 
 }  // namespace detail

@@ -193,6 +193,32 @@ std::uint64_t table_hash(const PwlTable& table) {
   return hash;
 }
 
+/// Every gradient kernel, narrowest first, and the ones this build and CPU
+/// run.
+constexpr detail::MlpKernel kAllKernels[] = {detail::MlpKernel::kPerUnit,
+                                             detail::MlpKernel::kBlockedAvx2,
+                                             detail::MlpKernel::kBlockedAvx512};
+
+std::vector<detail::MlpKernel> available_kernels() {
+  std::vector<detail::MlpKernel> kernels;
+  for (const detail::MlpKernel kernel : kAllKernels) {
+    if (detail::kernel_available(kernel)) kernels.push_back(kernel);
+  }
+  return kernels;
+}
+
+std::string kernel_name(detail::MlpKernel kernel) {
+  switch (kernel) {
+    case detail::MlpKernel::kPerUnit:
+      return "per_unit";
+    case detail::MlpKernel::kBlockedAvx2:
+      return "avx2";
+    case detail::MlpKernel::kBlockedAvx512:
+      return "avx512";
+  }
+  return "unknown";
+}
+
 struct MlpPin {
   NonLinearFn fn;
   int breakpoints;
@@ -219,16 +245,20 @@ TEST_P(MlpGolden, DefaultOptionsTableMatchesPinnedBits) {
   EXPECT_EQ(hash, pin.pinned) << "table hash 0x" << std::hex << hash;
 }
 
-TEST_P(MlpGolden, PerUnitKernelTableMatchesPinnedBits) {
-  // The same pins through the portable kernel, which fit_mlp runs only on
-  // CPUs without AVX2, so that every host checks both kernels.
+TEST_P(MlpGolden, EveryKernelTableMatchesPinnedBits) {
+  // The same pins through every kernel this host runs, not only the widest
+  // one fit_mlp picks, so that a host with AVX-512 still checks the
+  // four-lane and the portable paths end to end.
   const MlpPin& pin = GetParam();
-  const PwlTable table = detail::fit_mlp(
-      detail::MlpKernel::kPerUnit,
-      [fn = pin.fn](double x) { return eval_exact(fn, x); },
-      to_string(pin.fn), pin.breakpoints, default_domain(pin.fn));
-  const std::uint64_t hash = table_hash(table);
-  EXPECT_EQ(hash, pin.pinned) << "table hash 0x" << std::hex << hash;
+  for (const detail::MlpKernel kernel : available_kernels()) {
+    const PwlTable table = detail::fit_mlp(
+        kernel, [fn = pin.fn](double x) { return eval_exact(fn, x); },
+        to_string(pin.fn), pin.breakpoints, default_domain(pin.fn));
+    const std::uint64_t hash = table_hash(table);
+    EXPECT_EQ(hash, pin.pinned)
+        << kernel_name(kernel) << " kernel, table hash 0x" << std::hex
+        << hash;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -255,9 +285,9 @@ INSTANTIATE_TEST_SUITE_P(
         MlpPin{NonLinearFn::kReciprocal, 8, 0x654c5cd05b51812fULL},
         MlpPin{NonLinearFn::kReciprocal, 32, 0xced801d7acc12db2ULL},
         MlpPin{NonLinearFn::kReciprocal, 64, 0xd3b6419b70cb9399ULL},
-        // Hidden widths 1, 2, 4, 5, 6, 8, 14, 16 and 32 (breakpoints - 1):
-        // a lone unit, and below, at and one past whole blocks of four and
-        // of eight units.
+        // Hidden widths 1, 2, 4, 5, 6, 8, 14, 16 and 32 (breakpoints - 1),
+        // so 2 to 33 kernel lanes with the constant one: below, at and one
+        // past whole blocks of four and of eight lanes.
         MlpPin{NonLinearFn::kSigmoid, 2, 0x50babe0fe88e2905ULL},
         MlpPin{NonLinearFn::kSigmoid, 3, 0xd947d82c61c814c0ULL},
         MlpPin{NonLinearFn::kSigmoid, 5, 0xa9f66937aeca697dULL},
@@ -555,19 +585,22 @@ TEST(MlpFitter, MatchesDenseReferenceBitForBit) {
              ", reproject_every=" + std::to_string(options.reproject_every) +
              ")";
     };
-    // fit_mlp's own kernel, then the portable one on every host.
-    for (const auto& [trainer, got] :
-         {std::pair{"fit_mlp",
-                    fit_mlp(fn, label, breakpoints, domain, options)},
-          std::pair{"per-unit kernel",
-                    detail::fit_mlp(detail::MlpKernel::kPerUnit, fn, label,
-                                    breakpoints, domain, options)}}) {
+    // fit_mlp's own kernel, then every kernel this host runs.
+    std::vector<std::pair<std::string, PwlTable>> tables;
+    tables.emplace_back("fit_mlp",
+                        fit_mlp(fn, label, breakpoints, domain, options));
+    for (const detail::MlpKernel kernel : available_kernels()) {
+      tables.emplace_back(kernel_name(kernel) + " kernel",
+                          detail::fit_mlp(kernel, fn, label, breakpoints,
+                                          domain, options));
+    }
+    for (const auto& [trainer, got] : tables) {
       ASSERT_EQ(first_bit_mismatch(got.boundaries(), want.bounds), -1)
-          << context(trainer);
+          << context(trainer.c_str());
       ASSERT_EQ(first_bit_mismatch(got.slopes(), want.slopes), -1)
-          << context(trainer);
+          << context(trainer.c_str());
       ASSERT_EQ(first_bit_mismatch(got.biases(), want.biases), -1)
-          << context(trainer);
+          << context(trainer.c_str());
     }
   }
   // The suite must reach units whose active samples are a prefix or empty,
@@ -575,33 +608,44 @@ TEST(MlpFitter, MatchesDenseReferenceBitForBit) {
   EXPECT_GT(nonpositive, 0);
 }
 
-TEST(MlpKernels, BlockedSumsMatchPerUnitSums) {
+class MlpKernels : public ::testing::TestWithParam<detail::MlpKernel> {};
+
+TEST_P(MlpKernels, BlockedSumsMatchPerUnitSums) {
   // Seeded random nets, 1-70 units over 8-600 samples. Suffix runs (w > 0)
   // and prefix runs (w < 0) are cut at either edge, next to one or
   // anywhere, so full, empty and one-sample runs occur; w = 0 and NaN w
-  // get full or empty runs. Gradients are signed and span eight decades.
-  // The blocked kernel must write the per-unit kernel's bits for every
-  // unit, on unit counts below, at and past whole blocks of four.
-  if (!detail::blocked_kernel_available()) {
-    GTEST_SKIP() << "no AVX2 kernel in this build or on this CPU";
+  // get full or empty runs. Half the nets end in the trainer's constant
+  // lane (w = 0, c = 1, v = 1 on every sample). Gradients are signed and
+  // span eight decades. The blocked kernel must write the per-unit
+  // kernel's bits for every unit, on unit counts below, at and past whole
+  // blocks of its width.
+  const detail::MlpKernel kernel = GetParam();
+  if (!detail::kernel_available(kernel)) {
+    GTEST_SKIP() << "no " << kernel_name(kernel)
+                 << " kernel in this build or on this CPU";
   }
+  const std::size_t width =
+      kernel == detail::MlpKernel::kBlockedAvx512 ? 8 : 4;
   Rng rng(0xb10c);
   int full = 0, empty = 0, single = 0, prefix = 0, zero_w = 0, nan_w = 0;
-  int padded = 0;
+  int padded = 0, constant_lane = 0;
   for (int trial = 0; trial < 400; ++trial) {
-    const std::size_t units = 1 + rng.next_below(70);
+    const std::size_t hidden = 1 + rng.next_below(70);
     const std::size_t n = 8 + rng.next_below(593);
     const double lo = rng.uniform(-6.0, 2.0);
-    const double width = rng.uniform(0.25, 8.0);
+    const double width_x = rng.uniform(0.25, 8.0);
     std::vector<double> xs(n), gs(n);
     for (std::size_t k = 0; k < n; ++k) {
-      xs[k] = lo + width * static_cast<double>(k) / static_cast<double>(n - 1);
+      xs[k] =
+          lo + width_x * static_cast<double>(k) / static_cast<double>(n - 1);
       gs[k] = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-6.0, 2.0));
     }
+    const bool with_constant = rng.next_below(2) == 0;
+    const std::size_t units = hidden + (with_constant ? 1 : 0);
     std::vector<double> w(units), c(units), v(units);
     std::vector<std::size_t> first(units), last(units);
     std::size_t active_units = 0;
-    for (std::size_t i = 0; i < units; ++i) {
+    for (std::size_t i = 0; i < hidden; ++i) {
       const std::size_t cuts[] = {0, 1, n - 1, n, rng.next_below(n + 1)};
       const std::size_t cut = cuts[rng.next_below(5)];
       c[i] = rng.uniform(-3.0, 3.0);
@@ -631,13 +675,23 @@ TEST(MlpKernels, BlockedSumsMatchPerUnitSums) {
           ++nan_w;
           break;
       }
+    }
+    if (with_constant) {
+      w[hidden] = 0.0;
+      c[hidden] = 1.0;
+      v[hidden] = 1.0;
+      first[hidden] = 0;
+      last[hidden] = n;
+      ++constant_lane;
+    }
+    for (std::size_t i = 0; i < units; ++i) {
       const std::size_t run = last[i] - first[i];
       full += run == n ? 1 : 0;
       empty += run == 0 ? 1 : 0;
       single += run == 1 ? 1 : 0;
       active_units += run > 0 ? 1 : 0;
     }
-    padded += active_units % 4 != 0 ? 1 : 0;
+    padded += active_units % width != 0 ? 1 : 0;
 
     // Stale values in the outputs: every unit must be written.
     std::vector<double> want_v(units, 7.0), want_w(units, 7.0),
@@ -648,8 +702,7 @@ TEST(MlpKernels, BlockedSumsMatchPerUnitSums) {
         detail::MlpKernel::kPerUnit,
         {xs, gs, w, c, v, first, last, want_v, want_w, want_c});
     detail::unit_gradients(
-        detail::MlpKernel::kBlockedAvx2,
-        {xs, gs, w, c, v, first, last, got_v, got_w, got_c});
+        kernel, {xs, gs, w, c, v, first, last, got_v, got_w, got_c});
     const std::size_t bytes = units * sizeof(double);
     ASSERT_EQ(std::memcmp(got_v.data(), want_v.data(), bytes), 0)
         << "gv, trial " << trial;
@@ -665,7 +718,16 @@ TEST(MlpKernels, BlockedSumsMatchPerUnitSums) {
   EXPECT_GT(zero_w, 0);
   EXPECT_GT(nan_w, 0);
   EXPECT_GT(padded, 0);
+  EXPECT_GT(constant_lane, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BlockedWidths, MlpKernels,
+    ::testing::Values(detail::MlpKernel::kBlockedAvx2,
+                      detail::MlpKernel::kBlockedAvx512),
+    [](const ::testing::TestParamInfo<detail::MlpKernel>& info) {
+      return kernel_name(info.param);
+    });
 
 TEST(PwlLibrary, MemoizesTables) {
   auto& lib = PwlLibrary::instance();
