@@ -4,9 +4,13 @@
 // shedding, determinism under faults) lives in serve_test.cpp.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -234,6 +238,76 @@ TEST(FaultPlan, DrawMatchesTheConfiguredUnavailability) {
   EXPECT_GT(unavailability, 0.07);
   EXPECT_LT(unavailability, 0.13);
 }
+
+// Bit-level pins of drawn plans. The fault-timeline goldens print windows
+// to three decimals, and the outcome fingerprints see them only through
+// dispatch, so a draw that moves a window by a rounding step shows here
+// first.
+
+/// 64-bit FNV-1a over each instance's window count and the bit patterns of
+/// its windows' start and end times, instance by instance.
+std::uint64_t plan_hash(const FaultPlan& plan, int instances) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (int i = 0; i < instances; ++i) {
+    const auto& windows = plan.windows(i);
+    mix(windows.size());
+    for (const auto& window : windows) {
+      mix(std::bit_cast<std::uint64_t>(window.start_us));
+      mix(std::bit_cast<std::uint64_t>(window.end_us));
+    }
+  }
+  return hash;
+}
+
+/// One pinned draw: profile, pool size, horizon and seed.
+struct DrawnPlanCase {
+  const char* name;
+  double mtbf_us;
+  double mttr_us;
+  int instances;
+  double horizon_us;
+  std::uint64_t seed;
+  std::uint64_t pinned;
+};
+
+void PrintTo(const DrawnPlanCase& pin, std::ostream* os) { *os << pin.name; }
+
+class DrawnPlanGolden : public ::testing::TestWithParam<DrawnPlanCase> {};
+
+TEST_P(DrawnPlanGolden, WindowBitsMatchThePin) {
+  const DrawnPlanCase& pin = GetParam();
+  FaultProfile profile;
+  profile.mtbf_us = pin.mtbf_us;
+  profile.mttr_us = pin.mttr_us;
+  const auto plan =
+      draw_fault_plan(profile, pin.instances, pin.horizon_us, pin.seed);
+  // Each horizon spans about 450 fail/recover cycles per instance.
+  for (int i = 0; i < pin.instances; ++i) {
+    EXPECT_GT(plan.windows(i).size(), 300u) << "instance " << i;
+  }
+  const std::uint64_t hash = plan_hash(plan, pin.instances);
+  EXPECT_EQ(hash, pin.pinned) << "plan hash 0x" << std::hex << hash;
+}
+
+// The profile of both fault-timeline goldens (serve_whole_faults and
+// serve_continuous_faults), and that of the continuous-faults benchmark
+// workload.
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, DrawnPlanGolden,
+    ::testing::Values(
+        DrawnPlanCase{"serveWholeFaults", 2000.0, 200.0, 4, 1e6, 7,
+                      0xf9b85847f1e04489ULL},
+        DrawnPlanCase{"continuousFaults", 20000.0, 2000.0, 8, 1e7, 42,
+                      0xe48b2781cf1cfe03ULL}),
+    [](const ::testing::TestParamInfo<DrawnPlanCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(FaultPlan, DrawsSlowdownsAtTheConfiguredFraction) {
   FaultProfile profile;
