@@ -116,8 +116,7 @@ BENCHMARK(BM_LutUnitSimulation);
 
 void BM_SystolicWorkloadModel(benchmark::State& state) {
   const auto wl = workload::model_workload(workload::roberta_base(1024));
-  const accel::SystolicConfig cfg{128, 128,
-                                  accel::Dataflow::kWeightStationary};
+  const accel::SystolicConfig cfg{128, 128};
   for (auto _ : state) {
     benchmark::DoNotOptimize(accel::workload_cycles(cfg, wl));
   }

@@ -21,21 +21,21 @@ AcceleratorModel make_accelerator(hw::AcceleratorKind kind) {
       // 10 coarse-grained PE clusters of 256 MACs each (16x16), WS-mapped,
       // 240 MHz edge clock. Base power: wearable-class budget.
       accel.matrix_units = 10;
-      accel.systolic = SystolicConfig{16, 16, Dataflow::kWeightStationary};
+      accel.systolic = SystolicConfig{16, 16};
       accel.freq_mhz = 240.0;
       accel.base_power_w = 0.8;
       break;
     case hw::AcceleratorKind::kTpuV3:
       // 4 MXUs of 128x128 (Table II); datacenter-class inference die.
       accel.matrix_units = 4;
-      accel.systolic = SystolicConfig{128, 128, Dataflow::kWeightStationary};
+      accel.systolic = SystolicConfig{128, 128};
       accel.freq_mhz = 1400.0;
       accel.base_power_w = 30.0;
       break;
     case hw::AcceleratorKind::kTpuV4:
       // 8 MXUs: twice the v3 fabric.
       accel.matrix_units = 8;
-      accel.systolic = SystolicConfig{128, 128, Dataflow::kWeightStationary};
+      accel.systolic = SystolicConfig{128, 128};
       accel.freq_mhz = 1400.0;
       accel.base_power_w = 60.0;
       break;
@@ -43,7 +43,7 @@ AcceleratorModel make_accelerator(hw::AcceleratorKind kind) {
       // Two NVDLA cores, each modeled as a 16x64 MAC array with 16 output
       // lanes (matching the 16 neurons per NOVA router in Table II).
       accel.matrix_units = 2;
-      accel.systolic = SystolicConfig{64, 16, Dataflow::kWeightStationary};
+      accel.systolic = SystolicConfig{64, 16};
       accel.freq_mhz = 1400.0;
       accel.base_power_w = 2.0;
       break;

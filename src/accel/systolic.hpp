@@ -2,10 +2,9 @@
 // ISPASS 2020), used to obtain runtimes for the paper's energy evaluation
 // (Section V.F runs SCALE-Sim under the TPU-like configurations).
 //
-// The analytic mode computes, for each dataflow, the fold count (how many
-// array-sized tiles the GEMM decomposes into) and the fill + stream + drain
-// cycles per fold. We implement weight-stationary (the TPU MXU's dataflow)
-// and output-stationary for comparison/ablation.
+// The analytic mode computes the fold count (how many array-sized tiles the
+// GEMM decomposes into) and the fill + stream + drain cycles per fold, for
+// the weight-stationary dataflow of the TPU MXU, which every host uses.
 #pragma once
 
 #include <cstdint>
@@ -14,18 +13,13 @@
 
 namespace nova::accel {
 
-enum class Dataflow { kWeightStationary, kOutputStationary };
-
-[[nodiscard]] const char* to_string(Dataflow dataflow);
-
 struct SystolicConfig {
   int rows = 128;
   int cols = 128;
-  Dataflow dataflow = Dataflow::kWeightStationary;
 };
 
-/// Number of array-sized tiles ("folds") the GEMM decomposes into under the
-/// configured dataflow.
+/// Number of array-sized tiles ("folds") the GEMM decomposes into: tiles of
+/// the stationary k x n weight operand.
 [[nodiscard]] std::int64_t gemm_folds(const SystolicConfig& config,
                                       std::int64_t m, std::int64_t k,
                                       std::int64_t n);
@@ -38,10 +32,9 @@ struct SystolicConfig {
 /// Cycles for one (m x k) * (k x n) GEMM (a single shape execution; the
 /// caller multiplies by GemmShape::count).
 ///
-/// Weight-stationary: the k x n operand is pinned as rows x cols tiles;
-/// each of ceil(k/rows) * ceil(n/cols) folds loads weights (rows cycles),
-/// streams m activation rows, and drains (rows + cols - 2 skew cycles).
-/// Output-stationary: m x n outputs pinned; each fold accumulates over k.
+/// The k x n operand is pinned as rows x cols tiles; each of
+/// ceil(k/rows) * ceil(n/cols) folds loads weights (rows cycles), streams m
+/// activation rows, and drains (rows + cols - 2 skew cycles).
 [[nodiscard]] std::uint64_t gemm_cycles(const SystolicConfig& config,
                                         std::int64_t m, std::int64_t k,
                                         std::int64_t n);

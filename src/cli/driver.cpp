@@ -553,16 +553,13 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
     Table timeline("Fault timeline: seeded exponential plan, MTBF " +
                    Table::num(options.mtbf_us, 0) + " us, MTTR " +
                    Table::num(options.mttr_us, 0) + " us");
-    timeline.set_header(
-        {"instance", "window", "kind", "start ms", "end ms", "slowdown"});
+    timeline.set_header({"instance", "window", "start ms", "end ms"});
     for (int i = 0; i < options.instances; ++i) {
       const auto& windows = serve_cfg.faults.windows(i);
       for (std::size_t w = 0; w < windows.size(); ++w) {
         timeline.add_row({std::to_string(i), std::to_string(w),
-                          serve::to_string(windows[w].kind),
                           Table::num(windows[w].start_us / 1e3, 3),
-                          Table::num(windows[w].end_us / 1e3, 3),
-                          Table::num(windows[w].slowdown, 2)});
+                          Table::num(windows[w].end_us / 1e3, 3)});
       }
     }
     emit(timeline, options.csv);

@@ -93,8 +93,8 @@ struct Options {
   /// Retry budget for batches killed by a mid-service outage.
   int max_retries = 3;
   /// Overload threshold on the projected queue wait, us; past it the batch
-  /// cap shrinks toward latency, and best-effort work sheds at
-  /// overload_shed_factor x this. 0 disables overload handling.
+  /// cap shrinks toward latency, and best-effort work sheds at 4x this. 0
+  /// disables overload handling.
   double shed_us = 0.0;
 
   // --- Continuous batching (--continuous and friends, imply --serve) -----

@@ -53,16 +53,6 @@ std::vector<FaultWindow>::const_iterator first_opening_after(
 
 }  // namespace
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kOutage:
-      return "outage";
-    case FaultKind::kSlowdown:
-      return "slowdown";
-  }
-  return "unknown";
-}
-
 FaultPlan FaultPlan::make(std::vector<std::vector<FaultWindow>> windows) {
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const auto instance = static_cast<int>(i);
@@ -74,14 +64,6 @@ FaultPlan FaultPlan::make(std::vector<std::vector<FaultWindow>> windows) {
       }
       if (window.end_us <= window.start_us) {
         fail_plan(instance, w, "window duration must be positive");
-      }
-      if (!std::isfinite(window.slowdown) || window.slowdown <= 0.0) {
-        fail_plan(instance, w, "slowdown must be > 0");
-      }
-      if (window.kind == FaultKind::kSlowdown && window.slowdown < 1.0) {
-        fail_plan(instance, w,
-                  "slowdown windows need a factor >= 1 (below 1 is a "
-                  "speedup; invert the factor)");
       }
       if (w > 0 && windows[i][w - 1].end_us > window.start_us) {
         fail_plan(instance, w,
@@ -109,43 +91,27 @@ const std::vector<FaultWindow>& FaultPlan::windows(int instance) const {
 
 double FaultPlan::next_up_us(int instance, double t) const {
   // Walking forward once suffices: each outage covering t pushes t to its
-  // end.
+  // end, where the next window may open.
   const auto& plan = windows(instance);
   for (auto it = first_ending_after(plan, t); it != plan.end(); ++it) {
-    if (it->kind != FaultKind::kOutage) continue;
-    if (it->end_us <= t) continue;
     if (it->start_us > t) break;  // t is up before this window opens
     t = it->end_us;
   }
   return t;
 }
 
-double FaultPlan::slowdown_at(int instance, double t) const {
-  const auto& plan = windows(instance);
-  for (auto it = first_ending_after(plan, t); it != plan.end(); ++it) {
-    if (it->kind != FaultKind::kSlowdown) continue;
-    if (it->start_us <= t && t < it->end_us) return it->slowdown;
-    if (it->start_us > t) break;
-  }
-  return 1.0;
-}
-
 std::optional<double> FaultPlan::outage_in(int instance, double start,
                                            double finish) const {
   const auto& plan = windows(instance);
-  for (auto it = first_opening_after(plan, start); it != plan.end(); ++it) {
-    if (it->kind != FaultKind::kOutage) continue;
-    if (it->start_us >= finish) break;
-    return it->start_us;
-  }
-  return std::nullopt;
+  const auto it = first_opening_after(plan, start);
+  if (it == plan.end() || it->start_us >= finish) return std::nullopt;
+  return it->start_us;
 }
 
 double FaultPlan::downtime_in(int instance, double start,
                               double finish) const {
   double down = 0.0;
   for (const auto& window : windows(instance)) {
-    if (window.kind != FaultKind::kOutage) continue;
     if (window.start_us >= finish) break;
     down += std::max(0.0, std::min(window.end_us, finish) -
                               std::max(window.start_us, start));
@@ -157,9 +123,6 @@ FaultPlan draw_fault_plan(const FaultProfile& profile, int instances,
                           double horizon_us, std::uint64_t seed) {
   NOVA_EXPECTS(std::isfinite(profile.mtbf_us) && profile.mtbf_us > 0.0);
   NOVA_EXPECTS(std::isfinite(profile.mttr_us) && profile.mttr_us > 0.0);
-  NOVA_EXPECTS(profile.slowdown_fraction >= 0.0 &&
-               profile.slowdown_fraction <= 1.0);
-  NOVA_EXPECTS(profile.slowdown_factor >= 1.0);
   NOVA_EXPECTS(instances >= 1);
   NOVA_EXPECTS(std::isfinite(horizon_us) && horizon_us >= 0.0);
 
@@ -183,19 +146,13 @@ FaultPlan draw_fault_plan(const FaultProfile& profile, int instances,
       // Degenerate repair draws (U ~ 1) would violate the positive-duration
       // contract; clamp to a nanosecond-scale floor.
       const double duration = std::max(repair, 1e-3);
-      FaultWindow window;
-      window.start_us = t;
-      window.end_us = t + duration;
-      // The kind draw happens whether or not slowdowns are enabled so a
-      // profile with slowdown_fraction 0 still consumes the same stream
-      // positions (plans stay comparable across profile tweaks).
-      const bool degrade = rng.next_double() < profile.slowdown_fraction;
-      if (degrade) {
-        window.kind = FaultKind::kSlowdown;
-        window.slowdown = profile.slowdown_factor;
-      }
-      windows[static_cast<std::size_t>(i)].push_back(window);
-      t = window.end_us;
+      windows[static_cast<std::size_t>(i)].push_back({t, t + duration});
+      t += duration;
+      // Each window also consumes a third draw, which decides nothing.
+      // Dropping it would move every later window of the instance, and
+      // with them every faulted golden and the pinned continuous-faults
+      // fingerprint.
+      (void)rng.next_double();
     }
   }
   return FaultPlan::make(std::move(windows));

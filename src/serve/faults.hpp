@@ -1,15 +1,14 @@
 // Deterministic fault injection for the serving layer: per-instance
-// fail/recover windows and slowdown intervals that the BatchScheduler's
-// dispatch loop consults when placing work.
+// fail/recover windows that the BatchScheduler's dispatch loop consults
+// when placing work.
 //
 // A FaultPlan is a validated, immutable timeline per instance: ordered,
-// non-overlapping windows during which the instance is either down (an
-// outage -- dispatch skips it, batches in flight fail at the window start)
-// or degraded (a slowdown -- service times stretch by a factor). Plans are
-// either hand-built through FaultPlan::make (which validates eagerly and
-// aborts with a message naming the offending window, the same contract as
-// BatchScheduler's stream validation) or drawn from a seeded exponential
-// MTBF/MTTR profile via draw_fault_plan.
+// non-overlapping outage windows during which the instance is down
+// (dispatch skips it, and batches in flight fail at the window start).
+// Plans are either hand-built through FaultPlan::make (which validates
+// eagerly and aborts with a message naming the offending window, the same
+// contract as BatchScheduler's stream validation) or drawn from a seeded
+// exponential MTBF/MTTR profile via draw_fault_plan.
 //
 // Determinism: every fault draw comes from an RNG stream keyed by
 // (seed, instance id) alone -- never from thread timing, draw order across
@@ -24,27 +23,12 @@
 
 namespace nova::serve {
 
-/// What a fault window does to its instance while active.
-enum class FaultKind {
-  /// Hard outage: the instance accepts no dispatches, and a batch in
-  /// flight when the window opens fails at the window start.
-  kOutage,
-  /// Degraded service: dispatches still land but run `slowdown` times
-  /// longer (thermal throttling, a noisy neighbour, a flaky link).
-  kSlowdown,
-};
-
-[[nodiscard]] const char* to_string(FaultKind kind);
-
-/// One fault interval [start_us, end_us) on one instance.
+/// One outage [start_us, end_us) on one instance: it accepts no
+/// dispatches, and a batch in flight when the window opens fails at the
+/// window start.
 struct FaultWindow {
-  FaultKind kind = FaultKind::kOutage;
   double start_us = 0.0;
   double end_us = 0.0;
-  /// Service-time multiplier while a kSlowdown window is active; must be
-  /// >= 1 (a "slowdown" below 1 would be a speedup and is almost always a
-  /// sign the caller inverted the factor). Outage windows keep 1.0.
-  double slowdown = 1.0;
 };
 
 /// The validated per-instance fault timeline (see file comment). A
@@ -58,10 +42,10 @@ class FaultPlan {
   /// Builds a plan from `windows[i]` = instance i's fault windows.
   /// Instances beyond windows.size() are fault-free. Validation is eager
   /// and active in every build type: each window needs a finite
-  /// start_us >= 0, a positive duration, and slowdown >= 1 for kSlowdown
-  /// windows; per instance the windows must be sorted by start and
-  /// non-overlapping. A violation aborts with a message naming the
-  /// instance and window index instead of mis-simulating silently.
+  /// start_us >= 0 and a positive duration; per instance the windows must
+  /// be sorted by start and non-overlapping. A violation aborts with a
+  /// message naming the instance and window index instead of
+  /// mis-simulating silently.
   [[nodiscard]] static FaultPlan make(
       std::vector<std::vector<FaultWindow>> windows);
 
@@ -77,20 +61,16 @@ class FaultPlan {
   }
 
   /// Earliest time >= t at which `instance` is outside every outage
-  /// window (slowdown windows do not block dispatch).
+  /// window.
   [[nodiscard]] double next_up_us(int instance, double t) const;
-
-  /// Service-time multiplier active on `instance` at time t (1.0 outside
-  /// every slowdown window).
-  [[nodiscard]] double slowdown_at(int instance, double t) const;
 
   /// Start of the first outage window opening inside (start, finish), if
   /// any: the instant a batch in flight over that interval fails.
   [[nodiscard]] std::optional<double> outage_in(int instance, double start,
                                                 double finish) const;
 
-  /// Total outage time of `instance` inside [start, finish] (slowdown
-  /// windows count as up); the availability numerator's complement.
+  /// Total outage time of `instance` inside [start, finish]; the
+  /// availability numerator's complement.
   [[nodiscard]] double downtime_in(int instance, double start,
                                    double finish) const;
 
@@ -106,18 +86,13 @@ struct FaultProfile {
   double mtbf_us = 20000.0;
   /// Mean time to recover (fault window duration), > 0.
   double mttr_us = 2000.0;
-  /// Fraction of drawn faults that degrade (kSlowdown) instead of killing
-  /// (kOutage) the instance; in [0, 1].
-  double slowdown_fraction = 0.0;
-  /// Service-time multiplier of drawn slowdown windows; >= 1.
-  double slowdown_factor = 4.0;
 };
 
 /// Draws a FaultPlan for `instances` instances over [0, horizon_us) from
 /// `profile`. Instance i's windows come from an RNG stream keyed by
 /// (seed, i) alone, so they do not change when the pool grows or shrinks.
-/// Profile preconditions (positive MTBF/MTTR, fraction in [0, 1], factor
-/// >= 1) abort eagerly on violation.
+/// Profile preconditions (finite, positive MTBF and MTTR) abort eagerly on
+/// violation.
 [[nodiscard]] FaultPlan draw_fault_plan(const FaultProfile& profile,
                                         int instances, double horizon_us,
                                         std::uint64_t seed);

@@ -11,6 +11,15 @@ namespace nova::serve {
 
 namespace {
 
+/// The first retry backs off this long; each further retry doubles it.
+constexpr double kBackoffBaseUs = 50.0;
+/// Exponential backoff cap (pre-jitter).
+constexpr double kBackoffCapUs = 5000.0;
+/// Deterministic jitter span as a fraction of the capped backoff.
+constexpr double kBackoffJitter = 0.25;
+/// Multiple of overload_queue_us past which best-effort work is shed.
+constexpr double kOverloadShedFactor = 4.0;
+
 [[noreturn]] void fail_policy(const char* what) {
   std::fprintf(stderr,
                "nova: FailurePolicy precondition violation: %s\n", what);
@@ -37,37 +46,20 @@ const char* to_string(RequestStatus status) {
 
 void validate(const FailurePolicy& policy) {
   if (policy.max_retries < 0) fail_policy("max_retries must be >= 0");
-  if (!std::isfinite(policy.backoff_base_us) ||
-      policy.backoff_base_us <= 0.0) {
-    fail_policy("backoff_base_us must be finite and > 0");
-  }
-  if (!std::isfinite(policy.backoff_cap_us) ||
-      policy.backoff_cap_us < policy.backoff_base_us) {
-    fail_policy("backoff_cap_us must be finite and >= backoff_base_us");
-  }
-  if (!(policy.backoff_jitter >= 0.0 && policy.backoff_jitter <= 1.0)) {
-    fail_policy("backoff_jitter must be in [0, 1]");
-  }
   if (!std::isfinite(policy.overload_queue_us) ||
       policy.overload_queue_us < 0.0) {
     fail_policy("overload_queue_us must be finite and >= 0");
   }
-  // Negated so NaN fails too: NaN < 1.0 is false, and a NaN factor would
-  // silently disable overload shedding.
-  if (!(policy.overload_shed_factor >= 1.0)) {
-    fail_policy("overload_shed_factor must be >= 1");
-  }
 }
 
-double retry_backoff_us(const FailurePolicy& policy, int attempt,
-                        int request_id, std::uint64_t seed) {
+double retry_backoff_us(int attempt, int request_id, std::uint64_t seed) {
   // Capped exponential: base * 2^(attempt-1), saturating instead of
   // overflowing for absurd attempt counts.
-  double backoff = policy.backoff_base_us;
-  for (int i = 1; i < attempt && backoff < policy.backoff_cap_us; ++i) {
+  double backoff = kBackoffBaseUs;
+  for (int i = 1; i < attempt && backoff < kBackoffCapUs; ++i) {
     backoff *= 2.0;
   }
-  backoff = std::min(backoff, policy.backoff_cap_us);
+  backoff = std::min(backoff, kBackoffCapUs);
   // Deterministic jitter keyed by (seed, request, attempt): the same
   // retry always waits the same amount, but distinct requests spread out
   // instead of stampeding a recovering instance in lockstep.
@@ -77,7 +69,7 @@ double retry_backoff_us(const FailurePolicy& policy, int attempt,
                                     1)) ^
           (0x9E3779B97F4A7C15ULL *
            (static_cast<std::uint64_t>(static_cast<unsigned>(attempt)) + 1)));
-  return backoff * (1.0 + policy.backoff_jitter * rng.next_double());
+  return backoff * (1.0 + kBackoffJitter * rng.next_double());
 }
 
 int degraded_max_batch(const FailurePolicy& policy, int max_batch,
@@ -95,8 +87,7 @@ bool should_shed_overload(const FailurePolicy& policy,
                           int attempt) {
   if (policy.overload_queue_us <= 0.0) return false;
   if (has_deadline || attempt > 1) return false;
-  return projected_wait_us >
-         policy.overload_shed_factor * policy.overload_queue_us;
+  return projected_wait_us > kOverloadShedFactor * policy.overload_queue_us;
 }
 
 }  // namespace nova::serve

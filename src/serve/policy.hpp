@@ -38,35 +38,22 @@ enum class RequestStatus {
 /// Number of distinct RequestStatus values (report arrays index by it).
 inline constexpr int kRequestStatusCount = 5;
 
-/// How dispatch reacts to faults, deadlines, and overload. The defaults
-/// retry generously and never shed on queue depth; deadline shedding only
-/// engages for requests that actually carry a deadline.
+/// How dispatch reacts to faults and overload. The defaults retry
+/// generously and never shed on queue depth. Deadline shedding is always
+/// on: a request is shed at admission when its projected finish (dispatch
+/// start + its own standalone service time) already misses arrival +
+/// deadline_us; requests without a deadline are never deadline-shed.
 struct FailurePolicy {
   /// Retries after a mid-service failure before a request goes kFailed
   /// (so a request is attempted at most max_retries + 1 times). >= 0.
   int max_retries = 3;
-  /// First retry backs off this long; each further retry doubles it. > 0.
-  double backoff_base_us = 50.0;
-  /// Exponential backoff cap (pre-jitter). >= backoff_base_us.
-  double backoff_cap_us = 5000.0;
-  /// Deterministic jitter span as a fraction of the capped backoff: the
-  /// delay drawn is backoff * (1 + u * backoff_jitter), u in [0, 1) keyed
-  /// by (seed, request id, attempt). In [0, 1].
-  double backoff_jitter = 0.25;
-  /// Shed a request at admission when its projected finish (dispatch
-  /// start + its own surrogate-priced standalone service time) already
-  /// misses arrival + deadline_us. Requests without a deadline are never
-  /// deadline-shed.
-  bool shed_on_deadline = true;
   /// Projected queue-wait threshold (us) past which dispatch degrades
   /// gracefully: the effective max batch shrinks proportionally toward 1,
-  /// trading fused throughput for latency. 0 disables the overload policy
-  /// entirely (no degradation, no overload shedding).
+  /// trading fused throughput for latency, and past 4x the threshold
+  /// best-effort work (requests carrying no deadline -- the lowest
+  /// priority class) is shed outright on its first attempt. 0 disables the
+  /// overload policy entirely (no degradation, no overload shedding).
   double overload_queue_us = 0.0;
-  /// Multiple of overload_queue_us past which best-effort work (requests
-  /// carrying no deadline -- the lowest priority class) is shed outright
-  /// on its first attempt. >= 1.
-  double overload_shed_factor = 4.0;
 };
 
 /// Aborts (precondition style, active in every build) on out-of-range
@@ -74,10 +61,10 @@ struct FailurePolicy {
 void validate(const FailurePolicy& policy);
 
 /// Backoff delay before retry number `attempt` (1 = first retry) of
-/// request `request_id`: capped exponential plus deterministic jitter
-/// (see FailurePolicy::backoff_jitter). Pure; > 0.
-[[nodiscard]] double retry_backoff_us(const FailurePolicy& policy,
-                                      int attempt, int request_id,
+/// request `request_id`: b = 50 us * 2^(attempt - 1), capped at 5000 us,
+/// stretched by deterministic jitter to b * (1 + 0.25 u), u in [0, 1)
+/// keyed by (seed, request id, attempt). Pure; in [b, 1.25 b).
+[[nodiscard]] double retry_backoff_us(int attempt, int request_id,
                                       std::uint64_t seed);
 
 /// The graceful-degradation half of the overload policy: the batch cap
@@ -93,7 +80,7 @@ void validate(const FailurePolicy& policy);
 
 /// The shedding half of the overload policy: true when a first-attempt,
 /// deadline-free request facing `projected_wait_us` of queue wait should
-/// be dropped (wait past overload_shed_factor * overload_queue_us).
+/// be dropped (wait past 4 * overload_queue_us).
 /// Deadline-carrying work is never overload-shed (it has its own policy),
 /// and retries are never overload-shed (they already paid for service).
 [[nodiscard]] bool should_shed_overload(const FailurePolicy& policy,

@@ -394,7 +394,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     if (use_new &&
         (should_shed_overload(policy, wait_us, head_req.has_deadline(),
                               head.attempt) ||
-         (policy.shed_on_deadline && head_req.has_deadline() &&
+         (head_req.has_deadline() &&
           start + head_outcome.service_us >
               head_req.arrival_us + head_req.deadline_us))) {
       head_outcome.status = RequestStatus::kShed;
@@ -482,8 +482,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // first wave (wave_latency - 1 accelerator cycles). A whole-request unit
     // costs its folded service_us and starts at its plan's first step, whose
     // wave latency pricing recorded in the outcome; a step costs its share
-    // of its shape's cycles, clock-converted. An active slowdown window
-    // stretches the whole dispatch.
+    // of its shape's cycles, clock-converted.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
       const auto i = static_cast<std::size_t>(batch[k].id);
@@ -502,7 +501,6 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
       if (k != 0) service_us -= std::max(0, wave_latency - 1) * cycle_us;
     }
     service_us = std::max(service_us, cycle_us);
-    service_us *= faults.slowdown_at(instance_index, start);
     const double finish = start + service_us;
     auto& inst = report.instances[instance];
 
@@ -526,8 +524,8 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
             outcome.instance = -1;
           }
         } else {
-          const double backoff_us = retry_backoff_us(
-              policy, member.attempt, member.id, config_.seed);
+          const double backoff_us =
+              retry_backoff_us(member.attempt, member.id, config_.seed);
           backoff_acc.add(backoff_us);
           report.stats.bump(id_retries);
           const Pending retry{*failed_at + backoff_us, member.id,

@@ -258,8 +258,7 @@ struct InstanceStats {
   double busy_us = 0.0;
   /// Dispatches on this instance killed by an outage window.
   int failed_batches = 0;
-  /// Outage time inside the report's makespan (slowdown windows count as
-  /// up -- they serve, just slowly).
+  /// Outage time inside the report's makespan.
   double down_us = 0.0;
   /// Fraction of the makespan this instance was up; 1 when no faults.
   double availability = 1.0;

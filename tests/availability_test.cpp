@@ -7,10 +7,10 @@
 // (start, ready_us, id, instance) pinned-queue candidates, checked against
 // a plain linear minimum. Both are driven through the loop's access
 // pattern -- free_at advances, slots filling and freeing, leaves set and
-// cleared in any order -- over fault plans with outage and slowdown
-// windows and pool sizes that leave padding leaves in the tree, and must
-// agree at every step, including the tie-break on the lowest instance
-// index and the empty tree when every instance is rejected.
+// cleared in any order -- over drawn outage plans and pool sizes that
+// leave padding leaves in the tree, and must agree at every step,
+// including the tie-break on the lowest instance index and the empty tree
+// when every instance is rejected.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -49,7 +49,6 @@ int run_open_episode(std::uint64_t seed, int instances, int steps) {
   FaultProfile profile;
   profile.mtbf_us = 500.0 + rng.uniform(0.0, 2000.0);
   profile.mttr_us = 100.0 + rng.uniform(0.0, 500.0);
-  profile.slowdown_fraction = 0.3;
   // Every third episode runs fault-free: the tree must also match the scan
   // when next_up_us degenerates to the identity on free_at.
   const FaultPlan faults =

@@ -18,6 +18,7 @@
 #include "core/overlay.hpp"
 #include "histogram_samples.hpp"
 #include "serve/faults.hpp"
+#include "serve/policy.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/session.hpp"
@@ -296,11 +297,6 @@ TEST(ContinuousScheduler, PreemptedSessionResumesInsteadOfRestarting) {
 
   auto config = small_pool(1, 1);
   config.continuous = true;
-  // A near-zero deterministic backoff keeps the retry delay out of the
-  // resumed-tail measurement below, which compares work re-run, not waits.
-  config.policy.backoff_base_us = 1.0;
-  config.policy.backoff_cap_us = 1.0;
-  config.policy.backoff_jitter = 0.0;
   const auto clean = BatchScheduler(config).run(requests);
   const double clean_finish = clean.outcomes[0].finish_us;
   const double service = clean.outcomes[0].service_us;
@@ -320,12 +316,15 @@ TEST(ContinuousScheduler, PreemptedSessionResumesInsteadOfRestarting) {
   EXPECT_EQ(outcome.status, RequestStatus::kRetried);
   EXPECT_GE(outcome.attempts, 2);
   EXPECT_GE(report.stats.counter("serve.preempted_steps"), 1u);
-  // The session waited out the window...
-  EXPECT_GE(outcome.finish_us, window.end_us);
-  // ...and then needed only the work still pending at the preemption plus
-  // the retry backoff -- far less than re-running the full session, which
-  // would land past end + service.
-  const double resumed_tail = outcome.finish_us - window.end_us;
+  // The session waited out the window and the first retry's backoff...
+  const double resumed_at =
+      std::max(window.end_us,
+               window.start_us + retry_backoff_us(1, 0, config.seed));
+  EXPECT_GE(outcome.finish_us, resumed_at);
+  // ...and then needed only the work still pending at the preemption --
+  // far less than re-running the full session, which would land past
+  // resumed_at + service.
+  const double resumed_tail = outcome.finish_us - resumed_at;
   EXPECT_LT(resumed_tail, 0.5 * service);
   // Completed steps kept their prices: the outcome's standalone service
   // cost is a plan property and must not change under retries.

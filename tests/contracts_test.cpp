@@ -82,7 +82,7 @@ TEST(Contracts, LutUnitRejectsWrongStreamCount) {
 }
 
 TEST(Contracts, SystolicRejectsDegenerateGemm) {
-  const accel::SystolicConfig cfg{8, 8, accel::Dataflow::kWeightStationary};
+  const accel::SystolicConfig cfg{8, 8};
   EXPECT_DEATH((void)accel::gemm_cycles(cfg, 0, 8, 8), "precondition");
 }
 

@@ -177,7 +177,7 @@ ServeReport reference_run(const ServeConfig& config,
     if (fresh &&
         (should_shed_overload(policy, wait_us, head_req.has_deadline(),
                               head.attempt) ||
-         (policy.shed_on_deadline && head_req.has_deadline() &&
+         (head_req.has_deadline() &&
           start + head_outcome.service_us >
               head_req.arrival_us + head_req.deadline_us))) {
       head_outcome.status = RequestStatus::kShed;
@@ -232,7 +232,6 @@ ServeReport reference_run(const ServeConfig& config,
       if (k != 0) service_us -= std::max(0, wave_latency - 1) * cycle_us;
     }
     service_us = std::max(service_us, cycle_us);
-    service_us *= faults.slowdown_at(instance, start);
     const double finish = start + service_us;
     auto& inst = report.instances[is];
 
@@ -248,7 +247,7 @@ ServeReport reference_run(const ServeConfig& config,
           if (pinned[us] >= 0) slots[static_cast<std::size_t>(pinned[us])] -= 1;
         } else {
           const double backoff_us =
-              retry_backoff_us(policy, unit.attempt, unit.id, config.seed);
+              retry_backoff_us(unit.attempt, unit.id, config.seed);
           report.stats.accumulator("serve.backoff_us").add(backoff_us);
           report.stats.bump(report.stats.counter_id("serve.retries"));
           pending.push_back({*failed_at + backoff_us, unit.id,
@@ -429,12 +428,10 @@ Scenario draw_scenario(std::uint64_t seed, bool continuous,
     FaultProfile profile;
     profile.mtbf_us = rng.uniform(20.0, 400.0);
     profile.mttr_us = rng.uniform(2.0, 80.0);
-    if (rng.next_below(3) == 0) profile.slowdown_fraction = 0.3;
     s.config.faults = draw_fault_plan(profile, s.config.instances, 20000.0,
                                       rng.next_u64());
   }
   const bool deadlines = rng.next_below(2) == 0;
-  s.config.policy.shed_on_deadline = rng.next_below(3) != 0;
   const double grid_us = 1.0 + static_cast<double>(rng.next_below(20));
   const int n = 1 + static_cast<int>(rng.next_below(48));
   const approx::NonLinearFn functions[] = {
@@ -579,8 +576,8 @@ TEST(ContinuousDispatch, FailedPinnedSessionEndsUnservedAndFreesItsSlot) {
   ASSERT_GE(clean.outcomes[1].start_us, step1_end);
 
   const double outage_end = step1_end + 100.0;
-  config.faults = FaultPlan::make({{FaultWindow{
-      FaultKind::kOutage, (step0_end + step1_end) / 2.0, outage_end}}});
+  config.faults = FaultPlan::make(
+      {{FaultWindow{(step0_end + step1_end) / 2.0, outage_end}}});
   const ServeReport report = BatchScheduler(config).run(requests);
   const RequestOutcome& failed = report.outcomes[0];
   EXPECT_EQ(failed.status, RequestStatus::kFailed);
@@ -605,8 +602,9 @@ TEST(ContinuousDispatch, FailedPinnedSessionEndsUnservedAndFreesItsSlot) {
 TEST(ContinuousDispatch, BatchSamplesNeverExceedTheSessionSteps) {
   // Dispatch reserves the batch-size store at the stream's total session
   // steps, once, so the bound must hold however a run goes: served plain,
-  // preempted by faults, or thinned by shedding. With one session slot and
-  // no faults every step is its own dispatch, and the bound is met exactly.
+  // preempted by faults, or thinned by overload shedding. With one session
+  // slot, no faults and no deadlines (nothing is shed) every step is its own
+  // dispatch, and the bound is met exactly.
   TrafficProfile profile;
   profile.rate_rps = 2e6;
   profile.max_steps = 8;
@@ -621,7 +619,6 @@ TEST(ContinuousDispatch, BatchSamplesNeverExceedTheSessionSteps) {
   config.max_batch = 4;
   config.chunk_tokens = 48;
   config.pricing = PricingMode::kSurrogate;
-  config.policy.shed_on_deadline = false;
 
   const ServeReport plain = BatchScheduler(config).run(requests);
   expect_samples_within_steps(config, requests, plain);
@@ -637,18 +634,19 @@ TEST(ContinuousDispatch, BatchSamplesNeverExceedTheSessionSteps) {
   expect_samples_within_steps(faulted, requests, preempted);
 
   ServeConfig shedding = config;
-  shedding.policy.shed_on_deadline = true;
   shedding.policy.overload_queue_us = 4000.0;
   const ServeReport thinned = BatchScheduler(shedding).run(requests);
   EXPECT_GT(thinned.status_count(RequestStatus::kShed), 0u);
   expect_samples_within_steps(shedding, requests, thinned);
 
+  auto best_effort = requests;
+  for (auto& req : best_effort) req.deadline_us = 0.0;
   ServeConfig one_slot = config;
   one_slot.max_batch = 1;
-  const ServeReport single = BatchScheduler(one_slot).run(requests);
-  expect_samples_within_steps(one_slot, requests, single);
+  const ServeReport single = BatchScheduler(one_slot).run(best_effort);
+  expect_samples_within_steps(one_slot, best_effort, single);
   std::uint64_t total_steps = 0;
-  for (const auto& req : requests) {
+  for (const auto& req : best_effort) {
     total_steps += static_cast<std::uint64_t>(
         session_layout(req, /*continuous=*/true, config.chunk_tokens)
             .total_steps());

@@ -4,6 +4,7 @@
 // shedding, determinism under faults) lives in serve_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,21 +21,7 @@
 namespace nova::serve {
 namespace {
 
-FaultWindow outage(double start, double end) {
-  FaultWindow window;
-  window.start_us = start;
-  window.end_us = end;
-  return window;
-}
-
-FaultWindow slow(double start, double end, double factor) {
-  FaultWindow window;
-  window.kind = FaultKind::kSlowdown;
-  window.start_us = start;
-  window.end_us = end;
-  window.slowdown = factor;
-  return window;
-}
+FaultWindow outage(double start, double end) { return {start, end}; }
 
 TEST(FaultPlan, DefaultPlanIsEmptyAndAlwaysUp) {
   const FaultPlan plan;
@@ -42,18 +29,17 @@ TEST(FaultPlan, DefaultPlanIsEmptyAndAlwaysUp) {
   EXPECT_EQ(plan.instances(), 0);
   EXPECT_TRUE(plan.windows(5).empty());
   EXPECT_DOUBLE_EQ(plan.next_up_us(0, 123.0), 123.0);
-  EXPECT_DOUBLE_EQ(plan.slowdown_at(3, 1.0), 1.0);
   EXPECT_FALSE(plan.outage_in(0, 0.0, 1e9).has_value());
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 0.0, 1e9), 0.0);
 }
 
 TEST(FaultPlan, WindowQueriesWalkTheTimeline) {
-  const auto plan = FaultPlan::make(
-      {{outage(10.0, 20.0), slow(30.0, 40.0, 2.5), outage(40.0, 50.0)}});
+  const auto plan =
+      FaultPlan::make({{outage(10.0, 20.0), outage(40.0, 50.0)}});
   EXPECT_FALSE(plan.empty());
   EXPECT_EQ(plan.instances(), 1);
 
-  // next_up: pushed past any outage covering t; slowdowns never block.
+  // next_up: pushed past any outage covering t.
   EXPECT_DOUBLE_EQ(plan.next_up_us(0, 5.0), 5.0);
   EXPECT_DOUBLE_EQ(plan.next_up_us(0, 10.0), 20.0);
   EXPECT_DOUBLE_EQ(plan.next_up_us(0, 15.0), 20.0);
@@ -62,13 +48,6 @@ TEST(FaultPlan, WindowQueriesWalkTheTimeline) {
   EXPECT_DOUBLE_EQ(plan.next_up_us(0, 45.0), 50.0);
   // Instances past the plan are always healthy.
   EXPECT_DOUBLE_EQ(plan.next_up_us(1, 15.0), 15.0);
-
-  // slowdown_at: the active factor inside [start, end), 1 elsewhere.
-  EXPECT_DOUBLE_EQ(plan.slowdown_at(0, 29.9), 1.0);
-  EXPECT_DOUBLE_EQ(plan.slowdown_at(0, 30.0), 2.5);
-  EXPECT_DOUBLE_EQ(plan.slowdown_at(0, 39.9), 2.5);
-  EXPECT_DOUBLE_EQ(plan.slowdown_at(0, 40.0), 1.0);
-  EXPECT_DOUBLE_EQ(plan.slowdown_at(0, 15.0), 1.0);  // outage, not slowdown
 
   // outage_in: the first outage OPENING strictly inside (start, finish).
   ASSERT_TRUE(plan.outage_in(0, 5.0, 15.0).has_value());
@@ -79,7 +58,7 @@ TEST(FaultPlan, WindowQueriesWalkTheTimeline) {
   ASSERT_TRUE(plan.outage_in(0, 20.0, 60.0).has_value());
   EXPECT_DOUBLE_EQ(*plan.outage_in(0, 20.0, 60.0), 40.0);
 
-  // downtime_in: clipped outage overlap; the slowdown window counts as up.
+  // downtime_in: clipped outage overlap.
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 0.0, 100.0), 20.0);
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 15.0, 45.0), 10.0);
   EXPECT_DOUBLE_EQ(plan.downtime_in(0, 20.0, 40.0), 0.0);
@@ -91,7 +70,6 @@ TEST(FaultPlan, WindowQueriesWalkTheTimeline) {
 double reference_next_up_us(const std::vector<FaultWindow>& windows,
                             double t) {
   for (const auto& window : windows) {
-    if (window.kind != FaultKind::kOutage) continue;
     if (window.end_us <= t) continue;
     if (window.start_us > t) break;
     t = window.end_us;
@@ -99,20 +77,9 @@ double reference_next_up_us(const std::vector<FaultWindow>& windows,
   return t;
 }
 
-double reference_slowdown_at(const std::vector<FaultWindow>& windows,
-                             double t) {
-  for (const auto& window : windows) {
-    if (window.kind != FaultKind::kSlowdown) continue;
-    if (window.start_us <= t && t < window.end_us) return window.slowdown;
-    if (window.start_us > t) break;
-  }
-  return 1.0;
-}
-
 std::optional<double> reference_outage_in(
     const std::vector<FaultWindow>& windows, double start, double finish) {
   for (const auto& window : windows) {
-    if (window.kind != FaultKind::kOutage) continue;
     if (window.start_us >= finish) break;
     if (window.start_us > start) return window.start_us;
   }
@@ -120,8 +87,7 @@ std::optional<double> reference_outage_in(
 }
 
 /// One instance's random timeline on a half-microsecond grid: outage chains
-/// whose windows abut (one ends where the next starts) with slowdown
-/// windows interleaved, abutting or spaced.
+/// whose windows abut (one ends where the next starts), spaced apart.
 std::vector<FaultWindow> draw_timeline(Rng& rng) {
   std::vector<FaultWindow> windows;
   const auto count = rng.next_below(40);
@@ -132,9 +98,7 @@ std::vector<FaultWindow> draw_timeline(Rng& rng) {
         abut ? t : t + 0.5 * static_cast<double>(1 + rng.next_below(20));
     const double end =
         start + 0.5 * static_cast<double>(1 + rng.next_below(16));
-    windows.push_back(rng.next_below(3) == 0
-                          ? slow(start, end, 1.0 + rng.uniform(0.0, 3.0))
-                          : outage(start, end));
+    windows.push_back(outage(start, end));
     t = end;
   }
   return windows;
@@ -142,7 +106,6 @@ std::vector<FaultWindow> draw_timeline(Rng& rng) {
 
 TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
   int chained = 0;  // next_up answers pushed through two or more outages
-  int slowed = 0;   // slowdown_at answers inside a slowdown window
   int opened = 0;   // outage_in answers that found an outage
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
@@ -167,16 +130,9 @@ TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
         const double up = plan.next_up_us(i, t);
         ASSERT_EQ(up, reference_next_up_us(windows, t))
             << "seed " << seed << " instance " << i << " t " << t;
-        const double factor = plan.slowdown_at(i, t);
-        ASSERT_EQ(factor, reference_slowdown_at(windows, t))
-            << "seed " << seed << " instance " << i << " t " << t;
-        if (factor != 1.0) ++slowed;
         int crossed = 0;
         for (const auto& window : windows) {
-          if (window.kind == FaultKind::kOutage && window.start_us >= t &&
-              window.end_us <= up) {
-            ++crossed;
-          }
+          if (window.start_us >= t && window.end_us <= up) ++crossed;
         }
         if (crossed >= 2) ++chained;
         // Spans from t to a later, equal and earlier query time.
@@ -192,7 +148,6 @@ TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
     }
   }
   EXPECT_GT(chained, 1000);
-  EXPECT_GT(slowed, 1000);
   EXPECT_GT(opened, 1000);
 }
 
@@ -212,7 +167,6 @@ TEST(FaultPlan, DrawIsDeterministicAndStableUnderPoolResizing) {
     for (std::size_t w = 0; w < wa.size(); ++w) {
       EXPECT_DOUBLE_EQ(wa[w].start_us, wb[w].start_us);
       EXPECT_DOUBLE_EQ(wa[w].end_us, wb[w].end_us);
-      EXPECT_EQ(wa[w].kind, wb[w].kind);
     }
   }
   // Another seed gives another plan.
@@ -309,37 +263,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-TEST(FaultPlan, DrawsSlowdownsAtTheConfiguredFraction) {
-  FaultProfile profile;
-  profile.mtbf_us = 200.0;
-  profile.mttr_us = 50.0;
-  profile.slowdown_fraction = 0.5;
-  profile.slowdown_factor = 3.0;
-  const auto plan = draw_fault_plan(profile, 2, 100000.0, 11);
-  int outages = 0, slowdowns = 0;
-  for (int i = 0; i < 2; ++i) {
-    for (const auto& window : plan.windows(i)) {
-      if (window.kind == FaultKind::kSlowdown) {
-        ++slowdowns;
-        EXPECT_DOUBLE_EQ(window.slowdown, 3.0);
-      } else {
-        ++outages;
-        EXPECT_DOUBLE_EQ(window.slowdown, 1.0);
-      }
-    }
-  }
-  ASSERT_GT(outages + slowdowns, 100);
-  const double fraction =
-      static_cast<double>(slowdowns) / (outages + slowdowns);
-  EXPECT_GT(fraction, 0.4);
-  EXPECT_LT(fraction, 0.6);
-}
-
-TEST(FaultKindNames, RoundTrip) {
-  EXPECT_STREQ(to_string(FaultKind::kOutage), "outage");
-  EXPECT_STREQ(to_string(FaultKind::kSlowdown), "slowdown");
-}
-
 TEST(FaultPlanDeathTest, RejectsOverlappingWindows) {
   EXPECT_DEATH((void)FaultPlan::make({{outage(0.0, 10.0), outage(5.0, 15.0)}}),
                "sorted by start and non-overlapping");
@@ -358,15 +281,6 @@ TEST(FaultPlanDeathTest, RejectsDegenerateWindows) {
   EXPECT_DEATH(
       (void)FaultPlan::make({{outage(std::nan(""), 5.0)}}),
       "finite and start >= 0");
-}
-
-TEST(FaultPlanDeathTest, RejectsBadSlowdownFactors) {
-  EXPECT_DEATH((void)FaultPlan::make({{slow(0.0, 5.0, 0.0)}}),
-               "slowdown must be > 0");
-  EXPECT_DEATH((void)FaultPlan::make({{slow(0.0, 5.0, -2.0)}}),
-               "slowdown must be > 0");
-  EXPECT_DEATH((void)FaultPlan::make({{slow(0.0, 5.0, 0.5)}}),
-               "factor >= 1");
 }
 
 TEST(FaultPlanDeathTest, RejectsNonPositiveMtbfMttr) {
@@ -390,30 +304,42 @@ TEST(RequestStatusNames, CoverEveryStatus) {
 }
 
 TEST(FailurePolicy, BackoffGrowsExponentiallyAndCaps) {
-  FailurePolicy policy;
-  policy.backoff_base_us = 100.0;
-  policy.backoff_cap_us = 1000.0;
-  policy.backoff_jitter = 0.0;  // isolate the schedule from the jitter
-  EXPECT_DOUBLE_EQ(retry_backoff_us(policy, 1, 0, 7), 100.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_us(policy, 2, 0, 7), 200.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_us(policy, 3, 0, 7), 400.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_us(policy, 4, 0, 7), 800.0);
-  EXPECT_DOUBLE_EQ(retry_backoff_us(policy, 5, 0, 7), 1000.0);  // capped
-  EXPECT_DOUBLE_EQ(retry_backoff_us(policy, 50, 0, 7), 1000.0);
+  // Retry a waits in [b, 1.25 b), b = 50 us * 2^(a-1) capped at 5000 us
+  // (reached on the 8th retry). Doubling outruns the jitter, so until the
+  // cap every delay of a retry exceeds every delay of the one before.
+  double previous_max = 0.0;
+  for (int attempt = 1; attempt <= 9; ++attempt) {
+    const double base =
+        std::min(50.0 * std::ldexp(1.0, attempt - 1), 5000.0);
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = 0.0;
+    for (int id = 0; id < 16; ++id) {
+      const double delay = retry_backoff_us(attempt, id, 7);
+      EXPECT_GE(delay, base) << "attempt " << attempt << " request " << id;
+      EXPECT_LT(delay, 1.25 * base)
+          << "attempt " << attempt << " request " << id;
+      lo = std::min(lo, delay);
+      hi = std::max(hi, delay);
+    }
+    if (attempt <= 8) {
+      EXPECT_GT(lo, previous_max) << "attempt " << attempt;
+    }
+    previous_max = hi;
+  }
+  // Absurd attempt counts saturate at the cap instead of overflowing.
+  EXPECT_GE(retry_backoff_us(50, 0, 7), 5000.0);
+  EXPECT_LT(retry_backoff_us(50, 0, 7), 6250.0);
 }
 
 TEST(FailurePolicy, JitterIsDeterministicBoundedAndSpreadsRequests) {
-  FailurePolicy policy;
-  policy.backoff_base_us = 100.0;
-  policy.backoff_jitter = 0.25;
-  const double a = retry_backoff_us(policy, 1, 3, 42);
-  EXPECT_DOUBLE_EQ(a, retry_backoff_us(policy, 1, 3, 42));
-  EXPECT_GE(a, 100.0);
-  EXPECT_LT(a, 125.0);
+  const double a = retry_backoff_us(1, 3, 42);
+  EXPECT_DOUBLE_EQ(a, retry_backoff_us(1, 3, 42));
+  EXPECT_GE(a, 50.0);
+  EXPECT_LT(a, 62.5);
   // Distinct requests (and attempts, and seeds) de-synchronize.
-  EXPECT_NE(a, retry_backoff_us(policy, 1, 4, 42));
-  EXPECT_NE(a, retry_backoff_us(policy, 2, 3, 42));
-  EXPECT_NE(a, retry_backoff_us(policy, 1, 3, 43));
+  EXPECT_NE(a, retry_backoff_us(1, 4, 42));
+  EXPECT_NE(a, retry_backoff_us(2, 3, 42));
+  EXPECT_NE(a, retry_backoff_us(1, 3, 43));
 }
 
 TEST(FailurePolicy, DegradedMaxBatchShrinksTowardOne) {
@@ -443,23 +369,8 @@ TEST(FailurePolicyDeathTest, RejectsOutOfRangeFields) {
   policy.max_retries = -1;
   EXPECT_DEATH(validate(policy), "max_retries");
   policy = {};
-  policy.backoff_base_us = 0.0;
-  EXPECT_DEATH(validate(policy), "backoff_base_us");
-  policy = {};
-  policy.backoff_cap_us = policy.backoff_base_us / 2.0;
-  EXPECT_DEATH(validate(policy), "backoff_cap_us");
-  policy = {};
-  policy.backoff_jitter = 1.5;
-  EXPECT_DEATH(validate(policy), "backoff_jitter");
-  policy = {};
   policy.overload_queue_us = -1.0;
   EXPECT_DEATH(validate(policy), "overload_queue_us");
-  policy = {};
-  policy.overload_shed_factor = 0.5;
-  EXPECT_DEATH(validate(policy), "overload_shed_factor");
-  policy = {};
-  policy.overload_shed_factor = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DEATH(validate(policy), "overload_shed_factor");
 }
 
 }  // namespace
