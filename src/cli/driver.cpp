@@ -118,6 +118,10 @@ void report_accuracy(const Options& options, approx::NonLinearFn chosen) {
 /// at this size.
 constexpr std::int64_t kMaxCycleSimElements = std::int64_t{10} * 256 * 65536;
 
+/// The most fault windows a --faults run draws before it serves: 2^24, about
+/// 256 MB at 16 bytes per window.
+constexpr double kMaxFaultWindows = 16777216.0;
+
 /// Section 3: cycle-accurate simulation -- streams random PE waves through
 /// the line NoC + vector unit and reports latency, cycles, and sim energy.
 void report_cycle_sim(const Options& options, const core::NovaConfig& cfg,
@@ -470,15 +474,7 @@ void report_surrogate(const Options& options,
 
 int run_serve(const Options& options, hw::AcceleratorKind host,
               approx::NonLinearFn fn, const core::NovaConfig& cfg,
-              pipeline::FusionMode fusion) {
-  const auto pricing = serve::pricing_mode_from_string(options.pricing);
-  if (!pricing) {
-    std::fprintf(stderr,
-                 "nova_sim: unknown pricing mode '%s' (expected exact, "
-                 "surrogate, or hybrid)\n",
-                 options.pricing.c_str());
-    return 2;
-  }
+              serve::PricingMode pricing, pipeline::FusionMode fusion) {
   std::vector<serve::InferenceRequest> requests;
   if (!options.trace_path.empty()) {
     std::string error;
@@ -511,11 +507,6 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
     requests = serve::generate_poisson(options.requests, profile,
                                        options.seed);
   }
-  if (!options.csv) {
-    std::printf("nova_sim: serving on %s, seed %llu\n\n",
-                hw::to_string(host),
-                static_cast<unsigned long long>(options.seed));
-  }
 
   serve::ServeConfig serve_cfg;
   serve_cfg.nova = cfg;
@@ -524,7 +515,7 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
   serve_cfg.threads = options.threads;
   serve_cfg.max_batch = options.max_batch;
   serve_cfg.seed = options.seed;
-  serve_cfg.pricing = *pricing;
+  serve_cfg.pricing = pricing;
   serve_cfg.fusion = fusion;
   serve_cfg.surrogate_anchors = options.surrogate_anchors;
   serve_cfg.surrogate_tol = options.surrogate_tol;
@@ -542,10 +533,31 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
         requests.empty() ? 0.0 : requests.back().arrival_us;
     const double horizon_us = 2.0 * last_arrival +
                               4.0 * (options.mtbf_us + options.mttr_us);
+    // The plan is drawn up front, one window per fail/recover cycle.
+    const double expected_windows = options.instances * horizon_us /
+                                    (options.mtbf_us + options.mttr_us);
+    if (expected_windows > kMaxFaultWindows) {
+      std::fprintf(stderr,
+                   "nova_sim: the fault plan would draw about %.0f windows "
+                   "(--instances %d x %.0f us, twice the %.0f us arrival "
+                   "span plus slack, / (--mtbf %g + --mttr %g) us), more "
+                   "than its budget of %.0f; raise --mtbf or --mttr, or "
+                   "lower --instances or the arrival span (--requests, "
+                   "--rate, --trace)\n",
+                   expected_windows, options.instances, horizon_us,
+                   last_arrival, options.mtbf_us, options.mttr_us,
+                   kMaxFaultWindows);
+      return 2;
+    }
     serve_cfg.faults = serve::draw_fault_plan(
         fault_profile, options.instances, horizon_us, options.seed);
   }
 
+  if (!options.csv) {
+    std::printf("nova_sim: serving on %s, seed %llu\n\n",
+                hw::to_string(host),
+                static_cast<unsigned long long>(options.seed));
+  }
   const serve::BatchScheduler scheduler(serve_cfg);
   const auto report = scheduler.run(requests);
 
@@ -695,10 +707,10 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
   }
   emit(per_phase, options.csv);
 
-  if (*pricing != serve::PricingMode::kExact) {
+  if (pricing != serve::PricingMode::kExact) {
     report_surrogate(options, report.surrogate);
   }
-  if (*pricing == serve::PricingMode::kHybrid &&
+  if (pricing == serve::PricingMode::kHybrid &&
       !report.surrogate.within_tolerance) {
     std::fprintf(stderr,
                  "nova_sim: hybrid pricing drift: surrogate max relative "
@@ -741,13 +753,23 @@ int run(const Options& options) {
                  options.fusion.c_str());
     return 2;
   }
+  const auto pricing = serve::pricing_mode_from_string(options.pricing);
+  if (!pricing) {
+    std::fprintf(stderr,
+                 "nova_sim: unknown pricing mode '%s' (expected exact, "
+                 "surrogate, or hybrid)\n",
+                 options.pricing.c_str());
+    return 2;
+  }
 
   auto overlay = core::make_overlay(*host);
   core::NovaConfig cfg = overlay.nova;
   cfg.pairs_per_flit = options.pairs_per_flit;
   if (options.routers > 0) cfg.routers = options.routers;
 
-  if (options.serve) return run_serve(options, *host, *fn, cfg, *fusion);
+  if (options.serve) {
+    return run_serve(options, *host, *fn, cfg, *pricing, *fusion);
+  }
 
   const std::int64_t sim_elements = std::int64_t{cfg.routers} *
                                     cfg.neurons_per_router * options.waves;
