@@ -601,10 +601,11 @@ TEST(ContinuousDispatch, FailedPinnedSessionEndsUnservedAndFreesItsSlot) {
 
 TEST(ContinuousDispatch, BatchSamplesNeverExceedTheSessionSteps) {
   // Dispatch reserves the batch-size store at the stream's total session
-  // steps, once, so the bound must hold however a run goes: served plain,
-  // preempted by faults, or thinned by overload shedding. With one session
-  // slot, no faults and no deadlines (nothing is shed) every step is its own
-  // dispatch, and the bound is met exactly.
+  // steps, once, so the bound must hold however a run goes: served with
+  // deadline shedding alone, preempted by faults, or thinned further by
+  // overload shedding. With one session slot, no faults and no deadlines
+  // (nothing is shed) every step is its own dispatch, and the bound is met
+  // exactly.
   TrafficProfile profile;
   profile.rate_rps = 2e6;
   profile.max_steps = 8;
