@@ -339,6 +339,10 @@ struct GoldenHost {
   /// several accelerator cycles, so flits of one train are still in flight
   /// when the next wave issues.
   int max_hops_per_cycle;
+  /// 0 keeps the host's. At one pair per flit the train is as many flits
+  /// as the table has breakpoints, so m reaches 64 on the 64-breakpoint
+  /// tables.
+  int pairs_per_flit;
   std::uint64_t hash;
 };
 
@@ -350,6 +354,7 @@ TEST_P(SimSessionGolden, OutputsMatchEvalFixedAndTimingMatchesPins) {
   const GoldenHost& param = GetParam();
   NovaConfig cfg = make_overlay(param.host).nova;
   cfg.max_hops_per_cycle = param.max_hops_per_cycle;
+  if (param.pairs_per_flit > 0) cfg.pairs_per_flit = param.pairs_per_flit;
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   std::uint64_t seed = 0x901d;
   for (const PwlTable& table : golden_tables()) {
@@ -391,18 +396,20 @@ TEST_P(SimSessionGolden, OutputsMatchEvalFixedAndTimingMatchesPins) {
 INSTANTIATE_TEST_SUITE_P(
     TableII, SimSessionGolden,
     ::testing::Values(
-        GoldenHost{hw::AcceleratorKind::kReact, "react", 0,
+        GoldenHost{hw::AcceleratorKind::kReact, "react", 0, 0,
                    0x2b013f139c3e1e10ULL},
-        GoldenHost{hw::AcceleratorKind::kTpuV3, "tpuv3", 0,
+        GoldenHost{hw::AcceleratorKind::kTpuV3, "tpuv3", 0, 0,
                    0xf1fbd441e32b673dULL},
-        GoldenHost{hw::AcceleratorKind::kTpuV4, "tpuv4", 0,
+        GoldenHost{hw::AcceleratorKind::kTpuV4, "tpuv4", 0, 0,
                    0xc8dcd1913e08bde9ULL},
-        GoldenHost{hw::AcceleratorKind::kJetsonNvdla, "nvdla", 0,
+        GoldenHost{hw::AcceleratorKind::kJetsonNvdla, "nvdla", 0, 0,
                    0xee4afa71ff47bdb7ULL},
-        GoldenHost{hw::AcceleratorKind::kReact, "react_slow_line", 3,
+        GoldenHost{hw::AcceleratorKind::kReact, "react_slow_line", 3, 0,
                    0xcb7f1f3f02c2cd5bULL},
-        GoldenHost{hw::AcceleratorKind::kTpuV4, "tpuv4_slow_line", 2,
-                   0xab5749ce01a3ef9dULL}),
+        GoldenHost{hw::AcceleratorKind::kTpuV4, "tpuv4_slow_line", 2, 0,
+                   0xab5749ce01a3ef9dULL},
+        GoldenHost{hw::AcceleratorKind::kTpuV4, "tpuv4_one_pair_per_flit", 0,
+                   1, 0x31cc23c6244aededULL}),
     [](const ::testing::TestParamInfo<GoldenHost>& info) {
       return std::string(info.param.name);
     });
