@@ -773,7 +773,7 @@ int run(const Options& options) {
 
   const std::int64_t sim_elements = std::int64_t{cfg.routers} *
                                     cfg.neurons_per_router * options.waves;
-  if (options.run_cycle_sim && sim_elements > kMaxCycleSimElements) {
+  if (!options.no_sim && sim_elements > kMaxCycleSimElements) {
     std::fprintf(stderr,
                  "nova_sim: the cycle simulation would stream %lld elements "
                  "(--routers %d x %d neurons per router x --waves %d), more "
@@ -794,7 +794,7 @@ int run(const Options& options) {
       approx::PwlLibrary::instance().get(*fn, options.breakpoints);
   report_deployment(options, overlay, cfg, fit);
   report_accuracy(options, *fn);
-  if (options.run_cycle_sim) report_cycle_sim(options, cfg, fit);
+  if (!options.no_sim) report_cycle_sim(options, cfg, fit);
   const auto accel_model = accel::make_accelerator(*host);
   if (options.verify &&
       !report_verify(options, *workloads, accel_model)) {

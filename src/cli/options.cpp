@@ -1,5 +1,12 @@
 #include "cli/options.hpp"
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -11,6 +18,119 @@
 namespace nova::cli {
 
 namespace {
+
+/// A numeric member and the range its flag's value must lie in. The
+/// bounds keep derived quantities (e.g. neurons_per_router * waves)
+/// comfortably inside int range.
+template <typename T>
+struct Bounded {
+  T Options::*member;
+  T min;
+  T max;
+};
+template <typename T>
+Bounded(T Options::*, T, T) -> Bounded<T>;
+
+/// One flag: the Options member it writes, whose type picks the parse,
+/// and the switches it also turns on. A bool member is a switch and takes
+/// no value; a string is a name that run() resolves; the seed takes any
+/// unsigned 64-bit integer.
+struct Flag {
+  std::string_view name;
+  std::variant<bool Options::*, std::string Options::*,
+               std::uint64_t Options::*, Bounded<int>, Bounded<double>>
+      member;
+  std::array<bool Options::*, 2> implies{};
+};
+
+/// Every flag but --help/-h and --list, in --help order.
+constexpr Flag kFlags[] = {
+    {"--workload", &Options::workload, {&Options::workload_set}},
+    {"--seq", Bounded{&Options::seq_len, 1, 1 << 20}},
+    {"--breakpoints",
+     Bounded{&Options::breakpoints, 2, serve::kMaxBreakpoints}},
+    {"--pairs-per-flit", Bounded{&Options::pairs_per_flit, 1, 4096}},
+    {"--routers", Bounded{&Options::routers, 1, 4096}},
+    {"--host", &Options::host},
+    {"--function", &Options::function, {&Options::function_set}},
+    {"--pipeline", &Options::pipeline},
+    {"--decode", &Options::decode},
+    {"--verify", &Options::verify},
+    {"--kv-len", Bounded{&Options::kv_len, 1, 1 << 20}},
+    {"--fusion", &Options::fusion},
+    {"--waves", Bounded{&Options::waves, 1, 65536}},
+    {"--seed", &Options::seed},
+    {"--csv", &Options::csv},
+    {"--no-sim", &Options::no_sim},
+    {"--serve", &Options::serve},
+    {"--requests", Bounded{&Options::requests, 1, 1 << 20}},
+    {"--rate", Bounded{&Options::rate_rps, 1e-3, 1e9}},
+    {"--instances", Bounded{&Options::instances, 1, 4096}},
+    {"--threads", Bounded{&Options::threads, 1, 256}},
+    {"--batch", Bounded{&Options::max_batch, 1, 4096}},
+    // A trace is only consumed by serving mode.
+    {"--trace", &Options::trace_path, {&Options::serve}},
+    {"--pricing", &Options::pricing},
+    {"--surrogate-anchors", Bounded{&Options::surrogate_anchors, 2, 256}},
+    {"--surrogate-tol", Bounded{&Options::surrogate_tol, 1e-6, 1.0}},
+    {"--faults", &Options::faults, {&Options::serve}},
+    {"--mtbf", Bounded{&Options::mtbf_us, 1.0, 1e12},
+     {&Options::faults, &Options::serve}},
+    {"--mttr", Bounded{&Options::mttr_us, 1.0, 1e12},
+     {&Options::faults, &Options::serve}},
+    {"--deadline", Bounded{&Options::deadline_us, 0.0, 1e12},
+     {&Options::serve}},
+    {"--max-retries", Bounded{&Options::max_retries, 0, 64},
+     {&Options::serve}},
+    {"--shed", Bounded{&Options::shed_us, 0.0, 1e12}, {&Options::serve}},
+    {"--continuous", &Options::continuous, {&Options::serve}},
+    {"--chunk-tokens", Bounded{&Options::chunk_tokens, 1, 1 << 20},
+     {&Options::continuous, &Options::serve}},
+    {"--max-steps", Bounded{&Options::max_steps, 0, serve::kMaxGenSteps},
+     {&Options::serve}},
+};
+
+/// Sets a flag's member from its value `text`, or fills `error`.
+bool set(Options& options, bool Options::*member, std::string_view,
+         const std::string&, std::string&) {
+  options.*member = true;
+  return true;
+}
+
+bool set(Options& options, std::string Options::*member, std::string_view,
+         const std::string& text, std::string&) {
+  options.*member = text;
+  return true;
+}
+
+bool set(Options& options, std::uint64_t Options::*member,
+         std::string_view flag, const std::string& text, std::string& error) {
+  if (!parse_full(text, options.*member)) {
+    error = std::string(flag) + " expects an unsigned 64-bit integer, got '" +
+            text + "'";
+    return false;
+  }
+  return true;
+}
+
+/// The range test asks for membership in [min, max] rather than rejecting
+/// values outside it: std::from_chars accepts "nan", and every comparison
+/// with NaN is false.
+template <typename T>
+bool set(Options& options, Bounded<T> bounded, std::string_view flag,
+         const std::string& text, std::string& error) {
+  T value{};
+  if (!parse_full(text, value) ||
+      !(value >= bounded.min && value <= bounded.max)) {
+    error = std::string(flag) + " expects " +
+            (std::is_integral_v<T> ? "an integer" : "a number") + " in [" +
+            std::to_string(bounded.min) + ", " + std::to_string(bounded.max) +
+            "], got '" + text + "'";
+    return false;
+  }
+  options.*bounded.member = value;
+  return true;
+}
 
 /// Joins catalog items with `sep`, wrapping onto `indent`-prefixed
 /// continuation lines so the usage text stays inside 79 columns.
@@ -35,51 +155,6 @@ std::string wrap_items(const std::vector<std::string>& items,
   }
   out += line;
   return out;
-}
-
-/// Parses a bounded integer flag value. Bounds keep derived quantities
-/// (e.g. neurons_per_router * waves) comfortably inside int range.
-bool parse_int(const std::string& flag, const char* text, int min_value,
-               int max_value, int& out, std::string& error) {
-  int value = 0;
-  if (!parse_full(std::string(text), value) || value < min_value ||
-      value > max_value) {
-    error = flag + " expects an integer in [" + std::to_string(min_value) +
-            ", " + std::to_string(max_value) + "], got '" + text + "'";
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-/// Parses a full-range unsigned 64-bit flag value (seeds).
-bool parse_u64(const std::string& flag, const char* text, std::uint64_t& out,
-               std::string& error) {
-  std::uint64_t value = 0;
-  if (!parse_full(std::string(text), value)) {
-    error = flag + " expects an unsigned 64-bit integer, got '" +
-            std::string(text) + "'";
-    return false;
-  }
-  out = value;
-  return true;
-}
-
-/// Parses a positive bounded double flag value (rates). The range test
-/// asks for membership in [min, max] rather than rejecting values outside
-/// it: std::from_chars accepts "nan", and every comparison with NaN is
-/// false.
-bool parse_double(const std::string& flag, const char* text, double min_value,
-                  double max_value, double& out, std::string& error) {
-  double value = 0.0;
-  if (!parse_full(std::string(text), value) ||
-      !(value >= min_value && value <= max_value)) {
-    error = flag + " expects a number in [" + std::to_string(min_value) +
-            ", " + std::to_string(max_value) + "], got '" + text + "'";
-    return false;
-  }
-  out = value;
-  return true;
 }
 
 }  // namespace
@@ -115,16 +190,16 @@ std::string usage() {
       "Usage: nova_sim [options]\n"
       "  --workload NAME    bert|all (all paper benchmarks) or one of\n";
   text += wrap_items(workloads, ", ", 74, indent);
-  text += "   (default: bert)\n";
+  text += "   (default: {--workload})\n";
   text +=
-      "  --seq N            sequence length            (default: 128)\n"
-      "  --breakpoints N    PWL segments per lookup    (default: 16)\n"
+      "  --seq N            sequence length            (default: {--seq})\n"
+      "  --breakpoints N    PWL segments per lookup    (default: {--breakpoints})\n"
       "  --pairs-per-flit N NoC link width in (slope,bias) pairs per flit\n"
-      "                     (paper: 8 = 257 bits)      (default: 8)\n"
+      "                     (paper: 8 = 257 bits)      (default: {--pairs-per-flit})\n"
       "  --routers N        override host router count (default: host config)\n";
   text += "  --host NAME        " + wrap_items(hosts, "|", 74, "");
-  text += "    (default: tpuv4)\n";
-  text += "  --function NAME    one of the catalog below (default: gelu)\n";
+  text += "    (default: {--host})\n";
+  text += "  --function NAME    one of the catalog below (default: {--function})\n";
   text += wrap_items(functions, "|", 74, indent);
   text += "\n";
   text +=
@@ -142,17 +217,17 @@ std::string usage() {
       "                     prefill and decode graphs; non-zero exit on\n"
       "                     error diagnostics (full sweep: nova_lint)\n"
       "  --kv-len N         KV-cache length for --decode and the decode\n"
-      "                     side of serve traffic    (default: 512)\n"
+      "                     side of serve traffic    (default: {--kv-len})\n"
       "  --fusion MODE      operator-graph fusion: off (builder graphs,\n"
       "                     byte-identical to pre-fusion output), on (fuse\n"
       "                     attention + GEMM epilogues unconditionally), or\n"
       "                     auto (price all 8 rewrite masks per shape and\n"
       "                     take the fastest). Applies to --pipeline (adds\n"
       "                     the tuner table) and to --serve admission\n"
-      "                     pricing                  (default: off)\n"
-      "  --waves N          PE waves in the cycle sim  (default: 4)\n"
+      "                     pricing                  (default: {--fusion})\n"
+      "  --waves N          PE waves in the cycle sim  (default: {--waves})\n"
       "  --seed N           RNG seed for synthetic inputs and serve traffic\n"
-      "                     (default: 42)\n"
+      "                     (default: {--seed})\n"
       "  --csv              emit tables as CSV instead of ASCII\n"
       "  --no-sim           skip the cycle-accurate NoC simulation\n"
       "  --list             list workloads, hosts and functions, then exit\n"
@@ -160,12 +235,12 @@ std::string usage() {
       "\n"
       "Serving mode:\n"
       "  --serve            run the batched inference-serving engine\n"
-      "  --requests N       Poisson-generated requests  (default: 256)\n"
-      "  --rate R           mean arrival rate, req/s    (default: 500000)\n"
-      "  --instances N      simulated NOVA instances    (default: 2)\n"
+      "  --requests N       Poisson-generated requests  (default: {--requests})\n"
+      "  --rate R           mean arrival rate, req/s    (default: {--rate})\n"
+      "  --instances N      simulated NOVA instances    (default: {--instances})\n"
       "  --threads N        pricing worker threads; results are identical\n"
-      "                     for every value             (default: 1)\n"
-      "  --batch N          max requests fused per dispatch (default: 8)\n"
+      "                     for every value             (default: {--threads})\n"
+      "  --batch N          max requests fused per dispatch (default: {--batch})\n"
       "  --trace FILE       replay 'arrival_us,workload,function,seq_len,\n"
       "                     breakpoints' lines instead of Poisson arrivals\n"
       "                     (implies --serve); --workload/--function narrow\n"
@@ -175,33 +250,33 @@ std::string usage() {
       "                     surrogate (PWL cost model anchored by a few\n"
       "                     such calibrations), or hybrid\n"
       "                     (surrogate + sampled exact reconciliation;\n"
-      "                     non-zero exit on drift)   (default: exact)\n"
+      "                     non-zero exit on drift)   (default: {--pricing})\n"
       "  --surrogate-anchors N  max anchor runs per (workload, function,\n"
-      "                     breakpoints, phase) class  (default: 8)\n"
+      "                     breakpoints, phase) class  (default: {--surrogate-anchors})\n"
       "  --surrogate-tol X  hybrid reconciliation tolerance, relative\n"
-      "                     service-cycle error        (default: 0.02)\n"
+      "                     service-cycle error        (default: {--surrogate-tol})\n"
       "\n"
       "Failure-aware serving (each flag implies --serve):\n"
       "  --faults           inject a seeded exponential fault plan: each\n"
       "                     instance alternates exp(MTBF) up-time and\n"
       "                     exp(MTTR) outages, drawn per instance from\n"
       "                     --seed; prints the fault timeline table\n"
-      "  --mtbf US          mean time between failures (default: 20000;\n"
+      "  --mtbf US          mean time between failures (default: {--mtbf};\n"
       "                     implies --faults)\n"
-      "  --mttr US          mean time to recover       (default: 2000;\n"
+      "  --mttr US          mean time to recover       (default: {--mttr};\n"
       "                     implies --faults)\n"
       "  --deadline US      SLO budget stamped on generated requests,\n"
       "                     relative to arrival; hopeless requests shed at\n"
       "                     admission, late ones count as deadline-miss\n"
-      "                     (default: 0 = best-effort; trace files carry\n"
+      "                     (default: {--deadline} = best-effort; trace files carry\n"
       "                     their own trailing deadline_us column)\n"
       "  --max-retries N    retry budget for batches killed mid-service by\n"
       "                     an outage, with capped exponential backoff and\n"
-      "                     deterministic jitter       (default: 3)\n"
+      "                     deterministic jitter       (default: {--max-retries})\n"
       "  --shed US          overload threshold on projected queue wait:\n"
       "                     past it the batch cap shrinks toward latency,\n"
       "                     and best-effort work sheds at 4x the threshold\n"
-      "                     (default: 0 = disabled)\n"
+      "                     (default: {--shed} = disabled)\n"
       "\n"
       "Continuous batching (--continuous/--chunk-tokens imply --serve):\n"
       "  --continuous       iteration-level scheduling: generations become\n"
@@ -210,11 +285,11 @@ std::string usage() {
       "                     and an outage preempts only the step in flight\n"
       "                     (the session resumes with its KV cache intact)\n"
       "  --chunk-tokens N   prefill chunk size in prompt tokens under\n"
-      "                     --continuous              (default: 64)\n"
+      "                     --continuous              (default: {--chunk-tokens})\n"
       "  --max-steps N      generation length drawn per generated request,\n"
       "                     uniform in [1, N]; 0 keeps classic single-step\n"
       "                     traffic; trace files carry their own trailing\n"
-      "                     steps column              (default: 0)\n"
+      "                     steps column              (default: {--max-steps})\n"
       "\n"
       "Examples:\n"
       "  nova_sim --workload bert --seq 128\n"
@@ -226,167 +301,61 @@ std::string usage() {
       "  nova_sim --continuous --max-steps 16 --chunk-tokens 64 "
       "--pricing hybrid\n"
       "  nova_sim --serve --fusion auto --pricing hybrid --requests 500\n";
+  // Each {--flag} above shows that flag's member in a default Options.
+  const Options defaults;
+  for (const Flag& flag : kFlags) {
+    std::string placeholder = "{";
+    placeholder.append(flag.name).push_back('}');
+    const auto at = text.find(placeholder);
+    if (at == std::string::npos) continue;
+    std::ostringstream shown;
+    std::visit([&](auto member) {
+      if constexpr (std::is_class_v<decltype(member)>) {
+        shown << defaults.*member.member;  // a Bounded number
+      } else {
+        shown << defaults.*member;
+      }
+    }, flag.member);
+    text.replace(at, placeholder.size(), shown.str());
+  }
   return text;
 }
 
 bool parse_options(int argc, const char* const* argv, Options& options,
                    std::string& error) {
   for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&](const char*& value) {
+    const std::string name = argv[i];
+    // --help and --list end parsing where they stand.
+    if (name == "--help" || name == "-h") {
+      options.show_help = true;
+      return true;
+    }
+    if (name == "--list") {
+      options.show_list = true;
+      return true;
+    }
+    const Flag* const flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const Flag& row) { return row.name == name; });
+    if (flag == std::end(kFlags)) {
+      error = "unknown flag '" + name + "'";
+      return false;
+    }
+    std::string value;
+    if (!std::holds_alternative<bool Options::*>(flag->member)) {
       if (i + 1 >= argc) {
-        error = flag + " expects a value";
+        error = name + " expects a value";
         return false;
       }
       value = argv[++i];
-      return true;
-    };
-
-    const char* value = nullptr;
-    if (flag == "--help" || flag == "-h") {
-      options.show_help = true;
-      return true;
-    } else if (flag == "--list") {
-      options.show_list = true;
-      return true;
-    } else if (flag == "--csv") {
-      options.csv = true;
-    } else if (flag == "--no-sim") {
-      options.run_cycle_sim = false;
-    } else if (flag == "--pipeline") {
-      options.pipeline = true;
-    } else if (flag == "--decode") {
-      options.decode = true;
-    } else if (flag == "--verify") {
-      options.verify = true;
-    } else if (flag == "--kv-len") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 1 << 20, options.kv_len, error))
-        return false;
-    } else if (flag == "--serve") {
-      options.serve = true;
-    } else if (flag == "--workload") {
-      if (!next(value)) return false;
-      options.workload = value;
-      options.workload_set = true;
-    } else if (flag == "--host") {
-      if (!next(value)) return false;
-      options.host = value;
-    } else if (flag == "--function") {
-      if (!next(value)) return false;
-      options.function = value;
-      options.function_set = true;
-    } else if (flag == "--trace") {
-      if (!next(value)) return false;
-      options.trace_path = value;
-      options.serve = true;  // a trace is only consumed by serving mode
-    } else if (flag == "--seq") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 1 << 20, options.seq_len, error))
-        return false;
-    } else if (flag == "--breakpoints") {
-      if (!next(value) ||
-          !parse_int(flag, value, 2, serve::kMaxBreakpoints,
-                     options.breakpoints, error))
-        return false;
-    } else if (flag == "--pairs-per-flit") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 4096, options.pairs_per_flit, error))
-        return false;
-    } else if (flag == "--routers") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 4096, options.routers, error))
-        return false;
-    } else if (flag == "--waves") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 65536, options.waves, error))
-        return false;
-    } else if (flag == "--seed") {
-      if (!next(value) || !parse_u64(flag, value, options.seed, error))
-        return false;
-    } else if (flag == "--requests") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 1 << 20, options.requests, error))
-        return false;
-    } else if (flag == "--rate") {
-      if (!next(value) ||
-          !parse_double(flag, value, 1e-3, 1e9, options.rate_rps, error))
-        return false;
-    } else if (flag == "--instances") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 4096, options.instances, error))
-        return false;
-    } else if (flag == "--threads") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 256, options.threads, error))
-        return false;
-    } else if (flag == "--batch") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 4096, options.max_batch, error))
-        return false;
-    } else if (flag == "--pricing") {
-      if (!next(value)) return false;
-      options.pricing = value;
-    } else if (flag == "--fusion") {
-      if (!next(value)) return false;
-      options.fusion = value;
-    } else if (flag == "--surrogate-anchors") {
-      if (!next(value) ||
-          !parse_int(flag, value, 2, 256, options.surrogate_anchors, error))
-        return false;
-    } else if (flag == "--surrogate-tol") {
-      if (!next(value) ||
-          !parse_double(flag, value, 1e-6, 1.0, options.surrogate_tol,
-                        error))
-        return false;
-    } else if (flag == "--faults") {
-      options.faults = true;
-      options.serve = true;
-    } else if (flag == "--mtbf") {
-      if (!next(value) ||
-          !parse_double(flag, value, 1.0, 1e12, options.mtbf_us, error))
-        return false;
-      options.faults = true;
-      options.serve = true;
-    } else if (flag == "--mttr") {
-      if (!next(value) ||
-          !parse_double(flag, value, 1.0, 1e12, options.mttr_us, error))
-        return false;
-      options.faults = true;
-      options.serve = true;
-    } else if (flag == "--deadline") {
-      if (!next(value) ||
-          !parse_double(flag, value, 0.0, 1e12, options.deadline_us, error))
-        return false;
-      options.serve = true;
-    } else if (flag == "--max-retries") {
-      if (!next(value) ||
-          !parse_int(flag, value, 0, 64, options.max_retries, error))
-        return false;
-      options.serve = true;
-    } else if (flag == "--shed") {
-      if (!next(value) ||
-          !parse_double(flag, value, 0.0, 1e12, options.shed_us, error))
-        return false;
-      options.serve = true;
-    } else if (flag == "--continuous") {
-      options.continuous = true;
-      options.serve = true;
-    } else if (flag == "--chunk-tokens") {
-      if (!next(value) ||
-          !parse_int(flag, value, 1, 1 << 20, options.chunk_tokens, error))
-        return false;
-      options.continuous = true;
-      options.serve = true;
-    } else if (flag == "--max-steps") {
-      if (!next(value) ||
-          !parse_int(flag, value, 0, serve::kMaxGenSteps, options.max_steps,
-                     error))
-        return false;
-      options.serve = true;
-    } else {
-      error = "unknown flag '" + flag + "'";
+    }
+    if (!std::visit([&](auto member) {
+          return set(options, member, flag->name, value, error);
+        }, flag->member)) {
       return false;
+    }
+    for (bool Options::*implied : flag->implies) {
+      if (implied != nullptr) options.*implied = true;
     }
   }
   return true;

@@ -1,6 +1,8 @@
 // Command-line options for the nova_sim driver: which workload/host to
 // evaluate and how the NOVA deployment is parameterized (breakpoints,
-// link width, router count), plus the serving-mode knobs (--serve).
+// link width, router count), plus the serving-mode knobs (--serve). The
+// defaults below are the ones --help prints; each flag's bounds and the
+// switches it turns on are its row in options.cpp's flag table.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,7 @@ struct Options {
   /// Seed for every synthetic input stream (cycle sim and serve traffic).
   std::uint64_t seed = 42;
   bool csv = false;
-  bool run_cycle_sim = true;
+  bool no_sim = false;
   bool show_help = false;
   bool show_list = false;
   /// Print the per-layer pipeline Gantt/attribution tables (operator-graph
