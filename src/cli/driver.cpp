@@ -494,13 +494,16 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
     profile.deadline_us = options.deadline_us;
     profile.max_steps = options.max_steps;
     // An explicit --workload / --function narrows the generated mix;
-    // "bert"/"all" asks for the full five-benchmark stream.
+    // "bert"/"all" asks for the full five-benchmark stream, in catalog
+    // order.
     if (options.workload_set) {
+      profile.workloads.clear();
       if (options.workload == "bert" || options.workload == "all") {
-        profile.workloads = {"mobilebert-base", "mobilebert-tiny", "roberta",
-                             "bert-tiny", "bert-mini"};
+        for (const auto& entry : workload::benchmark_catalog()) {
+          profile.workloads.emplace_back(entry.name);
+        }
       } else {
-        profile.workloads = {options.workload};
+        profile.workloads.push_back(options.workload);
       }
     }
     if (options.function_set) profile.functions = {fn};
