@@ -65,8 +65,10 @@ SimSession::SimSession(const NovaConfig& config,
   wave_slope_.resize(routers * stride_);
   wave_bias_.resize(routers * stride_);
   wave_size_.resize(routers);
-  captures_.resize(routers * m * stride_);
+  captures_.resize(routers * stride_);
+  bucket_start_.resize(routers * m);
   bucket_size_.resize(routers * m);
+  issue_.resize(stride_);
 
   line_.set_sink(this);
 }
@@ -88,7 +90,8 @@ void SimSession::on_observation(int router, const noc::Flit& flit,
   // current train would.)
   int& size = bucket_size_[bucket];
   if (size == 0) return;
-  const Capture* const captures = &captures_[bucket * stride_];
+  const Capture* const captures =
+      &captures_[static_cast<std::size_t>(bucket_start_[bucket])];
   for (int k = 0; k < size; ++k) {
     const auto i = static_cast<std::size_t>(captures[k].entry);
     const noc::SlopeBiasPair& pair = flit.pair(captures[k].slot);
@@ -113,18 +116,28 @@ void SimSession::issue_wave(sim::Cycle now) {
     const std::size_t base = r * stride_;
     // Every bucket is empty here: the previous wave was fully captured.
     int* const sizes = &bucket_size_[r * m];
-    Capture* const captures = &captures_[r * m * stride_];
     for (std::size_t i = 0; i < take; ++i) {
       const Word16 xq = Word16::from_double(stream[start + i]);
       const Route route =
           routes_[static_cast<std::size_t>(table_.lookup_address(xq))];
       wave_x_[base + i] = xq;
-      const auto t = static_cast<std::size_t>(route.tag);
-      captures[t * stride_ + static_cast<std::size_t>(sizes[t]++)] =
-          Capture{static_cast<int>(base + i), route.slot};
+      issue_[i] = Issued{route, sizes[route.tag]++};
     }
+    // The counting pass lays the router's buckets back to back in its
+    // stride_ capture slots; each entry then lands at its bucket's start
+    // plus its rank, in wave order within the bucket.
+    int* const starts = &bucket_start_[r * m];
+    int next = static_cast<int>(base);
     for (std::size_t t = 0; t < m; ++t) {
+      starts[t] = next;
+      next += sizes[t];
       pending_buckets_ += sizes[t] != 0 ? 1 : 0;
+    }
+    for (std::size_t i = 0; i < take; ++i) {
+      const Issued& issued = issue_[i];
+      captures_[static_cast<std::size_t>(starts[issued.route.tag] +
+                                         issued.rank)] =
+          Capture{static_cast<int>(base + i), issued.route.slot};
     }
   }
   unissued_ -= elements;

@@ -16,10 +16,12 @@
 //   * The session attaches to the LineNoc as a noc::CaptureSink -- one
 //     virtual call per router observation, no std::function hop.
 //   * Each wave is issued with a tag-indexed capture plan: entries are
-//     appended to a per-(router, tag) bucket at issue time, so an
-//     observation captures exactly its matching entries instead of scanning
-//     every pending address on every flit. Buckets have room for a full
-//     wave, so placing an entry needs no counting pass first.
+//     placed in a per-(router, tag) bucket at issue time, so an observation
+//     captures exactly its matching entries instead of scanning every
+//     pending address on every flit. A counting pass lays each router's
+//     buckets back to back in its N capture slots, so the plan holds
+//     routers x N entries and routers x m bucket starts and sizes, not
+//     routers x m x N entries.
 //   * The wave lives in session-owned flat buffers sized once for a full
 //     wave, router-major, so issuing a wave allocates nothing.
 //   * A lookup address maps to its (tag, slot) through a per-address table
@@ -71,6 +73,13 @@ class SimSession final : private noc::CaptureSink {
     int slot = 0;
   };
 
+  /// An entry of the wave being issued, between the counting pass and its
+  /// placement: its route and its rank among its bucket's entries.
+  struct Issued {
+    Route route;
+    int rank = 0;
+  };
+
   /// noc::CaptureSink: router `router` sees `flit` on the line.
   void on_observation(int router, const noc::Flit& flit,
                       sim::Cycle noc_now) override;
@@ -110,11 +119,16 @@ class SimSession final : private noc::CaptureSink {
   /// Per router: entries in this wave.
   std::vector<int> wave_size_;
   /// The capture plan: one bucket per (router, tag), bucket b holding
-  /// captures_[b * stride_ .. b * stride_ + bucket_size_[b]). A bucket is
-  /// captured whole on the first observation of its tag, which empties it,
-  /// so every bucket is empty again once a wave completes.
+  /// captures_[bucket_start_[b] .. bucket_start_[b] + bucket_size_[b]).
+  /// Router r's buckets lie back to back in its stride_ slots of captures_,
+  /// router-major like the wave. A bucket is captured whole on the first
+  /// observation of its tag, which empties it, so every bucket is empty
+  /// again once a wave completes.
   std::vector<Capture> captures_;
+  std::vector<int> bucket_start_;
   std::vector<int> bucket_size_;
+  /// Per entry of the router being issued.
+  std::vector<Issued> issue_;
   /// Non-empty buckets of the in-flight wave; zero means all pairs are in.
   int pending_buckets_ = 0;
   std::uint64_t wave_elements_ = 0;
