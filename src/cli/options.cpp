@@ -28,6 +28,7 @@ struct Bounded {
   T min;
   T max;
 };
+// Spelled out for compilers without aggregate deduction (Clang before 17).
 template <typename T>
 Bounded(T Options::*, T, T) -> Bounded<T>;
 
