@@ -152,10 +152,9 @@ int main(int argc, char** argv) {
   // exact outcomes, request by request (not just the hybrid sample).
   double max_rel_error = 0.0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const double e =
-        static_cast<double>(exact.report.outcomes[i].service_cycles);
+    const double e = static_cast<double>(exact.report.cost(i).service_cycles);
     const double s =
-        static_cast<double>(surrogate.report.outcomes[i].service_cycles);
+        static_cast<double>(surrogate.report.cost(i).service_cycles);
     max_rel_error =
         std::max(max_rel_error, std::abs(s - e) / std::max(e, 1.0));
   }

@@ -164,6 +164,28 @@ struct PerUnitGradients {
   }
 };
 
+/// The per-unit kernel as the training loop runs it: the hidden units
+/// through PerUnitGradients, then the constant lane (the last unit) as two
+/// serial loss sums, g for beta and g*x for gamma. The lane's three sums
+/// would be one chain more, and its gv repeats its gc. Same bits: g*1 == g,
+/// and both sums run in ascending k from +0.0.
+struct PerUnitTrainingGradients {
+  void operator()(const UnitGradients& s) const {
+    const std::size_t units = s.w.size() - 1;
+    PerUnitGradients{}(UnitGradients{
+        s.xs, s.gs, s.w.first(units), s.c.first(units), s.v.first(units),
+        s.first.first(units), s.last.first(units), s.gv.first(units),
+        s.gw.first(units), s.gc.first(units)});
+    double beta = 0.0, gamma = 0.0;
+    for (std::size_t k = 0; k < s.xs.size(); ++k) {
+      beta += s.gs[k];
+      gamma += s.gs[k] * s.xs[k];
+    }
+    s.gw[units] = gamma;
+    s.gc[units] = beta;
+  }
+};
+
 #if NOVA_MLP_SIMD
 /// One block's lanes as plain arrays: its units' coefficients in, their
 /// three sums out. Padding lanes keep w = c = v = 0.
@@ -434,7 +456,8 @@ NOVA_MLP_INLINE Pieces train_loop(const ScalarFn& exact, const PwlTable& seed,
   // [first[i], last[i]), then the constant lane, w = 0, c = 1 and v = 1 on
   // every sample. That lane's gc sums g*1 and its gw (g*1)*x, in ascending
   // k from +0.0, so they are the beta and gamma gradients a serial loop
-  // over the samples would add, bit for bit. It is not a parameter: Adam,
+  // over the samples would add, bit for bit (the per-unit path runs that
+  // loop, PerUnitTrainingGradients). It is not a parameter: Adam,
   // reprojection and extract_pieces never see it.
   std::vector<double> lane_w(units + 1, 0.0), lane_c(units + 1, 1.0),
       lane_v(units + 1, 1.0);
@@ -601,7 +624,7 @@ Pieces train_mlp_pieces(MlpKernel kernel, const ScalarFn& exact,
     return train_avx2(exact, seed, breakpoints, domain, options);
   }
 #endif
-  PerUnitGradients gradients;
+  PerUnitTrainingGradients gradients;
   return train_loop(exact, seed, breakpoints, domain, options, gradients);
 }
 

@@ -116,7 +116,8 @@ void report_accuracy(const Options& options, approx::NonLinearFn chosen) {
 /// deployment, the largest Table II host, at the --waves bound. Every
 /// element is held in memory as an input and an output double, about 2.6 GB
 /// at this size.
-constexpr std::int64_t kMaxCycleSimElements = std::int64_t{10} * 256 * 65536;
+constexpr std::int64_t kMaxCycleSimElements =
+    std::int64_t{10} * 256 * kMaxWaves;
 
 /// The most fault windows a --faults run draws before it serves: 2^24, about
 /// 256 MB at 16 bytes per window.
@@ -695,9 +696,10 @@ int run_serve(const Options& options, hw::AcceleratorKind host,
       // and negative pseudo-latencies would poison the class means.
       const auto& outcome = report.outcomes[i];
       if (requests[i].phase != phase || !outcome.served()) continue;
+      const serve::SessionCost cost = report.cost(i);
       ++count;
-      ops += static_cast<std::uint64_t>(outcome.approx_ops);
-      service += outcome.service_us;
+      ops += static_cast<std::uint64_t>(cost.approx_ops);
+      service += cost.service_us;
       latency += outcome.latency_us(requests[i]);
       max_latency = std::max(max_latency, outcome.latency_us(requests[i]));
     }

@@ -59,7 +59,7 @@ constexpr Flag kFlags[] = {
     {"--verify", &Options::verify},
     {"--kv-len", Bounded{&Options::kv_len, 1, 1 << 20}},
     {"--fusion", &Options::fusion},
-    {"--waves", Bounded{&Options::waves, 1, 65536}},
+    {"--waves", Bounded{&Options::waves, 1, kMaxWaves}},
     {"--seed", &Options::seed},
     {"--csv", &Options::csv},
     {"--no-sim", &Options::no_sim},

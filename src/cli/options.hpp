@@ -10,6 +10,10 @@
 
 namespace nova::cli {
 
+/// The most PE waves --waves accepts: its row in the flag table, and the
+/// bound the driver sizes the cycle simulation's element budget from.
+inline constexpr int kMaxWaves = 65536;
+
 struct Options {
   /// Workload selector: "bert"/"all" = the paper's five Fig 8 benchmarks,
   /// or one of bert-tiny, bert-mini, roberta, mobilebert-base,

@@ -81,6 +81,17 @@ double ServeReport::latency_percentile_us(double p) const {
   return hist == nullptr ? 0.0 : hist->percentile(p);
 }
 
+SessionCost ServeReport::cost(std::size_t i) const {
+  const RequestOutcome& outcome = outcomes[i];
+  SessionCost cost = classes[outcome.session_class].cost;
+  if (!outcome.served()) {
+    cost.service_cycles = 0;
+    cost.wave_latency_cycles = 0;
+    cost.service_us = 0.0;
+  }
+  return cost;
+}
+
 std::string outcome_fingerprint(const std::vector<InferenceRequest>& requests,
                                 const ServeReport& report) {
   NOVA_EXPECTS(requests.size() == report.outcomes.size());
@@ -88,15 +99,15 @@ std::string outcome_fingerprint(const std::vector<InferenceRequest>& requests,
   char buf[256];
   for (std::size_t i = 0; i < report.outcomes.size(); ++i) {
     const auto& outcome = report.outcomes[i];
-    const int session_steps =
-        outcome.prefill_chunks + decode_steps(requests[i]);
+    const SessionCost cost = report.cost(i);
+    const int session_steps = cost.prefill_chunks + decode_steps(requests[i]);
     std::snprintf(buf, sizeof(buf),
                   "%zu|%s|%d|%d|%d|%d|%lld|%lld|%d|%a|%a|%a|%a\n", i,
                   to_string(outcome.status), outcome.attempts,
                   outcome.instance, outcome.batch_id, session_steps,
-                  static_cast<long long>(outcome.approx_ops),
-                  static_cast<long long>(outcome.service_cycles),
-                  outcome.wave_latency_cycles, outcome.service_us,
+                  static_cast<long long>(cost.approx_ops),
+                  static_cast<long long>(cost.service_cycles),
+                  cost.wave_latency_cycles, cost.service_us,
                   outcome.start_us, outcome.finish_us,
                   outcome.first_finish_us);
     out += buf;
@@ -124,9 +135,9 @@ BatchScheduler::BatchScheduler(const ServeConfig& config) : config_(config) {
 }
 
 std::vector<ShapeCost> BatchScheduler::price_requests(
-    const std::vector<InferenceRequest>& requests, const PlanIndex& index,
-    std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit,
-    std::uint64_t& total_steps) const {
+    const std::vector<InferenceRequest>& requests,
+    const SessionClasses& classes, const PlanIndex& index,
+    ServeReport& report, std::uint64_t& total_steps) const {
   // A request's price is a function of its shape alone (where wave timing
   // depends on the data, the calibration synthesizes that data from the
   // shape), so pricing is memoized per distinct shape; only the distinct
@@ -151,6 +162,7 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
                              config_.sim_elements_cap};
   pricer_config.fusion = config_.fusion;
   const ExactPricer pricer(pricer_config);
+  SurrogateAudit& audit = report.surrogate;
   audit.mode = config_.pricing;
   audit.distinct_shapes = distinct.size();
   audit.tolerance = config_.surrogate_tol;
@@ -211,8 +223,9 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
         std::max(audit.max_fusion_speedup, cost.fusion_speedup);
   }
 
-  // Fold the step costs into per-request aggregates, step by step in plan
-  // order. A chunk's cycles are share * service_cycles -- the same product
+  // Fold the step costs into per-class aggregates, step by step in plan
+  // order, once per session class: every member runs its class's plan. A
+  // chunk's cycles are share * service_cycles -- the same product
   // continuous dispatch charges per chunk -- and a decode step's are its
   // shape's service_cycles (share 1.0), so a single-step plan reproduces
   // the pre-session outcome fields bit for bit (1.0 * x == x). One
@@ -220,19 +233,20 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
   // of a prefill share its shape (count it once), and every decode step is
   // a distinct kv_len (each counts).
   const double freq = config_.nova.accel_freq_mhz;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    auto& outcome = outcomes[i];
-    const SessionLayout layout = session_layout(
-        requests[i], config_.continuous, config_.chunk_tokens);
-    const PlanSlots& plan = index.plans[i];
-    outcome.prefill_chunks = layout.chunks;
-    total_steps += static_cast<std::uint64_t>(layout.total_steps());
+  report.classes.resize(classes.first.size());
+  for (std::size_t c = 0; c < classes.first.size(); ++c) {
+    const SessionLayout layout =
+        session_layout(requests[classes.first[c]], config_.continuous,
+                       config_.chunk_tokens);
+    const PlanSlots& plan = index.plans[c];
+    total_steps += std::uint64_t{classes.members[c]} *
+                   static_cast<std::uint64_t>(layout.total_steps());
     double cycles = 0.0;
     std::int64_t ops = 0;
     if (layout.chunks > 0) {
       const ShapeCost& prefill = costs[plan.prefill];
-      for (int c = 0; c < layout.chunks; ++c) {
-        cycles += layout.share(c) * prefill.service_cycles;
+      for (int k = 0; k < layout.chunks; ++k) {
+        cycles += layout.share(k) * prefill.service_cycles;
       }
       ops += prefill.approx_ops;
     }
@@ -242,18 +256,21 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
       cycles += cost.service_cycles;
       ops += cost.approx_ops;
     }
-    outcome.approx_ops = ops;
-    outcome.service_cycles =
+    SessionClass& session = report.classes[c];
+    session.slots = plan;
+    session.cost.prefill_chunks = layout.chunks;
+    session.cost.approx_ops = ops;
+    session.cost.service_cycles =
         static_cast<sim::Cycle>(std::llround(cycles));
-    outcome.service_us = cycles / freq;
-    outcome.wave_latency_cycles =
+    session.cost.service_us = cycles / freq;
+    session.cost.wave_latency_cycles =
         costs[plan.slot(layout.chunks, 0)].wave_latency_cycles;
   }
   return costs;
 }
 
 double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
-                                const PlanIndex& index,
+                                const std::vector<ShapeKey>& shapes,
                                 const std::vector<ShapeCost>& costs,
                                 std::uint64_t total_steps,
                                 ServeReport& report) const {
@@ -339,12 +356,18 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   };
   for (int j = 0; j < config_.instances; ++j) refresh(j);
 
-  // The slot of the first plan step a unit dispatches, from its request's
-  // two slots and the chunk count pricing recorded: the slot's shape is the
-  // unit's fusion key, and its wave latency the unit's overlap credit.
+  // The session class of a unit's request, and the slot of the first plan
+  // step the unit dispatches, from its class's two slots and chunk count
+  // (one record): the slot's shape is the unit's fusion key, and its wave
+  // latency the unit's overlap credit.
+  const std::vector<SessionClass>& classes = report.classes;
+  const auto class_of = [&](int id) -> const SessionClass& {
+    return classes[report.outcomes[static_cast<std::size_t>(id)]
+                       .session_class];
+  };
   const auto slot_of = [&](const Pending& unit) {
-    const auto i = static_cast<std::size_t>(unit.id);
-    return index.plans[i].slot(report.outcomes[i].prefill_chunks, unit.step);
+    const SessionClass& session = class_of(unit.id);
+    return session.slots.slot(session.cost.prefill_chunks, unit.step);
   };
 
   std::vector<Pending> batch;  // reused by every dispatch
@@ -395,7 +418,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
         (should_shed_overload(policy, wait_us, head_req.has_deadline(),
                               head.attempt) ||
          (head_req.has_deadline() &&
-          start + head_outcome.service_us >
+          start + class_of(head.id).cost.service_us >
               head_req.arrival_us + head_req.deadline_us))) {
       head_outcome.status = RequestStatus::kShed;
       head_outcome.attempts = head.attempt;
@@ -418,7 +441,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // overload new_q holds the whole backlog, and walking it on every
     // dispatch would make the loop quadratic in the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    const ShapeKey& head_shape = index.shapes[slot_of(head)];
+    const ShapeKey& head_shape = shapes[slot_of(head)];
     batch.assign(1, head);
     // A new head claims its slot on success.
     int free_slots = slot_cap - slots_used[instance] - (use_new ? 1 : 0);
@@ -442,7 +465,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
       } else {
         ++nit;
       }
-      const ShapeKey& cshape = index.shapes[slot_of(cand)];
+      const ShapeKey& cshape = shapes[slot_of(cand)];
       if (cshape.function != head_shape.function ||
           cshape.breakpoints != head_shape.breakpoints ||
           cshape.phase != head_shape.phase) {
@@ -480,14 +503,14 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // pipeline-overlap credit: fused members reuse the in-flight broadcast
     // train, so every member after the first saves the pipeline fill of its
     // first wave (wave_latency - 1 accelerator cycles). A whole-request unit
-    // costs its folded service_us and starts at its plan's first step, whose
-    // wave latency pricing recorded in the outcome; a step costs its share
-    // of its shape's cycles, clock-converted.
+    // costs its class's folded service_us and starts at its plan's first
+    // step, whose wave latency pricing recorded in the class; a step costs
+    // its share of its shape's cycles, clock-converted.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
       const auto i = static_cast<std::size_t>(batch[k].id);
-      const auto& outcome = report.outcomes[i];
-      int wave_latency = outcome.wave_latency_cycles;
+      const SessionCost& session = class_of(batch[k].id).cost;
+      int wave_latency = session.wave_latency_cycles;
       if (continuous) {
         const ShapeCost& cost = costs[slot_of(batch[k])];
         service_us +=
@@ -496,7 +519,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
             cost.service_cycles / freq;
         wave_latency = cost.wave_latency_cycles;
       } else {
-        service_us += outcome.service_us;
+        service_us += session.service_us;
       }
       if (k != 0) service_us -= std::max(0, wave_latency - 1) * cycle_us;
     }
@@ -565,7 +588,8 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
         report.stats.bump(id_steps);
         // The next step becomes ready the instant this one finishes.
         const int next_step = member.step + 1;
-        if (next_step < outcome.prefill_chunks + decode_steps(req)) {
+        if (next_step < classes[outcome.session_class].cost.prefill_chunks +
+                            decode_steps(req)) {
           enqueue_pinned(instance, Pending{finish, member.id, 1, next_step});
           continue;
         }
@@ -607,26 +631,38 @@ ServeReport BatchScheduler::run(
   report.surrogate.tolerance = config_.surrogate_tol;
   if (requests.empty()) return report;
 
-  // The plan index and the shape costs live in this block alone, so the
+  // The distinct shapes and their costs live in this block alone, so the
   // latency samples the aggregate pass reserves never share the peak with
-  // them.
+  // them; the class grouping and the index's plans (copied into
+  // report.classes) go before dispatch.
   double last_finish = 0.0;
   {
-    // Phase 1: price every session step (exact, surrogate, or hybrid mode).
-    const PlanIndex index = build_plan_index(requests);
+    std::vector<ShapeKey> shapes;
+    std::vector<ShapeCost> costs;
     std::uint64_t total_steps = 0;
-    const std::vector<ShapeCost> costs = price_requests(
-        requests, index, report.outcomes, report.surrogate, total_steps);
+    {
+      // Phase 1: group the stream into session classes, index one request
+      // per class, and price every session step (exact, surrogate, or
+      // hybrid mode) and each class's session.
+      const SessionClasses classes = group_session_classes(
+          requests, [&report](std::size_t i, std::uint32_t id) {
+            report.outcomes[i].session_class = id;
+          });
+      PlanIndex index = build_plan_index(requests, classes.first);
+      costs = price_requests(requests, classes, index, report, total_steps);
+      shapes = std::move(index.shapes);
+    }
 
     // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
-    last_finish = dispatch(requests, index, costs, total_steps, report);
+    last_finish = dispatch(requests, shapes, costs, total_steps, report);
   }
 
   // Aggregates, in request order for determinism. Latency and service
   // samples cover served requests only (shed/failed outcomes never
   // finished -- recording their zeros would drag every percentile down);
-  // unserved outcomes have their service-side fields zeroed to enforce the
-  // RequestOutcome unserved contract.
+  // unserved outcomes have their times zeroed to enforce the
+  // RequestOutcome unserved contract (ServeReport::cost reads their service
+  // costs as 0).
   auto& latency_hist = report.stats.histogram("serve.latency_us");
   sim::Histogram* ttft_hist =
       config_.continuous ? &report.stats.histogram("serve.ttft_us") : nullptr;
@@ -642,15 +678,12 @@ ServeReport BatchScheduler::run(
     if (outcome.served()) {
       ++served;
       latency_hist.record(outcome.latency_us(req));
-      service_acc.add(outcome.service_us);
+      service_acc.add(report.classes[outcome.session_class].cost.service_us);
       queue_acc.add(outcome.queue_us(req));
       if (ttft_hist != nullptr) {
         ttft_hist->record(outcome.first_finish_us - req.arrival_us);
       }
     } else {
-      outcome.service_cycles = 0;
-      outcome.wave_latency_cycles = 0;
-      outcome.service_us = 0.0;
       outcome.start_us = 0.0;
       outcome.finish_us = 0.0;
       outcome.first_finish_us = 0.0;

@@ -35,17 +35,23 @@
 //      additionally mutex-guarded) and the pricer's per-table memo, whose
 //      entries depend on nothing a worker chooses.
 //
-//      Before pricing, the stream's session plans are indexed, not listed
-//      (serve::build_plan_index): each distinct step ShapeKey is stored
-//      once and priced once, and each request keeps two slots into them,
-//      its prefill shape's and its first decode step's. Step s of request
-//      i sits at one of the two, offset by s past the prefill chunks
-//      (PlanSlots::slot), and costs costs[slot] scaled by its share in the
-//      request's SessionLayout, so the per-request fold and the dispatch
-//      loop read every step from its request. Nothing is stored per step,
-//      and no per-request plan or cost vector stays resident: the index
-//      and the shape costs are freed when dispatch returns, before the
-//      aggregate pass records its latency samples.
+//      Before pricing, the stream is grouped into session classes
+//      (serve/session.hpp): requests with equal shape fields -- workload,
+//      function, breakpoints, phase, seq_len, kv_len and gen_steps -- run
+//      the same session at the same cost, so an outcome keeps only its
+//      class id. The classes' plans are indexed, not listed
+//      (serve::build_plan_index over one request per class): each distinct
+//      step ShapeKey is stored once and priced once, and each class keeps
+//      two slots into them, its prefill shape's and its first decode
+//      step's. Step s of a session sits at one of the two, offset by s past
+//      the prefill chunks (PlanSlots::slot), and costs costs[slot] scaled
+//      by its share in the request's SessionLayout. Pricing folds each
+//      class's steps once into its SessionCost, kept in one per-class table
+//      (ServeReport::classes) that dispatch and every reader
+//      (ServeReport::cost) share. Nothing is stored per step, and once the
+//      index is built the only per-request state is the request and its
+//      outcome: the index and the shape costs are freed when dispatch
+//      returns, before the aggregate pass records its latency samples.
 //
 //   2. Dispatch (serial, deterministic): one step-clocked event loop
 //      serves both modes. Every session has one pending dispatch unit at a
@@ -182,28 +188,57 @@ struct ServeConfig {
   int chunk_tokens = 64;
 };
 
+/// What one session costs: the fields pricing folds from its plan steps,
+/// once per session class (ServeReport::classes).
+struct SessionCost {
+  /// Chunks the prefill split into (0 for decode-phase requests).
+  int prefill_chunks = 0;
+  /// Wave latency of the session's first step, which a fused dispatch
+  /// credits.
+  int wave_latency_cycles = 0;
+  /// Non-linear element operations one inference of the session costs.
+  std::int64_t approx_ops = 0;
+  /// Standalone service cost: the overlap-aware makespan of the session's
+  /// operator-graph timelines, with the vector-unit rate and fill measured
+  /// by the cycle-accurate pricing run.
+  sim::Cycle service_cycles = 0;
+  double service_us = 0.0;
+};
+
+/// One session class: requests whose SessionKey fields match, which run
+/// the same plan at the same cost.
+struct SessionClass {
+  /// Where the class's steps sat among the distinct shapes the run priced
+  /// (its PlanIndex, freed when the run returns). Dispatch reads them
+  /// beside cost.prefill_chunks, so a unit's fusion key takes one load
+  /// through its outcome's class id.
+  PlanSlots slots;
+  SessionCost cost;
+};
+
 /// Where and when one request was served -- or why it was not.
 ///
 /// Outcomes are indexed like the request array, by request id, and carry
 /// no copy of the request: latency_us() and queue_us() take the request
 /// whose arrival they measure from, and a reader that wants any other
-/// request field indexes the request array with the outcome's index. The
-/// session's step count is prefill_chunks + decode_steps(request)
-/// (serve/session.hpp), and the size of the batch that finished it is the
+/// request field indexes the request array with the outcome's index. What
+/// the session costs lives once per session class (ServeReport::cost reads
+/// it), and its step count is prefill_chunks + decode_steps(request)
+/// (serve/session.hpp). The size of the batch that finished it is the
 /// number of outcomes sharing its batch_id in whole-request mode; the
 /// "serve.batch_size" histogram records every dispatch's size. Trivially
-/// copyable and 72 bytes.
+/// copyable and 48 bytes.
 ///
 /// Unserved contract: outcomes whose status is kShed or kFailed were never
 /// serviced to completion, and every service-side field stays at its zero
-/// default -- instance == -1, batch_id == -1, service_cycles == 0,
-/// wave_latency_cycles == 0, service_us == start_us == finish_us ==
-/// first_finish_us == 0.0 (enforced by the scheduler, not merely
-/// documented; shed requests are priced for the admission projection but
-/// the price is not part of their outcome). Aggregate consumers must filter
-/// on served() rather than probing instance == -1. approx_ops and the plan
-/// field prefill_chunks describe the request, not its service, and survive
-/// the zeroing.
+/// default -- instance == -1, batch_id == -1, start_us == finish_us ==
+/// first_finish_us == 0.0 -- and ServeReport::cost reads their
+/// service_cycles, wave_latency_cycles and service_us as 0 (enforced by
+/// the scheduler and the accessor, not merely documented; shed requests
+/// are priced for the admission projection but the price is not part of
+/// their outcome). Aggregate consumers must filter on served() rather than
+/// probing instance == -1. approx_ops and prefill_chunks describe the
+/// request, not its service, and survive the zeroing.
 struct RequestOutcome {
   /// Terminal status; kOk/kRetried/kDeadlineMiss outcomes were served to
   /// completion, kShed/kFailed never were (see the unserved contract).
@@ -214,19 +249,8 @@ struct RequestOutcome {
   int attempts = 1;
   int instance = -1;
   int batch_id = -1;
-  int wave_latency_cycles = 0;
-  /// Chunks the prefill split into (0 for decode-phase requests). A plan
-  /// property (set by pricing), so it survives the unserved zeroing. The
-  /// dispatch loop reads it for every fusion candidate, so it is kept here
-  /// rather than derived from the request.
-  int prefill_chunks = 0;
-  /// Non-linear element operations one inference of this request costs.
-  std::int64_t approx_ops = 0;
-  /// Standalone service cost: the overlap-aware makespan of the request's
-  /// operator-graph timeline, with the vector-unit rate and fill measured
-  /// by the cycle-accurate pricing run.
-  sim::Cycle service_cycles = 0;
-  double service_us = 0.0;
+  /// The request's session class, an index into ServeReport::classes.
+  std::uint32_t session_class = 0;
   double start_us = 0.0;   ///< first (successful) dispatch of the session
   double finish_us = 0.0;  ///< completion of the session's last step
   /// Completion of the session's first step -- the time-to-first-token
@@ -268,6 +292,8 @@ struct InstanceStats {
 struct ServeReport {
   /// Outcomes indexed by request id (= arrival order).
   std::vector<RequestOutcome> outcomes;
+  /// Session classes, indexed by RequestOutcome::session_class.
+  std::vector<SessionClass> classes;
   std::vector<InstanceStats> instances;
   /// Aggregates; latency percentiles live in the "serve.latency_us"
   /// histogram, batch sizes in "serve.batch_size".
@@ -291,6 +317,11 @@ struct ServeReport {
     return status_counts[static_cast<std::size_t>(status)];
   }
 
+  /// What outcome `i`'s session cost: its class's SessionCost, with
+  /// service_cycles, wave_latency_cycles and service_us read as 0 when the
+  /// outcome is unserved (the RequestOutcome unserved contract).
+  [[nodiscard]] SessionCost cost(std::size_t i) const;
+
   /// Latency percentile over SERVED requests only (the "serve.latency_us"
   /// histogram never records shed/failed outcomes, which have no finish).
   /// 0.0 when nothing was served, matching the Histogram empty contract.
@@ -301,7 +332,8 @@ struct ServeReport {
 /// dispatch produce for `report`, the run of `requests`: one line per
 /// outcome with its index (the request id), status, attempts, instance,
 /// batch_id, session steps (prefill_chunks + decode_steps of its request),
-/// approx_ops, service_cycles, wave_latency_cycles, service_us, start_us,
+/// then its cost's (ServeReport::cost) approx_ops, service_cycles,
+/// wave_latency_cycles and service_us, and its start_us,
 /// finish_us and first_finish_us, doubles printed as exact hex floats
 /// (%a). Two reports of one stream are byte-identical iff their
 /// fingerprints match. Not named plain `fingerprint`:
@@ -327,19 +359,21 @@ class BatchScheduler {
 
  private:
   /// Prices every distinct step shape (index.shapes) and folds the results
-  /// into the per-request aggregates of `outcomes`, with each request's
-  /// prefill_chunks, and adds every session's step count to
-  /// `total_steps`. Returns the shapes' costs, indexed by slot.
+  /// once per session class into `report.classes`, each with its slots
+  /// (index.plans, one entry per class) and prefill_chunks, and adds every
+  /// session's step count, members times their class's, to `total_steps`.
+  /// Returns the shapes' costs, indexed by slot.
   [[nodiscard]] std::vector<ShapeCost> price_requests(
-      const std::vector<InferenceRequest>& requests, const PlanIndex& index,
-      std::vector<RequestOutcome>& outcomes, SurrogateAudit& audit,
-      std::uint64_t& total_steps) const;
+      const std::vector<InferenceRequest>& requests,
+      const SessionClasses& classes, const PlanIndex& index,
+      ServeReport& report, std::uint64_t& total_steps) const;
 
   /// The serial dispatch loop of both modes (whole-request and
   /// step-clocked continuous batching) over sessions of `total_steps`
   /// steps in all. Returns the last finish time.
   double dispatch(const std::vector<InferenceRequest>& requests,
-                  const PlanIndex& index, const std::vector<ShapeCost>& costs,
+                  const std::vector<ShapeKey>& shapes,
+                  const std::vector<ShapeCost>& costs,
                   std::uint64_t total_steps, ServeReport& report) const;
 
   ServeConfig config_;

@@ -55,14 +55,15 @@ bool same_class(const ShapeKey& a, const ShapeKey& b) {
 
 }  // namespace
 
-PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests) {
-  // Each request adds at most two RUNS of consecutive kv_len in one class:
-  // its prefill shape (a run of one) and its decode chain. Runs are keyed
-  // by their first shape in a hash table; runs that start at the same shape
-  // keep the longest one's last kv_len, and each distinct run gets a
-  // provisional first-seen id from 1, which a plan stores in each slot it
-  // uses (it leaves the others at 0). Chain ends are 64-bit: a chain may
-  // end at kv_len INT_MAX, so end + 1 must not overflow.
+PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests,
+                           const std::vector<std::uint32_t>& positions) {
+  // Each indexed request adds at most two RUNS of consecutive kv_len in
+  // one class: its prefill shape (a run of one) and its decode chain. Runs
+  // are keyed by their first shape in a hash table; runs that start at the
+  // same shape keep the longest one's last kv_len, and each distinct run
+  // gets a provisional first-seen id from 1, which a plan stores in each
+  // slot it uses (it leaves the others at 0). Chain ends are 64-bit: a
+  // chain may end at kv_len INT_MAX, so end + 1 must not overflow.
   struct Run {
     std::int64_t last = 0;
     std::uint32_t id = 0;
@@ -75,15 +76,15 @@ PlanIndex build_plan_index(const std::vector<InferenceRequest>& requests) {
     return it->second.id;
   };
   PlanIndex index;
-  index.plans.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto& req = requests[i];
+  index.plans.resize(positions.size());
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    const auto& req = requests[positions[k]];
     NOVA_EXPECTS(req.gen_steps >= 0 && kv_chain_fits(req));
     // A plan's shapes are the same in both dispatch modes, so the
     // whole-request layout tells which of the two runs a request has.
     const SessionLayout layout =
         session_layout(req, /*continuous=*/false, /*chunk_tokens=*/1);
-    auto& plan = index.plans[i];
+    auto& plan = index.plans[k];
     if (layout.chunks > 0) {
       plan.prefill = add_run(prefill_shape(req), req.kv_len);
     }

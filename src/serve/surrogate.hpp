@@ -98,8 +98,8 @@ struct ShapeKey {
   friend auto operator<=>(const ShapeKey&, const ShapeKey&) = default;
 };
 
-/// What pricing one shape yields (the per-request fields of
-/// RequestOutcome before clock conversion).
+/// What pricing one shape yields (the fields of a SessionCost before its
+/// steps are folded and clock-converted).
 struct ShapeCost {
   std::int64_t approx_ops = 0;
   double service_cycles = 0.0;

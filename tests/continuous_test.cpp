@@ -69,9 +69,12 @@ void expect_identical_outcomes(const std::vector<InferenceRequest>& requests,
     EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
     EXPECT_EQ(x.instance, y.instance) << "request " << i;
     EXPECT_EQ(x.batch_id, y.batch_id) << "request " << i;
-    EXPECT_EQ(x.service_cycles, y.service_cycles) << "request " << i;
-    EXPECT_EQ(x.prefill_chunks, y.prefill_chunks) << "request " << i;
-    EXPECT_DOUBLE_EQ(x.service_us, y.service_us) << "request " << i;
+    EXPECT_EQ(a.cost(i).service_cycles, b.cost(i).service_cycles)
+        << "request " << i;
+    EXPECT_EQ(a.cost(i).prefill_chunks, b.cost(i).prefill_chunks)
+        << "request " << i;
+    EXPECT_DOUBLE_EQ(a.cost(i).service_us, b.cost(i).service_us)
+        << "request " << i;
     EXPECT_DOUBLE_EQ(x.start_us, y.start_us) << "request " << i;
     EXPECT_DOUBLE_EQ(x.finish_us, y.finish_us) << "request " << i;
     EXPECT_DOUBLE_EQ(x.first_finish_us, y.first_finish_us)
@@ -197,11 +200,11 @@ TEST(ContinuousScheduler, ChunkingPreservesTheSessionPrice) {
 
   // A session's steps are its prefill chunks plus its decode steps.
   const int decode = decode_steps(requests[0]);
-  EXPECT_EQ(a.outcomes[0].prefill_chunks + decode, 3);  // 1 chunk + 2 decode
-  EXPECT_EQ(b.outcomes[0].prefill_chunks + decode, 6);  // 4 chunks + 2 decode
-  EXPECT_EQ(b.outcomes[0].prefill_chunks, 4);
-  EXPECT_NEAR(b.outcomes[0].service_us, a.outcomes[0].service_us,
-              1e-9 * a.outcomes[0].service_us);
+  EXPECT_EQ(a.cost(0).prefill_chunks + decode, 3);  // 1 chunk + 2 decode
+  EXPECT_EQ(b.cost(0).prefill_chunks + decode, 6);  // 4 chunks + 2 decode
+  EXPECT_EQ(b.cost(0).prefill_chunks, 4);
+  EXPECT_NEAR(b.cost(0).service_us, a.cost(0).service_us,
+              1e-9 * a.cost(0).service_us);
   EXPECT_EQ(b.stats.counter("serve.steps"), 6u);
 }
 
@@ -299,7 +302,7 @@ TEST(ContinuousScheduler, PreemptedSessionResumesInsteadOfRestarting) {
   config.continuous = true;
   const auto clean = BatchScheduler(config).run(requests);
   const double clean_finish = clean.outcomes[0].finish_us;
-  const double service = clean.outcomes[0].service_us;
+  const double service = clean.cost(0).service_us;
   ASSERT_GT(clean_finish, 0.0);
 
   // Drop an outage over the last quarter of the clean schedule: most of
@@ -328,7 +331,7 @@ TEST(ContinuousScheduler, PreemptedSessionResumesInsteadOfRestarting) {
   EXPECT_LT(resumed_tail, 0.5 * service);
   // Completed steps kept their prices: the outcome's standalone service
   // cost is a plan property and must not change under retries.
-  EXPECT_DOUBLE_EQ(outcome.service_us, service);
+  EXPECT_DOUBLE_EQ(report.cost(0).service_us, service);
 }
 
 /// 64-bit FNV-1a over the bytes of serve::outcome_fingerprint.

@@ -7,7 +7,10 @@
 // available instance with a free session slot, the earliest-startable
 // unit, the units that may fuse behind it. It has no heap, no cursor, no
 // tombstones and no per-instance queues, and it prices through the public
-// API alone (build_session_plan, ExactPricer, price_shapes). The test
+// API alone (build_session_plan, ExactPricer, price_shapes). It folds each
+// request's cost on its own, as a session class of one, and zeroes an
+// unserved request's service cost itself, so the fingerprints diff the
+// scheduler's session classes and ServeReport::cost too. The test
 // serves hundreds of seeded small streams through both and requires the
 // same outcome fingerprint, dispatch counters, TTFT and batch-size
 // samples, backoff total, per-instance accounting and makespan, bit for
@@ -64,8 +67,8 @@ ServeReport reference_run(const ServeConfig& config,
   report.outcomes.resize(n);
   report.instances.resize(static_cast<std::size_t>(config.instances));
 
-  // Pricing: every plan step's shape through the exact pricer, folded into
-  // the per-request service fields.
+  // Pricing: every plan step's shape through the exact pricer, folded per
+  // request: the reference gives every request a session class of its own.
   std::vector<SessionPlan> plans;
   std::map<ShapeKey, ShapeCost> cost_of;
   for (const auto& req : requests) {
@@ -82,21 +85,23 @@ ServeReport reference_run(const ServeConfig& config,
   for (std::size_t k = 0; k < shapes.size(); ++k) {
     cost_of[shapes[k]] = costs[k];
   }
+  report.classes.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto& outcome = report.outcomes[i];
+    report.outcomes[i].session_class = static_cast<std::uint32_t>(i);
+    SessionCost& session = report.classes[i].cost;
     const auto& steps = plans[i].steps;
-    outcome.prefill_chunks = plans[i].prefill_chunks;
+    session.prefill_chunks = plans[i].prefill_chunks;
     double cycles = 0.0;
     for (std::size_t s = 0; s < steps.size(); ++s) {
       const ShapeCost& cost = cost_of[steps[s].shape];
       cycles += steps[s].share * cost.service_cycles;
       if (s == 0 || steps[s].shape != steps[s - 1].shape) {
-        outcome.approx_ops += cost.approx_ops;
+        session.approx_ops += cost.approx_ops;
       }
     }
-    outcome.service_cycles = static_cast<sim::Cycle>(std::llround(cycles));
-    outcome.service_us = cycles / freq;
-    outcome.wave_latency_cycles = cost_of[steps[0].shape].wave_latency_cycles;
+    session.service_cycles = static_cast<sim::Cycle>(std::llround(cycles));
+    session.service_us = cycles / freq;
+    session.wave_latency_cycles = cost_of[steps[0].shape].wave_latency_cycles;
   }
 
   // Session state: plan steps done, the instance holding the session's KV
@@ -178,7 +183,7 @@ ServeReport reference_run(const ServeConfig& config,
         (should_shed_overload(policy, wait_us, head_req.has_deadline(),
                               head.attempt) ||
          (head_req.has_deadline() &&
-          start + head_outcome.service_us >
+          start + report.classes[hs].cost.service_us >
               head_req.arrival_us + head_req.deadline_us))) {
       head_outcome.status = RequestStatus::kShed;
       head_outcome.attempts = head.attempt;
@@ -218,16 +223,16 @@ ServeReport reference_run(const ServeConfig& config,
 
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto& outcome = report.outcomes[static_cast<std::size_t>(
-          batch[k].id)];
-      int wave_latency = outcome.wave_latency_cycles;
+      const SessionCost& session =
+          report.classes[static_cast<std::size_t>(batch[k].id)].cost;
+      int wave_latency = session.wave_latency_cycles;
       if (continuous) {
         const SessionStep& step = step_of(batch[k].id);
         const ShapeCost& cost = cost_of[step.shape];
         service_us += step.share * cost.service_cycles / freq;
         wave_latency = cost.wave_latency_cycles;
       } else {
-        service_us += outcome.service_us;
+        service_us += session.service_us;
       }
       if (k != 0) service_us -= std::max(0, wave_latency - 1) * cycle_us;
     }
@@ -318,9 +323,9 @@ ServeReport reference_run(const ServeConfig& config,
             .record(outcome.first_finish_us - requests[i].arrival_us);
       }
     } else {
-      outcome.service_cycles = 0;
-      outcome.wave_latency_cycles = 0;
-      outcome.service_us = 0.0;
+      report.classes[i].cost.service_cycles = 0;
+      report.classes[i].cost.wave_latency_cycles = 0;
+      report.classes[i].cost.service_us = 0.0;
     }
     report.status_counts[static_cast<std::size_t>(outcome.status)] += 1;
   }
@@ -479,8 +484,7 @@ void expect_samples_within_steps(const ServeConfig& config,
     const int steps =
         build_session_plan(requests[i], config.continuous, config.chunk_tokens)
             .total_steps();
-    EXPECT_EQ(report.outcomes[i].prefill_chunks + decode_steps(requests[i]),
-              steps)
+    EXPECT_EQ(report.cost(i).prefill_chunks + decode_steps(requests[i]), steps)
         << "request " << i;
     total_steps += static_cast<std::uint64_t>(steps);
   }
@@ -584,8 +588,8 @@ TEST(ContinuousDispatch, FailedPinnedSessionEndsUnservedAndFreesItsSlot) {
   EXPECT_EQ(failed.attempts, 1);
   EXPECT_EQ(failed.instance, -1);
   EXPECT_EQ(failed.batch_id, -1);
-  EXPECT_EQ(failed.service_cycles, 0);
-  EXPECT_EQ(failed.service_us, 0.0);
+  EXPECT_EQ(report.cost(0).service_cycles, 0);
+  EXPECT_EQ(report.cost(0).service_us, 0.0);
   EXPECT_EQ(failed.start_us, 0.0);
   EXPECT_EQ(failed.first_finish_us, 0.0);
   EXPECT_EQ(failed.finish_us, 0.0);

@@ -421,8 +421,8 @@ TEST(BatchScheduler, ShapePricingIsStableAcrossStreams) {
   const BatchScheduler scheduler(small_pool(1, 1));
   const auto a = scheduler.run(alone);
   const auto b = scheduler.run(mixed);
-  EXPECT_EQ(a.outcomes[0].service_cycles, b.outcomes[1].service_cycles);
-  EXPECT_DOUBLE_EQ(a.outcomes[0].service_us, b.outcomes[1].service_us);
+  EXPECT_EQ(a.cost(0).service_cycles, b.cost(1).service_cycles);
+  EXPECT_DOUBLE_EQ(a.cost(0).service_us, b.cost(1).service_us);
 }
 
 TEST(BatchScheduler, DeterministicAcrossThreadCounts) {
@@ -444,10 +444,10 @@ TEST(BatchScheduler, DeterministicAcrossThreadCounts) {
       const auto& b = other->outcomes[i];
       EXPECT_EQ(a.instance, b.instance);
       EXPECT_EQ(a.batch_id, b.batch_id);
-      EXPECT_EQ(a.service_cycles, b.service_cycles);
+      EXPECT_EQ(one.cost(i).service_cycles, other->cost(i).service_cycles);
       // Bit-identical, not merely close: the dispatch phase is serial and
       // the pricing phase writes to disjoint slots.
-      EXPECT_DOUBLE_EQ(a.service_us, b.service_us);
+      EXPECT_DOUBLE_EQ(one.cost(i).service_us, other->cost(i).service_us);
       EXPECT_DOUBLE_EQ(a.start_us, b.start_us);
       EXPECT_DOUBLE_EQ(a.finish_us, b.finish_us);
     }
@@ -472,7 +472,7 @@ TEST(BatchScheduler, OutcomesAreCausallyOrdered) {
     EXPECT_GT(outcome.finish_us, outcome.start_us);
     EXPECT_GE(outcome.instance, 0);
     EXPECT_LT(outcome.instance, 2);
-    EXPECT_GT(outcome.service_cycles, 0u);
+    EXPECT_GT(report.cost(i).service_cycles, 0u);
     max_finish = std::max(max_finish, outcome.finish_us);
   }
   // Per-instance dispatches must not overlap.
@@ -518,7 +518,7 @@ TEST(BatchScheduler, FusesBackloggedCompatibleRequests) {
   // The fused dispatch is cheaper than four standalone ones (pipeline
   // overlap credit) but still costs more than one.
   const double fused = report.outcomes[0].finish_us;
-  const double standalone = report.outcomes[0].service_us;
+  const double standalone = report.cost(0).service_us;
   EXPECT_LT(fused, 4.0 * standalone);
   EXPECT_GT(fused, standalone);
 
@@ -544,12 +544,11 @@ TEST(BatchScheduler, PricesRequestsFromTheFullGraphTimeline) {
   ASSERT_TRUE(model.has_value());
   const auto fabric_cycles =
       accel::inference_cycles(accel, workload::model_workload(*model));
-  EXPECT_GE(report.outcomes[0].service_cycles, fabric_cycles);
+  EXPECT_GE(report.cost(0).service_cycles, fabric_cycles);
   // Overlap keeps the span below the serial sum of fabric time plus the
   // whole non-linear stream at one element per cycle (a loose roof).
-  EXPECT_LT(report.outcomes[0].service_cycles,
-            fabric_cycles +
-                static_cast<sim::Cycle>(report.outcomes[0].approx_ops));
+  EXPECT_LT(report.cost(0).service_cycles,
+            fabric_cycles + static_cast<sim::Cycle>(report.cost(0).approx_ops));
 }
 
 TEST(BatchScheduler, HeavierWorkloadsPriceHigher) {
@@ -561,8 +560,7 @@ TEST(BatchScheduler, HeavierWorkloadsPriceHigher) {
   const BatchScheduler scheduler(small_pool(1, 1));
   const auto a = scheduler.run(tiny);
   const auto b = scheduler.run(roberta);
-  EXPECT_GT(b.outcomes[0].service_cycles,
-            10 * a.outcomes[0].service_cycles);
+  EXPECT_GT(b.cost(0).service_cycles, 10 * a.cost(0).service_cycles);
 }
 
 TEST(BatchScheduler, DecodeNeverFusesWithPrefill) {
@@ -628,9 +626,9 @@ TEST(BatchScheduler, MixedPhaseOutcomesIdenticalAcrossThreadCounts) {
       EXPECT_EQ(a.latency_us(requests[i]), b.latency_us(requests[i]));
       EXPECT_EQ(a.instance, b.instance);
       EXPECT_EQ(a.batch_id, b.batch_id);
-      EXPECT_EQ(a.approx_ops, b.approx_ops);
-      EXPECT_EQ(a.service_cycles, b.service_cycles);
-      EXPECT_DOUBLE_EQ(a.service_us, b.service_us);
+      EXPECT_EQ(one.cost(i).approx_ops, other->cost(i).approx_ops);
+      EXPECT_EQ(one.cost(i).service_cycles, other->cost(i).service_cycles);
+      EXPECT_DOUBLE_EQ(one.cost(i).service_us, other->cost(i).service_us);
       EXPECT_DOUBLE_EQ(a.start_us, b.start_us);
       EXPECT_DOUBLE_EQ(a.finish_us, b.finish_us);
     }
@@ -656,15 +654,13 @@ TEST(BatchScheduler, DecodePricingScalesWithKvLenAndUndercutsPrefill) {
   const auto prefill = scheduler.run(make(pipeline::Phase::kPrefill, 0));
   // The degenerate kv_len == 1 step (the smallest possible cycle-accurate
   // pricing slice) still prices to a positive cost.
-  EXPECT_GT(minimal.outcomes[0].service_cycles, 0u);
-  EXPECT_GT(minimal.outcomes[0].approx_ops, 0);
+  EXPECT_GT(minimal.cost(0).service_cycles, 0u);
+  EXPECT_GT(minimal.cost(0).approx_ops, 0);
   // A deeper cache costs strictly more; a single decode token costs far
   // less than prefilling the whole 128-token sequence.
-  EXPECT_GT(large.outcomes[0].service_cycles,
-            small.outcomes[0].service_cycles);
-  EXPECT_GT(large.outcomes[0].approx_ops, small.outcomes[0].approx_ops);
-  EXPECT_LT(small.outcomes[0].service_cycles,
-            prefill.outcomes[0].service_cycles);
+  EXPECT_GT(large.cost(0).service_cycles, small.cost(0).service_cycles);
+  EXPECT_GT(large.cost(0).approx_ops, small.cost(0).approx_ops);
+  EXPECT_LT(small.cost(0).service_cycles, prefill.cost(0).service_cycles);
 }
 
 TEST(BatchScheduler, MoreInstancesReduceTailLatency) {
@@ -716,12 +712,14 @@ TEST(PricingSurrogate, OutcomesIdenticalAcrossThreadCounts) {
     for (const auto* other : {&two, &eight}) {
       const auto& a = one.outcomes[i];
       const auto& b = other->outcomes[i];
-      EXPECT_EQ(a.approx_ops, b.approx_ops);
-      EXPECT_EQ(a.service_cycles, b.service_cycles);
-      EXPECT_EQ(a.wave_latency_cycles, b.wave_latency_cycles);
+      const SessionCost ca = one.cost(i);
+      const SessionCost cb = other->cost(i);
+      EXPECT_EQ(ca.approx_ops, cb.approx_ops);
+      EXPECT_EQ(ca.service_cycles, cb.service_cycles);
+      EXPECT_EQ(ca.wave_latency_cycles, cb.wave_latency_cycles);
       EXPECT_EQ(a.instance, b.instance);
       EXPECT_EQ(a.batch_id, b.batch_id);
-      EXPECT_DOUBLE_EQ(a.service_us, b.service_us);
+      EXPECT_DOUBLE_EQ(ca.service_us, cb.service_us);
       EXPECT_DOUBLE_EQ(a.start_us, b.start_us);
       EXPECT_DOUBLE_EQ(a.finish_us, b.finish_us);
     }
@@ -758,13 +756,14 @@ TEST(PricingSurrogate, BitEqualToExactWhenEveryLengthIsAnAnchor) {
   const auto surrogate = BatchScheduler(config).run(requests);
   ASSERT_EQ(exact.outcomes.size(), surrogate.outcomes.size());
   for (std::size_t i = 0; i < exact.outcomes.size(); ++i) {
-    const auto& a = exact.outcomes[i];
-    const auto& b = surrogate.outcomes[i];
+    const SessionCost a = exact.cost(i);
+    const SessionCost b = surrogate.cost(i);
     EXPECT_EQ(a.approx_ops, b.approx_ops);
     EXPECT_EQ(a.service_cycles, b.service_cycles);
     EXPECT_EQ(a.wave_latency_cycles, b.wave_latency_cycles);
     EXPECT_DOUBLE_EQ(a.service_us, b.service_us);
-    EXPECT_DOUBLE_EQ(a.finish_us, b.finish_us);
+    EXPECT_DOUBLE_EQ(exact.outcomes[i].finish_us,
+                     surrogate.outcomes[i].finish_us);
   }
   for (const auto& curve : surrogate.surrogate.samples) {
     EXPECT_DOUBLE_EQ(curve.rel_error, 0.0);
@@ -780,14 +779,12 @@ TEST(PricingSurrogate, InterpolatedPricingStaysNearExact) {
   ASSERT_GT(exact.surrogate.distinct_shapes,
             surrogate.surrogate.anchors_priced);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto e =
-        static_cast<double>(exact.outcomes[i].service_cycles);
-    const auto s =
-        static_cast<double>(surrogate.outcomes[i].service_cycles);
+    const auto e = static_cast<double>(exact.cost(i).service_cycles);
+    const auto s = static_cast<double>(surrogate.cost(i).service_cycles);
     EXPECT_LE(std::abs(s - e) / std::max(e, 1.0), 0.02)
         << "kv_len " << requests[i].kv_len;
     // approx_ops comes from the shape's own graph, never interpolation.
-    EXPECT_EQ(exact.outcomes[i].approx_ops, surrogate.outcomes[i].approx_ops);
+    EXPECT_EQ(exact.cost(i).approx_ops, surrogate.cost(i).approx_ops);
   }
 }
 
@@ -804,8 +801,8 @@ TEST(PricingSurrogate, HybridReconcilesAndKeepsSurrogateOutcomes) {
   // thread-count-deterministic).
   ASSERT_EQ(hybrid.outcomes.size(), surrogate.outcomes.size());
   for (std::size_t i = 0; i < hybrid.outcomes.size(); ++i) {
-    EXPECT_EQ(hybrid.outcomes[i].service_cycles,
-              surrogate.outcomes[i].service_cycles);
+    EXPECT_EQ(hybrid.cost(i).service_cycles,
+              surrogate.cost(i).service_cycles);
     EXPECT_DOUBLE_EQ(hybrid.outcomes[i].finish_us,
                      surrogate.outcomes[i].finish_us);
   }
@@ -1034,7 +1031,7 @@ TEST(BatchScheduler, LongestAcceptedLengthsPriceCleanly) {
       const auto& outcome = report.outcomes[i];
       const std::string_view name = requests[i].workload.name();
       EXPECT_TRUE(outcome.served()) << name;
-      EXPECT_GT(outcome.service_us, 0.0) << name;
+      EXPECT_GT(report.cost(i).service_us, 0.0) << name;
       EXPECT_TRUE(std::isfinite(outcome.finish_us)) << name;
     }
     EXPECT_TRUE(std::isfinite(report.latency_percentile_us(99.0)));
@@ -1058,11 +1055,13 @@ TEST(RequestRecords, DefaultsNameBertTiny) {
 TEST(RequestRecords, AreCompactAndTriviallyCopyable) {
   // A run holds a request and an outcome per request and a ShapeKey per
   // distinct shape, so these sizes are most of the serve path's memory:
-  // 10^6 requests hold 112 MB of requests and outcomes. Both records order
-  // their fields by size, so padding costs one byte in all.
+  // 10^6 requests hold 88 MB of requests and outcomes. Both records order
+  // their fields by size: the request pads one tail byte, the outcome four
+  // bytes after its class id. What a session costs is kept once per
+  // session class, not in the outcome.
   EXPECT_EQ(sizeof(InferenceRequest), 40u);
   EXPECT_LE(sizeof(ShapeKey), 24u);
-  EXPECT_EQ(sizeof(RequestOutcome), 72u);
+  EXPECT_EQ(sizeof(RequestOutcome), 48u);
   EXPECT_TRUE(std::is_trivially_copyable_v<InferenceRequest>);
   EXPECT_TRUE(std::is_trivially_copyable_v<ShapeKey>);
   EXPECT_TRUE(std::is_trivially_copyable_v<RequestOutcome>);
@@ -1085,7 +1084,7 @@ double standalone_service_us() {
   std::vector<InferenceRequest> requests(1);
   requests[0].id = 0;
   const auto report = BatchScheduler(small_pool(1, 1)).run(requests);
-  return report.outcomes[0].service_us;
+  return report.cost(0).service_us;
 }
 
 TEST(RequestGenerator, StampsTheProfileDeadline) {
@@ -1173,8 +1172,9 @@ TEST(BatchScheduler, FailsAfterExhaustingRetries) {
   // The unserved contract: every service-side field zeroed.
   EXPECT_EQ(outcome.instance, -1);
   EXPECT_EQ(outcome.batch_id, -1);
-  EXPECT_EQ(outcome.service_cycles, 0u);
-  EXPECT_DOUBLE_EQ(outcome.service_us, 0.0);
+  EXPECT_EQ(report.cost(0).service_cycles, 0u);
+  EXPECT_EQ(report.cost(0).wave_latency_cycles, 0);
+  EXPECT_DOUBLE_EQ(report.cost(0).service_us, 0.0);
   EXPECT_DOUBLE_EQ(outcome.start_us, 0.0);
   EXPECT_DOUBLE_EQ(outcome.finish_us, 0.0);
   EXPECT_FALSE(outcome.served());
@@ -1323,8 +1323,8 @@ TEST(BatchScheduler, DeterministicUnderFaultsAcrossThreadsAndModes) {
         EXPECT_EQ(a.attempts, b.attempts);
         EXPECT_EQ(a.instance, b.instance);
         EXPECT_EQ(a.batch_id, b.batch_id);
-        EXPECT_EQ(a.service_cycles, b.service_cycles);
-        EXPECT_DOUBLE_EQ(a.service_us, b.service_us);
+        EXPECT_EQ(one.cost(i).service_cycles, other->cost(i).service_cycles);
+        EXPECT_DOUBLE_EQ(one.cost(i).service_us, other->cost(i).service_us);
         EXPECT_DOUBLE_EQ(a.start_us, b.start_us);
         EXPECT_DOUBLE_EQ(a.finish_us, b.finish_us);
       }

@@ -1,26 +1,31 @@
-// Tests for the session-plan index (serve::build_plan_index): every step of
-// every session read through two slots per request must be the step the
+// Tests for the session-plan index (serve::build_plan_index) and the
+// session classes it indexes (serve::group_session_classes): every step of
+// every session read through two slots per plan must be the step the
 // per-step expansion lists. A randomized differential suite diffs the
 // index against a reference that lists every plan step by step -- the
 // step builder as it was before plans were indexed, copied below -- and
-// numbers the distinct shapes through a std::map; directed cases cover
-// adjacent, nested, identical and same-start runs, classes that differ
-// only in seq_len, and a chain that ends at kv_len INT_MAX; a 20,000-request
-// stream with thousands of distinct runs grows the run table through many
-// rehashes, and every slot a plan does not use must read 0. Also pins the
-// size of the per-request record, the index of the exact-decode benchmark
-// stream, how closely chunk shares sum to 1, and that a session's steps
-// are its chunks plus decode_steps of its request for every generation
-// length.
+// numbers the distinct shapes through a std::map; on the same streams,
+// two requests must share a class exactly when their seven shape fields
+// match, and every member must read its own steps through its class's
+// plan. Directed cases cover adjacent, nested, identical and same-start
+// runs, classes that differ only in seq_len, and a chain that ends at
+// kv_len INT_MAX; a 20,000-request stream with thousands of distinct runs
+// grows the run table through many rehashes, and every slot a plan does
+// not use must read 0. Also pins the size of the per-plan record, the
+// index and the session classes of the exact-decode benchmark stream, how
+// closely chunk shares sum to 1, and that a session's steps are its chunks
+// plus decode_steps of its request for every generation length.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -80,6 +85,15 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Every position of `requests`: indexes the whole stream, a plan per
+/// request.
+std::vector<std::uint32_t> every_position(
+    const std::vector<InferenceRequest>& requests) {
+  std::vector<std::uint32_t> positions(requests.size());
+  std::iota(positions.begin(), positions.end(), 0u);
+  return positions;
+}
+
 /// Diffs build_plan_index and build_session_plan against the reference on
 /// `requests` in one dispatch mode: the distinct shapes element by element,
 /// and for every (request, step) the slot's shape, the share bit for bit,
@@ -99,7 +113,7 @@ void expect_matches_reference(const std::vector<InferenceRequest>& requests,
     shapes.push_back(shape);
   }
 
-  const PlanIndex index = build_plan_index(requests);
+  const PlanIndex index = build_plan_index(requests, every_position(requests));
   ASSERT_EQ(index.shapes.size(), shapes.size()) << label;
   for (std::size_t k = 0; k < shapes.size(); ++k) {
     ASSERT_TRUE(index.shapes[k] == shapes[k]) << label << " shape " << k;
@@ -227,6 +241,108 @@ TEST(PlanIndex, MatchesThePerStepReferenceOnSeededStreams) {
   }
 }
 
+/// The seven fields a session class is keyed on.
+constexpr const char* kClassFields[] = {"workload", "function", "breakpoints",
+                                        "phase",    "seq_len",  "kv_len",
+                                        "gen_steps"};
+
+/// Which of the kClassFields differ between `a` and `b`, in that order.
+std::array<bool, 7> differing_fields(const InferenceRequest& a,
+                                     const InferenceRequest& b) {
+  return {a.workload != b.workload,       a.function != b.function,
+          a.breakpoints != b.breakpoints, a.phase != b.phase,
+          a.seq_len != b.seq_len,         a.kv_len != b.kv_len,
+          a.gen_steps != b.gen_steps};
+}
+
+TEST(SessionClasses, GroupExactlyTheRequestsWithEqualShapeFields) {
+  // The seeded streams of MatchesThePerStepReferenceOnSeededStreams, each
+  // followed by replays of its own requests. Two requests share a class
+  // exactly when their seven shape fields match; classes number from 0 in
+  // first-seen order; and indexing each class's first request alone,
+  // every member reads its own steps, its chunk count and its shares
+  // through its class's plan, in both dispatch modes. Pairs that differ in
+  // one field alone show that each field keys the class (phase never
+  // differs alone: it fixes whether kv_len is 0).
+  std::array<int, 7> alone{};  // pairs that differ in that field alone
+  int repeats = 0;             // requests that join an earlier one's class
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    int max_seq_len = 1;
+    auto requests = seeded_stream(rng, max_seq_len);
+    const int chunk_tokens = 1 + static_cast<int>(rng.next_below(
+                                     static_cast<std::uint64_t>(max_seq_len) +
+                                     8));
+    // The stream, then as many replays of its requests' shapes drawn at
+    // random, so that classes gather several members.
+    const std::size_t drawn = requests.size();
+    for (std::size_t k = 0; k < drawn; ++k) {
+      InferenceRequest replay = requests[rng.next_below(drawn)];
+      replay.id = static_cast<int>(requests.size());
+      replay.arrival_us = static_cast<double>(replay.id);
+      requests.push_back(replay);
+    }
+    const std::string label = "seed " + std::to_string(seed);
+    std::vector<std::uint32_t> ids(requests.size(), 0xffffffffu);
+    const SessionClasses classes = group_session_classes(
+        requests, [&ids](std::size_t i, std::uint32_t id) { ids[i] = id; });
+    ASSERT_EQ(classes.members.size(), classes.first.size()) << label;
+    std::vector<std::uint32_t> members(classes.first.size(), 0);
+    std::uint32_t next_id = 0;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_LT(ids[i], classes.first.size()) << label << " #" << i;
+      if (ids[i] == next_id) {  // a new class: i is its first request
+        ASSERT_EQ(classes.first[next_id++], i) << label << " #" << i;
+      } else {
+        ASSERT_LT(ids[i], next_id) << label << " #" << i;
+        ASSERT_LT(classes.first[ids[i]], i) << label << " #" << i;
+        ++repeats;
+      }
+      ++members[ids[i]];
+      for (std::size_t j = 0; j < i; ++j) {
+        const auto differs = differing_fields(requests[i], requests[j]);
+        const auto count = std::count(differs.begin(), differs.end(), true);
+        ASSERT_EQ(ids[i] == ids[j], count == 0)
+            << label << " requests " << j << " and " << i;
+        if (count == 1) {
+          ++alone[static_cast<std::size_t>(
+              std::find(differs.begin(), differs.end(), true) -
+              differs.begin())];
+        }
+      }
+    }
+    ASSERT_EQ(members, classes.members) << label;
+
+    const PlanIndex index = build_plan_index(requests, classes.first);
+    ASSERT_EQ(index.plans.size(), classes.first.size()) << label;
+    for (const bool continuous : {false, true}) {
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const SessionPlan want =
+            reference_plan(requests[i], continuous, chunk_tokens);
+        const SessionLayout layout = session_layout(
+            requests[classes.first[ids[i]]], continuous, chunk_tokens);
+        const PlanSlots& plan = index.plans[ids[i]];
+        ASSERT_EQ(layout.chunks, want.prefill_chunks) << label << " #" << i;
+        ASSERT_EQ(layout.total_steps(), want.total_steps())
+            << label << " #" << i;
+        for (int s = 0; s < want.total_steps(); ++s) {
+          const SessionStep& step = want.steps[static_cast<std::size_t>(s)];
+          ASSERT_TRUE(index.shapes[plan.slot(layout.chunks, s)] == step.shape)
+              << label << " request " << i << " step " << s;
+          ASSERT_TRUE(same_bits(layout.share(s), step.share))
+              << label << " request " << i << " step " << s;
+        }
+      }
+    }
+  }
+  // Coverage floors: 9,367 repeats, and 18 to 2,391 pairs per field.
+  EXPECT_GT(repeats, 5000);
+  for (std::size_t f = 0; f < alone.size(); ++f) {
+    if (f == 3) continue;  // phase
+    EXPECT_GE(alone[f], 10) << kClassFields[f];
+  }
+}
+
 TEST(PlanIndex, MatchesTheReferenceWithThousandsOfDistinctRuns) {
   // 20,000 requests over all seven spellings, two functions and two
   // tables, with prompt and kv_len lengths spread over 6,000 and up to 16
@@ -274,7 +390,7 @@ TEST(PlanIndex, MergesAdjacentNestedAndIdenticalRuns) {
       decode_request(30, 11), decode_request(50, 5), decode_request(50, 5),
       decode_request(60, 3), decode_request(60, 10)};
   expect_matches_reference(requests, 64, "directed runs");
-  const PlanIndex index = build_plan_index(requests);
+  const PlanIndex index = build_plan_index(requests, every_position(requests));
   EXPECT_EQ(index.shapes.size(), 10u + 11u + 5u + 10u);
   EXPECT_EQ(index.plans[1].decode, index.plans[0].decode + 5);
   EXPECT_EQ(index.plans[2].decode, index.plans[3].decode + 2);
@@ -307,7 +423,7 @@ TEST(PlanIndex, ChainsEndingAtIntMaxIndexWithoutOverflow) {
       prefill_request(max - 4, 3), decode_request(max - 5, 3)};
   for (const auto& req : requests) ASSERT_TRUE(kv_chain_fits(req));
   expect_matches_reference(requests, 1 << 30, "INT_MAX chains");
-  const PlanIndex index = build_plan_index(requests);
+  const PlanIndex index = build_plan_index(requests, every_position(requests));
   // The seq_len 1 class covers max - 5 .. max once; the two prompts add
   // their prefill shapes.
   EXPECT_EQ(index.shapes.size(), 6u + 2u);
@@ -335,10 +451,10 @@ TEST(ShapeKeyHash, EveryFieldTakesPart) {
 }
 
 TEST(PlanIndex, RecordsAreCompactAndTriviallyCopyable) {
-  // Two slots per request, however long its generation.
+  // Two slots per plan, however long its generation.
   EXPECT_LE(sizeof(PlanSlots), 8u);
   EXPECT_TRUE(std::is_trivially_copyable_v<PlanSlots>);
-  // The index is the distinct shapes plus one record per request.
+  // The index is the distinct shapes plus one record per indexed request.
   EXPECT_EQ(sizeof(PlanIndex),
             sizeof(std::vector<ShapeKey>) + sizeof(std::vector<PlanSlots>));
 }
@@ -350,7 +466,7 @@ TEST(PlanIndex, IndexesTheExactDecodeStreamWithoutPerStepStorage) {
   profile.decode_fraction = 1.0;
   profile.max_steps = 64;
   const auto requests = generate_poisson(8000, profile, 1);
-  const PlanIndex index = build_plan_index(requests);
+  const PlanIndex index = build_plan_index(requests, every_position(requests));
   std::int64_t steps = 0;
   for (const auto& req : requests) {
     steps += session_layout(req, /*continuous=*/false, 64).total_steps();
@@ -358,10 +474,17 @@ TEST(PlanIndex, IndexesTheExactDecodeStreamWithoutPerStepStorage) {
   EXPECT_EQ(steps, 257400);
   EXPECT_EQ(index.plans.size(), 8000u);
   EXPECT_EQ(index.shapes.size(), 3067u);
+  // Its session classes, one plan each, index the same distinct shapes.
+  const SessionClasses classes =
+      group_session_classes(requests, [](std::size_t, std::uint32_t) {});
+  EXPECT_EQ(classes.first.size(), 2747u);
+  const PlanIndex by_class = build_plan_index(requests, classes.first);
+  EXPECT_EQ(by_class.plans.size(), 2747u);
+  EXPECT_TRUE(by_class.shapes == index.shapes);
 }
 
 TEST(SessionSteps, AreTheChunksPlusTheRequestsDecodeSteps) {
-  // The scheduler keeps only a session's chunk count (the outcome's
+  // The scheduler keeps only a session's chunk count (its class's
   // prefill_chunks, written from session_layout) and takes its step count
   // as prefill_chunks + decode_steps(request): dispatch ends a continuous
   // session on it and outcome_fingerprint prints it. Seeded requests of
