@@ -118,8 +118,7 @@ int main() {
               seq);
   std::printf("  exp lookups: %llu in %llu accel cycles; broadcast energy "
               "%.2f nJ\n",
-              static_cast<unsigned long long>(
-                  exp_result.stats.counter("unit.mac_ops")),
+              static_cast<unsigned long long>(exp_result.mac_ops),
               static_cast<unsigned long long>(exp_result.accel_cycles),
               energy.total_pj() / 1e3);
   std::printf("  max |attn - exact| = %.5f, max |context - exact| = %.5f\n",

@@ -63,8 +63,7 @@ int main() {
   }
   std::printf("executed %llu mish lookups in %llu cycles; max |err| vs "
               "exact (incl. Q6.10 quantization): %.5f\n",
-              static_cast<unsigned long long>(
-                  result.stats.counter("unit.mac_ops")),
+              static_cast<unsigned long long>(result.mac_ops),
               static_cast<unsigned long long>(result.accel_cycles), worst);
   std::printf("sample: mish(%.3f) ~ %.4f (exact %.4f)\n", inputs[0][0],
               result.outputs[0][0], mish(inputs[0][0]));

@@ -87,8 +87,7 @@ int main() {
     }
   }
   std::printf("\nFunctional equivalence NOVA vs LUT on %llu elements: %s\n",
-              static_cast<unsigned long long>(
-                  nova_out.stats.counter("unit.mac_ops")),
+              static_cast<unsigned long long>(nova_out.mac_ops),
               identical ? "bit-identical" : "MISMATCH");
   return identical ? 0 : 1;
 }

@@ -41,14 +41,12 @@ int main() {
 
   std::printf("approximated %llu elements in %llu accelerator cycles "
               "(latency %d cycles/wave)\n",
-              static_cast<unsigned long long>(
-                  result.stats.counter("unit.mac_ops")),
+              static_cast<unsigned long long>(result.mac_ops),
               static_cast<unsigned long long>(result.accel_cycles),
               result.wave_latency_cycles);
   std::printf("energy: %.2f nJ total (%.3f pJ/element)\n",
               energy.total_pj() / 1e3,
-              energy.total_pj() /
-                  static_cast<double>(result.stats.counter("unit.mac_ops")));
+              energy.total_pj() / static_cast<double>(result.mac_ops));
   std::printf("sample: gelu(%.3f) ~ %.4f (exact %.4f)\n", activations[0][0],
               result.outputs[0][0], gelu.exact(activations[0][0]));
   return 0;

@@ -4,11 +4,6 @@
 
 #include "common/assert.hpp"
 #include "hwmodel/components.hpp"
-// Deliberate TU-level upward call: evaluate_inference consumes a serial
-// PipelineExecutor timeline so the closed-form tables and the operator
-// graph can never drift apart (the one-IR design). The header graph stays
-// acyclic -- pipeline/ includes accel/ headers, never the reverse.
-#include "pipeline/executor.hpp"
 
 namespace nova::accel {
 
@@ -118,20 +113,11 @@ InferenceEnergy inference_energy_from_cycles(const AcceleratorModel& accel,
 InferenceEnergy evaluate_inference(const AcceleratorModel& accel,
                                    const workload::ModelWorkload& workload,
                                    const ApproximatorChoice& choice) {
-  // The cycle totals come from a serial (overlap-disabled) PipelineExecutor
-  // timeline over the workload's operator graph. The executor's GEMM fold
-  // arithmetic and telescoped vector-stream accounting reproduce the
-  // closed-form totals exactly (regression-tested against
-  // closed_form_cycles), so this refactor is value-neutral for every table
-  // built on top.
-  pipeline::ExecutorConfig exec_config;
-  exec_config.choice = choice;
-  exec_config.overlap = false;
-  const auto timeline = pipeline::PipelineExecutor(accel, exec_config)
-                            .execute(pipeline::graph_of(workload));
-  return inference_energy_from_cycles(accel, timeline.fabric_cycles,
-                                      timeline.approx_ops,
-                                      timeline.vector_cycles, choice);
+  const ClosedFormCycles cycles = closed_form_cycles(accel, workload, choice);
+  return inference_energy_from_cycles(
+      accel, cycles.compute_cycles,
+      static_cast<std::uint64_t>(workload.nonlinear.total_approx_ops()),
+      cycles.approx_cycles, choice);
 }
 
 std::uint64_t closed_form_decode_ops(const workload::BertConfig& config,

@@ -76,15 +76,16 @@ struct InferenceEnergy {
 /// Evaluates one (workload, accelerator, approximator) combination using
 /// the calibrated hardware cost model: approximator energy = marginal
 /// energy-per-op x ops (active) plus its leakage over the runtime. The
-/// cycle totals come from a serial PipelineExecutor timeline over the
-/// workload's operator graph (value-identical to the closed form below).
+/// cycle totals are closed_form_cycles below; a serial PipelineExecutor
+/// timeline over the workload's operator graph reaches the same totals
+/// (pipeline_test pins the two equal).
 [[nodiscard]] InferenceEnergy evaluate_inference(
     const AcceleratorModel& accel, const workload::ModelWorkload& workload,
     const ApproximatorChoice& choice);
 
 /// Runtime/energy roll-up from already-known cycle totals (the tail of
-/// evaluate_inference, shared with pipeline::evaluate_pipeline so a
-/// timeline is never re-executed just to price it).
+/// evaluate_inference, shared with pipeline::evaluate_pipeline, which
+/// prices its serial timeline's totals).
 [[nodiscard]] InferenceEnergy inference_energy_from_cycles(
     const AcceleratorModel& accel, std::uint64_t compute_cycles,
     std::uint64_t approx_ops, std::uint64_t approx_cycles,

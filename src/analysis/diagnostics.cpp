@@ -24,7 +24,6 @@ const char* to_string(CheckId check) {
     case CheckId::kStructVolume: return "structure.volume";
     case CheckId::kStructFusedShape: return "structure.fused-shape";
     case CheckId::kPhaseKvLen: return "phase.kv-len";
-    case CheckId::kPhaseCrossEdge: return "phase.cross-edge";
     case CheckId::kShapeConfig: return "shape.config";
     case CheckId::kShapeChain: return "shape.chain";
     case CheckId::kShapeGemm: return "shape.gemm";

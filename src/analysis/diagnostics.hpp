@@ -58,8 +58,6 @@ enum class CheckId {
   // phase pass
   kPhaseKvLen,      ///< phase.kv-len: decode graph without kv_len >= 1, or
                     ///< prefill graph carrying kv_len != 0
-  kPhaseCrossEdge,  ///< phase.cross-edge: edge between nodes of different
-                    ///< effective phases
 
   // shape dataflow pass (config expansions only)
   kShapeConfig,     ///< shape.config: the embedded BertConfig is incoherent

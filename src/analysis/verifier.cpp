@@ -220,7 +220,7 @@ void structure_pass(const OpGraph& graph, DiagnosticReport& report) {
 }
 
 // ---------------------------------------------------------------------------
-// phase: kv_len legality for the graph's phase tag, no cross-phase edges.
+// phase: kv_len legality for the graph's phase tag.
 // ---------------------------------------------------------------------------
 
 void phase_pass(const OpGraph& graph, DiagnosticReport& report) {
@@ -233,25 +233,6 @@ void phase_pass(const OpGraph& graph, DiagnosticReport& report) {
     report.add(Severity::kError, CheckId::kPhaseKvLen,
                "prefill graph must keep kv_len == 0, got " +
                    i64(graph.kv_len));
-  }
-
-  const int count = static_cast<int>(graph.nodes.size());
-  const auto effective = [&graph](const OpNode& node) {
-    return node.phase.value_or(graph.phase);
-  };
-  for (int i = 0; i < count; ++i) {
-    const OpNode& node = graph.nodes[static_cast<std::size_t>(i)];
-    for (const int dep : node.deps) {
-      if (dep < 0 || dep >= count) continue;  // structure.dep-range owns it
-      const OpNode& producer = graph.nodes[static_cast<std::size_t>(dep)];
-      if (effective(producer) != effective(node)) {
-        report.add(Severity::kError, CheckId::kPhaseCrossEdge, graph, i,
-                   std::string("cross-phase edge: producer ") + i64(dep) +
-                       " is " + pipeline::to_string(effective(producer)) +
-                       ", consumer is " +
-                       pipeline::to_string(effective(node)));
-      }
-    }
   }
 }
 
@@ -622,9 +603,7 @@ const std::vector<PassInfo>& pass_catalog() {
        "edges, unreachable nodes, resource-class field hygiene, positive "
        "per-kind volumes, fused-node internal coherence "
        "(structure.fused-shape)"},
-      {"phase",
-       "prefill/decode coherence: kv_len legality per phase tag, no "
-       "cross-phase edges"},
+      {"phase", "prefill/decode coherence: kv_len legality per phase tag"},
       {"shape",
        "shape dataflow: re-derive every node of a config expansion from "
        "(BertConfig, phase, kv_len) and cross-check declared GEMM dims, "

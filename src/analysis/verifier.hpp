@@ -12,7 +12,7 @@
 //                     positive per-kind volumes (subsuming the old
 //                     pipeline::validate reject-list).
 //   * phase        -- prefill/decode coherence: kv_len legality for the
-//                     graph's phase tag and no cross-phase edges.
+//                     graph's phase tag.
 //   * shape        -- shape dataflow: for config expansions
 //                     (GraphOrigin::kConfigExpansion) every node's tensor
 //                     shape is re-derived edge-by-edge from the embedded

@@ -164,8 +164,7 @@ void report_cycle_sim(const Options& options, const core::NovaConfig& cfg,
   table.add_row({"batch runtime (accel cycles)",
                  std::to_string(result.accel_cycles)});
   table.add_row({"NoC cycles simulated", std::to_string(result.noc_cycles)});
-  table.add_row({"flits injected",
-                 std::to_string(result.stats.counter("noc.flits_injected"))});
+  table.add_row({"flits injected", std::to_string(result.noc.flits_injected)});
   table.add_row({"sim energy (nJ)", Table::num(total_pj / 1000.0, 3)});
   table.add_row(
       {"energy per element (pJ)",
@@ -264,9 +263,8 @@ void report_workloads(const Options& options,
   summary.add_row({"overlap win", Table::num(eval.overlap_win, 3)});
   summary.add_row({"overlapped runtime (ms)",
                    Table::num(eval.overlapped_runtime_ms, 3)});
-  // Independent closed-form reference, computed WITHOUT the executor --
-  // evaluate_inference itself consumes a timeline now, so comparing
-  // against it alone could hide an executor bug on both sides.
+  // Independent closed-form reference, computed WITHOUT the executor, so
+  // an executor bug cannot hide on both sides of the comparison.
   const auto closed = accel::closed_form_cycles(
       accel, workload::model_workload(config),
       accel::ApproximatorChoice{hw::UnitKind::kNovaNoc,

@@ -49,22 +49,17 @@ EnergyReport estimate_energy(const hw::TechParams& tech,
   NOVA_EXPECTS(breakpoints >= 1);
   EnergyReport report;
   const int link_bits = 32 * config.pairs_per_flit + 1;
-  const auto& stats = result.stats;
 
-  report.comparator_pj =
-      static_cast<double>(stats.counter("unit.comparator_ops")) *
-      hw::comparator_bank_energy_pj(tech, breakpoints);
-  report.select_pj =
-      static_cast<double>(stats.counter("unit.pair_captures")) *
-      hw::select_energy_pj(tech);
-  report.mac_pj = static_cast<double>(stats.counter("unit.mac_ops")) *
-                  hw::mac_energy_pj(tech);
-  report.wire_pj =
-      static_cast<double>(stats.counter("noc.segment_traversals")) *
-      hw::wire_energy_pj(tech, link_bits, config.spacing_mm);
-  report.register_pj =
-      static_cast<double>(stats.counter("noc.register_latches")) *
-      hw::register_energy_pj(tech, link_bits);
+  report.comparator_pj = static_cast<double>(result.comparator_ops) *
+                         hw::comparator_bank_energy_pj(tech, breakpoints);
+  report.select_pj = static_cast<double>(result.pair_captures) *
+                     hw::select_energy_pj(tech);
+  report.mac_pj =
+      static_cast<double>(result.mac_ops) * hw::mac_energy_pj(tech);
+  report.wire_pj = static_cast<double>(result.noc.segment_traversals) *
+                   hw::wire_energy_pj(tech, link_bits, config.spacing_mm);
+  report.register_pj = static_cast<double>(result.noc.register_latches) *
+                       hw::register_energy_pj(tech, link_bits);
   return report;
 }
 

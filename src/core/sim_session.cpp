@@ -33,12 +33,7 @@ SimSession::SimSession(const NovaConfig& config,
       inputs_(inputs),
       schedule_(make_schedule(table, config.pairs_per_flit)),
       hops_per_noc_cycle_(derive_hops_per_noc_cycle(config)),
-      id_pair_captures_(result_.stats.counter_id("unit.pair_captures")),
-      id_mac_ops_(result_.stats.counter_id("unit.mac_ops")),
-      id_comparator_ops_(result_.stats.counter_id("unit.comparator_ops")),
-      id_waves_(result_.stats.counter_id("unit.waves")),
-      line_(noc::LineNocConfig{config.routers, hops_per_noc_cycle_},
-            &result_.stats),
+      line_(noc::LineNocConfig{config.routers, hops_per_noc_cycle_}),
       cursor_(inputs.size(), 0) {
   NOVA_EXPECTS(static_cast<int>(inputs.size()) == config_.routers);
   NOVA_EXPECTS(config_.neurons_per_router >= 1);
@@ -145,8 +140,8 @@ void SimSession::issue_wave(sim::Cycle now) {
   wave_in_flight_ = true;
   issued_at_ = now;
   for (const auto& flit : schedule_.flits) line_.inject(flit);
-  result_.stats.bump(id_comparator_ops_, elements);
-  result_.stats.bump(id_waves_);
+  result_.comparator_ops += elements;
+  result_.waves += 1;
 }
 
 void SimSession::execute_wave(sim::Cycle now) {
@@ -163,10 +158,9 @@ void SimSession::execute_wave(sim::Cycle now) {
       out[i] = Word16::mac(slope[i], x[i], bias[i]).to_double();
     }
   }
-  // The wave's pairs were all captured by the time it entered this stage;
-  // flush both per-wave aggregates with one bump each.
-  result_.stats.bump(id_mac_ops_, wave_elements_);
-  result_.stats.bump(id_pair_captures_, wave_elements_);
+  // The wave's pairs were all captured by the time it entered this stage.
+  result_.mac_ops += wave_elements_;
+  result_.pair_captures += wave_elements_;
   result_.wave_latency_cycles = static_cast<int>(now - issued_at_) + 1;
   last_mac_cycle_ = now;
   any_mac_done_ = true;
@@ -208,6 +202,7 @@ ApproxResult SimSession::run() {
   }
   result_.accel_cycles = any_mac_done_ ? last_mac_cycle_ + 1 : 0;
   result_.noc_cycles = noc_now;
+  result_.noc = line_.counts();
   return std::move(result_);
 }
 

@@ -30,8 +30,8 @@
 //   * The MAC stage reads structure-of-arrays operands and writes each
 //     output by index into its pre-sized stream, a loop the compiler can
 //     vectorize.
-//   * Statistic counters are interned once (sim::StatId) and bumped as
-//     per-wave aggregates, not once per element event.
+//   * Operation counts are plain result fields, added once per wave, not
+//     once per element event.
 #pragma once
 
 #include <cstdint>
@@ -98,10 +98,6 @@ class SimSession final : private noc::CaptureSink {
   BroadcastSchedule schedule_;
   int hops_per_noc_cycle_ = 1;
   ApproxResult result_;
-  sim::StatId id_pair_captures_;
-  sim::StatId id_mac_ops_;
-  sim::StatId id_comparator_ops_;
-  sim::StatId id_waves_;
   noc::LineNoc line_;
 
   /// Indexed by lookup address; read-only after construction.

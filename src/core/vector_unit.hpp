@@ -15,13 +15,13 @@
 //   accel cycle k+1: MACs of wave k produce results; wave k+1 looks up.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/mapper.hpp"
 #include "noc/line_noc.hpp"
 #include "sim/cycle.hpp"
-#include "sim/stats.hpp"
 
 namespace nova::core {
 
@@ -47,8 +47,14 @@ struct ApproxResult {
   sim::Cycle noc_cycles = 0;
   /// Latency of a single wave (accelerator cycles, lookup through MAC).
   int wave_latency_cycles = 0;
-  /// Operation counts for energy accounting.
-  sim::StatRegistry stats;
+  /// Operation counts for energy accounting: one comparator lookup, one
+  /// pair capture and one MAC per element, and the waves issued.
+  std::uint64_t comparator_ops = 0;
+  std::uint64_t pair_captures = 0;
+  std::uint64_t mac_ops = 0;
+  std::uint64_t waves = 0;
+  /// What the line NoC did carrying the flit trains.
+  noc::LineCounts noc;
 };
 
 /// Cycle-accurate NOVA vector unit.

@@ -25,10 +25,6 @@ LutResult LutVectorUnit::approximate(
   // The pipeline processes one wave of up to neurons_per_unit elements per
   // unit per cycle: cycle k fetches (comparator -> bank read), cycle k+1
   // MACs while wave k+1 fetches. Total cycles = waves + 1 drain cycle.
-  const sim::StatId id_comparator_ops =
-      result.stats.counter_id("unit.comparator_ops");
-  const sim::StatId id_bank_reads = result.stats.counter_id("lut.bank_reads");
-  const sim::StatId id_mac_ops = result.stats.counter_id("unit.mac_ops");
   std::uint64_t waves = 0;
   std::uint64_t elements = 0;
   for (std::size_t u = 0; u < inputs.size(); ++u) {
@@ -48,11 +44,9 @@ LutResult LutVectorUnit::approximate(
     }
     elements += stream.size();
   }
-  // One comparator op, one bank read, and one MAC per element; flushed as
-  // stream aggregates through interned ids, not bumped per element.
-  result.stats.bump(id_comparator_ops, elements);
-  result.stats.bump(id_bank_reads, elements);
-  result.stats.bump(id_mac_ops, elements);
+  result.comparator_ops = elements;
+  result.bank_reads = elements;
+  result.mac_ops = elements;
   result.accel_cycles = waves == 0 ? 0 : waves + 1;
   result.wave_latency_cycles = 2;
   return result;
@@ -67,13 +61,12 @@ LutEnergyReport estimate_energy(const hw::TechParams& tech,
   const int ports = config.organization == LutOrganization::kPerNeuron
                         ? 1
                         : config.bank_ports;
-  report.sram_pj = static_cast<double>(result.stats.counter("lut.bank_reads")) *
+  report.sram_pj = static_cast<double>(result.bank_reads) *
                    hw::sram_read_energy_pj(tech, pair_bytes, ports);
-  report.comparator_pj =
-      static_cast<double>(result.stats.counter("unit.comparator_ops")) *
-      hw::comparator_bank_energy_pj(tech, breakpoints);
-  report.mac_pj = static_cast<double>(result.stats.counter("unit.mac_ops")) *
-                  hw::mac_energy_pj(tech);
+  report.comparator_pj = static_cast<double>(result.comparator_ops) *
+                         hw::comparator_bank_energy_pj(tech, breakpoints);
+  report.mac_pj =
+      static_cast<double>(result.mac_ops) * hw::mac_energy_pj(tech);
   return report;
 }
 

@@ -6,11 +6,11 @@
 // NoC, which is exactly the cost difference the paper measures.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "approx/pwl.hpp"
 #include "hwmodel/vector_unit_cost.hpp"
-#include "sim/stats.hpp"
 
 namespace nova::lut {
 
@@ -37,7 +37,11 @@ struct LutResult {
   std::vector<std::vector<double>> outputs;
   std::uint64_t accel_cycles = 0;
   int wave_latency_cycles = 2;  ///< fetch + MAC (paper Section II)
-  sim::StatRegistry stats;
+  /// Operation counts: one comparator lookup, one bank read and one MAC
+  /// per element.
+  std::uint64_t comparator_ops = 0;
+  std::uint64_t bank_reads = 0;
+  std::uint64_t mac_ops = 0;
 };
 
 /// Cycle-level functional model of the LUT-based vector unit.

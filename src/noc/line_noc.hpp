@@ -14,11 +14,11 @@
 // flit passes through it, whether by bypass or from its own latch.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 
 #include "noc/flit.hpp"
 #include "sim/cycle.hpp"
-#include "sim/stats.hpp"
 
 namespace nova::noc {
 
@@ -27,6 +27,15 @@ struct LineNocConfig {
   /// SMART bypass depth: routers traversable combinationally per NoC cycle.
   /// Derived from hw::max_hops_per_cycle for the physical layout.
   int max_hops_per_cycle = 10;
+};
+
+/// What the line did, for energy accounting: router observations, wire
+/// segments traversed, register latches and flits injected.
+struct LineCounts {
+  std::uint64_t observations = 0;
+  std::uint64_t segment_traversals = 0;
+  std::uint64_t register_latches = 0;
+  std::uint64_t flits_injected = 0;
 };
 
 /// Receiver of router observations: the capture datapath attached to the
@@ -42,10 +51,8 @@ class CaptureSink {
 /// The line NoC; its owner calls tick() once per NoC cycle.
 class LineNoc final {
  public:
-  /// `stats` may be null; when provided the NoC counts flits, wire-segment
-  /// traversals, register latches, and observations into it (counter names
-  /// interned once here, bumped as per-tick aggregates).
-  LineNoc(const LineNocConfig& config, sim::StatRegistry* stats);
+  /// The line counts what it does into counts() from its first tick.
+  explicit LineNoc(const LineNocConfig& config);
 
   /// Attaches the capture datapath (non-owning; may be null to detach).
   void set_sink(CaptureSink* sink) { sink_ = sink; }
@@ -63,6 +70,8 @@ class LineNoc final {
   }
 
   [[nodiscard]] const LineNocConfig& config() const { return config_; }
+  /// Totals over every tick so far.
+  [[nodiscard]] const LineCounts& counts() const { return counts_; }
 
  private:
   struct Wavefront {
@@ -71,23 +80,10 @@ class LineNoc final {
     int frontier = 0;
   };
 
-  /// Per-tick stat deltas, accumulated locally in tick() and flushed as one
-  /// bump per counter instead of one per event.
-  struct TickDeltas {
-    std::uint64_t observations = 0;
-    std::uint64_t segment_traversals = 0;
-    std::uint64_t register_latches = 0;
-    std::uint64_t flits_injected = 0;
-  };
-
-  void advance(Wavefront& wave, sim::Cycle now, TickDeltas& deltas);
+  void advance(Wavefront& wave, sim::Cycle now);
 
   LineNocConfig config_;
-  sim::StatRegistry* stats_;  // non-owning, may be null
-  sim::StatId id_observations_;
-  sim::StatId id_segment_traversals_;
-  sim::StatId id_register_latches_;
-  sim::StatId id_flits_injected_;
+  LineCounts counts_;
   CaptureSink* sink_ = nullptr;  // non-owning
   std::deque<Wavefront> in_flight_;
   std::deque<Flit> inject_queue_;

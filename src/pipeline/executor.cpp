@@ -235,10 +235,8 @@ PipelineEvaluation evaluate_pipeline(const accel::AcceleratorModel& accel,
   eval.serial = PipelineExecutor(accel, config).execute(graph);
   config.overlap = true;
   eval.overlapped = PipelineExecutor(accel, config).execute(graph);
-  // The flat view rolls up the serial timeline we just computed --
-  // value-identical to accel::evaluate_inference (which runs the same
-  // serial executor over graph_of(flatten(graph))) without executing the
-  // graph a third time.
+  // The flat view rolls up the serial timeline we just computed, whose
+  // totals equal the closed form accel::evaluate_inference prices.
   eval.flat = accel::inference_energy_from_cycles(
       accel, eval.serial.fabric_cycles, eval.serial.approx_ops,
       eval.serial.vector_cycles, choice);

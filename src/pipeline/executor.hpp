@@ -135,10 +135,10 @@ class PipelineExecutor {
 };
 
 /// One workload evaluated both ways, with the legacy-equivalent flat
-/// numbers derived from the serial timeline. `flat` is byte-compatible with
-/// the closed-form accel::evaluate_inference result (which itself now
-/// consumes a serial timeline), so Fig 8-style tables stay reproducible
-/// while `overlapped` carries the dependency-aware schedule.
+/// numbers derived from the serial timeline. `flat` equals the closed-form
+/// accel::evaluate_inference result bit for bit (pipeline_test pins it), so
+/// Fig 8-style tables stay reproducible while `overlapped` carries the
+/// dependency-aware schedule.
 struct PipelineEvaluation {
   PipelineTimeline serial;
   PipelineTimeline overlapped;

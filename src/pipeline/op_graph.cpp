@@ -205,48 +205,6 @@ int longest_fitting_len(Phase phase) {
 
 }  // namespace detail
 
-OpGraph graph_of(const workload::ModelWorkload& workload) {
-  OpGraph graph;
-  graph.config = workload.config;
-  graph.layer_repeat = 1;  // flat counts are already per inference
-
-  auto& nodes = graph.nodes;
-  const auto last = [&nodes]() -> std::vector<int> {
-    return nodes.empty() ? std::vector<int>{}
-                         : std::vector<int>{static_cast<int>(nodes.size()) - 1};
-  };
-  for (const auto& g : workload.gemms) {
-    nodes.push_back(gemm_node(g.label, g.m, g.k, g.n, g.count, last()));
-  }
-  const auto& nl = workload.nonlinear;
-  if (nl.softmax_rows > 0) {
-    OpNode softmax;
-    softmax.kind = OpKind::kSoftmax;
-    softmax.label = "softmax";
-    softmax.rows = nl.softmax_rows;
-    softmax.row_len = nl.softmax_row_len;
-    softmax.deps = last();
-    nodes.push_back(std::move(softmax));
-  }
-  if (nl.gelu_elements > 0) {
-    OpNode gelu;
-    gelu.kind = OpKind::kGelu;
-    gelu.label = "gelu";
-    gelu.elements = nl.gelu_elements;
-    gelu.deps = last();
-    nodes.push_back(std::move(gelu));
-  }
-  if (nl.layernorm_rsqrt_ops > 0) {
-    OpNode ln;
-    ln.kind = OpKind::kLayerNormScale;
-    ln.label = "layernorm";
-    ln.rows = nl.layernorm_rsqrt_ops;
-    ln.deps = last();
-    nodes.push_back(std::move(ln));
-  }
-  return graph;
-}
-
 workload::ModelWorkload flatten(const OpGraph& graph) {
   workload::ModelWorkload wl;
   wl.config = graph.config;

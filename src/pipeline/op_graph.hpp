@@ -71,8 +71,8 @@ enum class OpKind {
 /// (analysis::run_passes) can re-derive about it. Config expansions carry a
 /// BertConfig that fully determines every node's shape, so the shape
 /// dataflow and conservation passes re-check all of them; adapted graphs
-/// (graph_of over an arbitrary flat workload, hand-built test graphs) have
-/// no such ground truth and get structural/phase checking only.
+/// (built node by node, as the tests do) have no such ground truth and get
+/// structural/phase checking only.
 enum class GraphOrigin { kAdapted, kConfigExpansion };
 
 /// One operator of the encoder-layer graph. Volumes are per encoder layer;
@@ -96,11 +96,6 @@ struct OpNode {
   /// are stored in topological order, so every dep index is smaller than
   /// the node's own index.
   std::vector<int> deps;
-  /// Per-node phase override for future mixed-phase graphs (chunked-prefill
-  /// schedules interleaving decode steps). Builders leave it empty -- the
-  /// node inherits the graph's phase -- and the verifier's phase-coherence
-  /// pass rejects any edge whose endpoints resolve to different phases.
-  std::optional<Phase> phase;
 
   [[nodiscard]] bool is_gemm() const { return kind == OpKind::kGemm; }
 
@@ -233,14 +228,6 @@ namespace detail {
   static const int decode = detail::longest_fitting_len(Phase::kDecode);
   return phase == Phase::kPrefill ? prefill : decode;
 }
-
-/// Adapts an arbitrary flat workload (possibly hand-built, not expanded
-/// from a BertConfig) into a chain graph: one GEMM node per GemmShape in
-/// list order, then the softmax / GELU / layernorm nodes of its
-/// NonLinearProfile. Volumes match the flat lists exactly, so executor
-/// totals over this graph reconcile with the closed-form model for ANY
-/// ModelWorkload, not just the zoo.
-[[nodiscard]] OpGraph graph_of(const workload::ModelWorkload& workload);
 
 /// Flattens a graph back into the legacy flat view: GEMM shapes with
 /// per-inference counts (repeat x layer_repeat) and the summed non-linear

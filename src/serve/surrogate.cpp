@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "accel/accelerator.hpp"
-#include "analysis/verifier.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "common/assert.hpp"
 #include "common/fixed_point.hpp"
@@ -81,16 +80,10 @@ namespace {
 /// cache.
 pipeline::OpGraph shape_graph(const ShapeKey& shape) {
   const auto model = shape.workload.entry().make(shape.seq_len);
-  auto graph = shape.phase == pipeline::Phase::kDecode
-                   ? pipeline::build_decode_graph(model, shape.kv_len)
-                   : pipeline::build_graph(model);
-#ifndef NDEBUG
-  // Full verifier sweep before any pricing math reads the graph. The
-  // builders already ran it, but this pins the *pricer's* entry contract
-  // independently of what build_graph happens to guarantee.
-  analysis::expect_valid(graph);
-#endif
-  return graph;
+  // The builders run the full verifier sweep on the graph they return.
+  return shape.phase == pipeline::Phase::kDecode
+             ? pipeline::build_decode_graph(model, shape.kv_len)
+             : pipeline::build_graph(model);
 }
 
 /// The smallest link word whose lookup address is `address`, if any. The
@@ -127,8 +120,7 @@ Calibration ExactPricer::simulate(
   // walk's vector resource, replacing the ideal one-element-per-neuron
   // assumption with the simulated reality.
   const double cycles = static_cast<double>(result.accel_cycles);
-  const auto waves_sim =
-      static_cast<double>(result.stats.counter("unit.waves"));
+  const auto waves_sim = static_cast<double>(result.waves);
   const double fill = static_cast<double>(result.wave_latency_cycles - 1);
   const double per_wave = waves_sim > 1.0
                               ? (cycles - 1.0 - fill) / (waves_sim - 1.0)

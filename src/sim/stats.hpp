@@ -1,4 +1,5 @@
-// Named statistic counters shared by the simulators.
+// Named counters, accumulators and histograms of the serving layer's run
+// report. The hardware models return their operation counts as plain fields.
 #pragma once
 
 #include <cstddef>
@@ -99,12 +100,6 @@ class StatRegistry {
   void bump(StatId id, std::uint64_t delta = 1) {
     NOVA_EXPECTS(id.index_ < counter_values_.size());
     counter_values_[id.index_] += delta;
-  }
-
-  /// Reads the interned counter.
-  [[nodiscard]] std::uint64_t counter(StatId id) const {
-    NOVA_EXPECTS(id.index_ < counter_values_.size());
-    return counter_values_[id.index_];
   }
 
   /// Returns accumulator `name`, creating it empty on first use. Resolve

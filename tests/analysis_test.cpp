@@ -17,7 +17,6 @@ using pipeline::GraphOrigin;
 using pipeline::OpGraph;
 using pipeline::OpKind;
 using pipeline::OpNode;
-using pipeline::Phase;
 
 OpGraph tiny_prefill() { return pipeline::build_graph(workload::bert_tiny(16)); }
 OpGraph tiny_decode() {
@@ -158,15 +157,6 @@ TEST(Verifier, CatchesKvLenPhaseIncoherence) {
   expect_rejected(prefill, CheckId::kPhaseKvLen);
 }
 
-TEST(Verifier, CatchesCrossPhaseEdge) {
-  // Per-node phase overrides exist for future chunked-prefill graphs; an
-  // edge whose endpoints resolve to different phases is a schedule bug
-  // today and must be rejected.
-  auto graph = tiny_prefill();
-  graph.nodes[1].phase = Phase::kDecode;
-  expect_rejected(graph, CheckId::kPhaseCrossEdge);
-}
-
 // --- shape dataflow pass --------------------------------------------------
 
 TEST(Verifier, CatchesWrongSoftmaxRowCount) {
@@ -202,13 +192,23 @@ TEST(Verifier, CatchesChainDivergenceAndLayerMismatch) {
 }
 
 TEST(Verifier, ShapeChecksSkipAdaptedGraphs) {
-  // graph_of over a hand-built flat workload has no config ground truth;
-  // only structural/phase checking applies, so it must verify clean.
-  workload::ModelWorkload wl;
-  wl.gemms.push_back({"a", 16, 32, 64, 3});
-  wl.nonlinear.softmax_rows = 10;
-  wl.nonlinear.softmax_row_len = 7;
-  const auto graph = pipeline::graph_of(wl);
+  // A graph built node by node has no config ground truth; only
+  // structural/phase checking applies, so it must verify clean.
+  OpGraph graph;
+  OpNode gemm;
+  gemm.label = "a";
+  gemm.m = 16;
+  gemm.k = 32;
+  gemm.n = 64;
+  gemm.repeat = 3;
+  graph.nodes.push_back(gemm);
+  OpNode softmax;
+  softmax.kind = OpKind::kSoftmax;
+  softmax.label = "softmax";
+  softmax.rows = 10;
+  softmax.row_len = 7;
+  softmax.deps = {0};
+  graph.nodes.push_back(softmax);
   ASSERT_EQ(graph.origin, GraphOrigin::kAdapted);
   const auto report = run_passes(graph);
   EXPECT_TRUE(report.ok()) << report.to_string();

@@ -5,6 +5,7 @@
 // goldens, and the calibration memo's differential property suite.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -144,7 +145,7 @@ TEST(VectorUnit, NocRunsAtTwiceTheAccelClockFor16Breakpoints) {
   const auto result = unit.approximate(gelu16(), inputs);
   EXPECT_EQ(result.noc_cycles, 2 * result.accel_cycles);
   // Two flits injected for the single wave.
-  EXPECT_EQ(result.stats.counter("noc.flits_injected"), 2u);
+  EXPECT_EQ(result.noc.flits_injected, 2u);
 }
 
 TEST(VectorUnit, OperationCountsAreExact) {
@@ -160,12 +161,9 @@ TEST(VectorUnit, OperationCountsAreExact) {
     }
   }
   const auto result = unit.approximate(gelu16(), inputs);
-  EXPECT_EQ(result.stats.counter("unit.comparator_ops"),
-            static_cast<std::uint64_t>(total));
-  EXPECT_EQ(result.stats.counter("unit.mac_ops"),
-            static_cast<std::uint64_t>(total));
-  EXPECT_EQ(result.stats.counter("unit.pair_captures"),
-            static_cast<std::uint64_t>(total));
+  EXPECT_EQ(result.comparator_ops, static_cast<std::uint64_t>(total));
+  EXPECT_EQ(result.mac_ops, static_cast<std::uint64_t>(total));
+  EXPECT_EQ(result.pair_captures, static_cast<std::uint64_t>(total));
 }
 
 TEST(VectorUnit, UnevenStreamsDrainCorrectly) {
@@ -274,11 +272,14 @@ std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
   return hash;
 }
 
-constexpr const char* kSessionCounters[] = {
-    "unit.pair_captures",     "unit.mac_ops",
-    "unit.comparator_ops",    "unit.waves",
-    "noc.observations",       "noc.segment_traversals",
-    "noc.register_latches",   "noc.flits_injected"};
+/// A session's eight operation counts, in the order the pinned hashes
+/// fold them.
+std::array<std::uint64_t, 8> session_counts(const ApproxResult& result) {
+  return {result.pair_captures,        result.mac_ops,
+          result.comparator_ops,       result.waves,
+          result.noc.observations,     result.noc.segment_traversals,
+          result.noc.register_latches, result.noc.flits_injected};
+}
 
 /// The 16 golden tables, fitted without MLP training: uniform and adaptive
 /// boundaries alternate across the grid.
@@ -382,8 +383,8 @@ TEST_P(SimSessionGolden, OutputsMatchEvalFixedAndTimingMatchesPins) {
     hash = fnv1a(hash, result.accel_cycles);
     hash = fnv1a(hash, result.noc_cycles);
     hash = fnv1a(hash, static_cast<std::uint64_t>(result.wave_latency_cycles));
-    for (const char* counter : kSessionCounters) {
-      hash = fnv1a(hash, result.stats.counter(counter));
+    for (const std::uint64_t count : session_counts(result)) {
+      hash = fnv1a(hash, count);
     }
   }
   char got[32];
@@ -594,7 +595,7 @@ std::string simulate_streams(const NovaConfig& cfg, const PwlTable& table,
   SimSession session(cfg, table, inputs);
   const ApproxResult result = session.run();
   const double cycles = static_cast<double>(result.accel_cycles);
-  const auto waves = static_cast<double>(result.stats.counter("unit.waves"));
+  const auto waves = static_cast<double>(result.waves);
   const double fill = static_cast<double>(result.wave_latency_cycles - 1);
   const double per_wave = waves > 1.0 ? (cycles - 1.0 - fill) / (waves - 1.0)
                                       : std::max(cycles, 1.0);

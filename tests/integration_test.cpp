@@ -122,8 +122,7 @@ TEST(EnergyOrdering, SimulatedEnergyConsistentWithAnalyticModel) {
   const auto result = unit.approximate(table, inputs);
   const auto energy = core::estimate_energy(hw::tech22(), cfg, 16, result);
   const double per_elem =
-      energy.total_pj() /
-      static_cast<double>(result.stats.counter("unit.mac_ops"));
+      energy.total_pj() / static_cast<double>(result.mac_ops);
 
   hw::VectorUnitConfig analytic;
   analytic.kind = hw::UnitKind::kNovaNoc;

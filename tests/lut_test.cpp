@@ -88,8 +88,8 @@ TEST(LutUnit, BankReadPerElement) {
   LutVectorUnit unit(small_lut(LutOrganization::kPerNeuron));
   const auto inputs = random_inputs(4, 10, 9);
   const auto result = unit.approximate(exp16(), inputs);
-  EXPECT_EQ(result.stats.counter("lut.bank_reads"), 40u);
-  EXPECT_EQ(result.stats.counter("unit.mac_ops"), 40u);
+  EXPECT_EQ(result.bank_reads, 40u);
+  EXPECT_EQ(result.mac_ops, 40u);
 }
 
 TEST(LutEnergy, PerCoreReadsCostMoreThanPerNeuron) {

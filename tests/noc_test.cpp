@@ -43,8 +43,7 @@ class RecordingSink final : public CaptureSink {
 std::vector<Observation> run_noc(int routers, int hops,
                                  const std::vector<int>& inject_tags,
                                  int cycles) {
-  sim::StatRegistry stats;
-  LineNoc noc(LineNocConfig{routers, hops}, &stats);
+  LineNoc noc(LineNocConfig{routers, hops});
   RecordingSink sink;
   noc.set_sink(&sink);
   for (const int tag : inject_tags) noc.inject(test_flit(tag));
@@ -113,35 +112,30 @@ TEST(LineNoc, EveryRouterObservesEveryFlit) {
 }
 
 TEST(LineNoc, IdleAfterDrain) {
-  sim::StatRegistry stats;
-  LineNoc noc(LineNocConfig{4, 10}, &stats);
+  LineNoc noc(LineNocConfig{4, 10});
   noc.inject(test_flit(0));
   EXPECT_FALSE(noc.idle());
   noc.tick(0);
   EXPECT_TRUE(noc.idle());
 }
 
-TEST(LineNoc, StatsCountSegmentsAndLatches) {
-  sim::StatRegistry stats;
-  LineNoc noc(LineNocConfig{8, 3}, &stats);
+TEST(LineNoc, CountsSegmentsAndLatches) {
+  LineNoc noc(LineNocConfig{8, 3});
   noc.inject(test_flit(0));
   for (int c = 0; c < 5; ++c) noc.tick(static_cast<sim::Cycle>(c));
   // 8 routers visited -> 8 segment traversals; 2 intermediate latches
   // (after routers 2 and 5).
-  EXPECT_EQ(stats.counter("noc.segment_traversals"), 8u);
-  EXPECT_EQ(stats.counter("noc.register_latches"), 2u);
-  EXPECT_EQ(stats.counter("noc.flits_injected"), 1u);
-  EXPECT_EQ(stats.counter("noc.observations"), 8u);
+  EXPECT_EQ(noc.counts().segment_traversals, 8u);
+  EXPECT_EQ(noc.counts().register_latches, 2u);
+  EXPECT_EQ(noc.counts().flits_injected, 1u);
+  EXPECT_EQ(noc.counts().observations, 8u);
 }
 
-TEST(LineNoc, BatchedStatFlushMatchesPerEventTotals) {
-  // The NoC aggregates stat deltas per tick and flushes once per counter;
-  // the totals must equal an independent per-event count from the sink
-  // (the pre-batching behavior bumped once per event, so equality here is
-  // the before/after parity check). Multi-flit, multi-cycle traversal so
-  // ticks carry several events each.
-  sim::StatRegistry stats;
-  LineNoc noc(LineNocConfig{9, 2}, &stats);
+TEST(LineNoc, CountsMatchPerEventTotals) {
+  // The NoC adds to its counts once per wavefront per tick; the totals
+  // must equal an independent per-event count from the sink. Multi-flit,
+  // multi-cycle traversal so ticks carry several events each.
+  LineNoc noc(LineNocConfig{9, 2});
   RecordingSink sink;
   noc.set_sink(&sink);
   for (int tag = 0; tag < 3; ++tag) noc.inject(test_flit(tag));
@@ -150,16 +144,15 @@ TEST(LineNoc, BatchedStatFlushMatchesPerEventTotals) {
   const auto observed_events = static_cast<std::uint64_t>(sink.log.size());
   // 3 flits x 9 routers, each observation also one wire segment.
   EXPECT_EQ(observed_events, 27u);
-  EXPECT_EQ(stats.counter("noc.observations"), observed_events);
-  EXPECT_EQ(stats.counter("noc.segment_traversals"), observed_events);
+  EXPECT_EQ(noc.counts().observations, observed_events);
+  EXPECT_EQ(noc.counts().segment_traversals, observed_events);
   // 9 routers at 2 hops/cycle: latches after routers 1,3,5,7 -> 4 per flit.
-  EXPECT_EQ(stats.counter("noc.register_latches"), 12u);
-  EXPECT_EQ(stats.counter("noc.flits_injected"), 3u);
+  EXPECT_EQ(noc.counts().register_latches, 12u);
+  EXPECT_EQ(noc.counts().flits_injected, 3u);
 }
 
 TEST(LineNoc, DetachedSinkSeesNothingMore) {
-  sim::StatRegistry stats;
-  LineNoc noc(LineNocConfig{6, 2}, &stats);
+  LineNoc noc(LineNocConfig{6, 2});
   RecordingSink sink;
   noc.set_sink(&sink);
   noc.inject(test_flit(0));
@@ -171,7 +164,7 @@ TEST(LineNoc, DetachedSinkSeesNothingMore) {
   for (int c = 3; c < 6; ++c) noc.tick(static_cast<sim::Cycle>(c));
   EXPECT_TRUE(noc.idle());
   EXPECT_EQ(sink.log.size(), 6u);
-  EXPECT_EQ(stats.counter("noc.observations"), 12u);
+  EXPECT_EQ(noc.counts().observations, 12u);
 }
 
 TEST(LineNoc, SingleRouterLineWorks) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "accel/accelerator.hpp"
 #include "analysis/verifier.hpp"
@@ -90,23 +93,6 @@ TEST(OpGraph, FlattenMatchesLegacyFlatView) {
                                                config.seq_len) * config.ffn);
     EXPECT_EQ(wl.nonlinear.layernorm_rsqrt_ops, 2 * layers * config.seq_len);
   }
-}
-
-TEST(OpGraph, GraphOfRoundTripsArbitraryWorkloads) {
-  workload::ModelWorkload wl;
-  wl.gemms.push_back({"a", 16, 32, 64, 3});
-  wl.gemms.push_back({"b", 8, 8, 8, 1});
-  wl.nonlinear.softmax_rows = 10;
-  wl.nonlinear.softmax_row_len = 7;
-  wl.nonlinear.gelu_elements = 100;
-  wl.nonlinear.layernorm_rsqrt_ops = 5;
-  const auto graph = graph_of(wl);
-  const auto report = analysis::run_passes(graph);
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  const auto back = flatten(graph);
-  EXPECT_EQ(back.total_macs(), wl.total_macs());
-  EXPECT_EQ(back.nonlinear.total_approx_ops(),
-            wl.nonlinear.total_approx_ops());
 }
 
 TEST(OpGraph, FlattenRejectsMixedSoftmaxRowLengths) {
@@ -265,55 +251,73 @@ TEST(Executor, GraphsAtTheLengthBoundPriceWithoutOverflow) {
 // incoherence, ...) lives in analysis_test.cpp now: the verifier owns
 // rejection and the tests there assert on stable check ids.
 
+/// The bits of a double, so the comparisons below are bitwise.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
 TEST(Executor, SerialTimelineReconcilesExactlyWithClosedForm) {
   // The acceptance contract of the pipeline refactor: with overlap
   // disabled, the executor's totals equal accel::inference_cycles plus the
   // legacy closed-form non-linear cycle total EXACTLY, for all five paper
-  // benchmarks on all four hosts. The reference is spelled out here
-  // independently of the executor (evaluate_inference consumes a timeline
-  // now, so it alone cannot serve as the oracle); the same loop then pins
-  // evaluate_inference to the identical closed forms.
+  // benchmarks on all four hosts, every unit kind Fig 8 prices and three
+  // sequence lengths. The reference is spelled out here independently of
+  // the executor. evaluate_inference prices closed_form_cycles, so the same
+  // loop pins it, field for field and bit for bit, to the flat roll-up of
+  // evaluate_pipeline's serial timeline.
+  static_assert(sizeof(accel::InferenceEnergy) ==
+                    3 * sizeof(std::uint64_t) + 3 * sizeof(double),
+                "compare every InferenceEnergy field below");
   for (const auto host : all_hosts()) {
     const auto accel = accel::make_accelerator(host);
-    const auto throughput = static_cast<std::uint64_t>(
-        hw::paper_unit_config(accel.kind, hw::UnitKind::kNovaNoc)
-            .total_neurons());
-    for (const auto& config : workload::paper_benchmarks(1024)) {
-      const auto wl = workload::model_workload(config);
-      const auto legacy_compute = accel::inference_cycles(accel, wl);
-      const auto ops =
-          static_cast<std::uint64_t>(wl.nonlinear.total_approx_ops());
-      const std::uint64_t legacy_vector =
-          ops == 0 ? 0 : (ops + throughput - 1) / throughput + 1;
+    for (const auto kind :
+         {hw::UnitKind::kNovaNoc, hw::UnitKind::kPerNeuronLut,
+          hw::UnitKind::kPerCoreLut, hw::UnitKind::kNvdlaSdp}) {
+      const accel::ApproximatorChoice choice{kind, 16};
+      const auto throughput = static_cast<std::uint64_t>(
+          hw::paper_unit_config(accel.kind, kind).total_neurons());
+      for (const int seq : {1, 128, 1024}) {
+        for (const auto& config : workload::paper_benchmarks(seq)) {
+          const std::string where = accel.name + " / " + hw::to_string(kind) +
+                                    " / " + config.name + " seq " +
+                                    std::to_string(seq);
+          const auto graph = build_graph(config);
+          const auto wl = workload::model_workload(config);
+          const auto legacy_compute = accel::inference_cycles(accel, wl);
+          const auto ops =
+              static_cast<std::uint64_t>(wl.nonlinear.total_approx_ops());
+          const std::uint64_t legacy_vector =
+              ops == 0 ? 0 : (ops + throughput - 1) / throughput + 1;
 
-      // The shared reference helper the CLI/bench reconciliation checks
-      // use must itself match the formula spelled out here.
-      const auto closed = accel::closed_form_cycles(
-          accel, wl, accel::ApproximatorChoice{hw::UnitKind::kNovaNoc, 16});
-      EXPECT_EQ(closed.compute_cycles, legacy_compute);
-      EXPECT_EQ(closed.approx_cycles, legacy_vector);
+          // The shared reference helper the CLI/bench reconciliation
+          // checks use must itself match the formula spelled out here.
+          const auto closed = accel::closed_form_cycles(accel, wl, choice);
+          EXPECT_EQ(closed.compute_cycles, legacy_compute) << where;
+          EXPECT_EQ(closed.approx_cycles, legacy_vector) << where;
 
-      ExecutorConfig exec;
-      exec.choice = accel::ApproximatorChoice{hw::UnitKind::kNovaNoc, 16};
-      exec.overlap = false;
-      const auto timeline =
-          PipelineExecutor(accel, exec).execute(build_graph(config));
-      EXPECT_EQ(timeline.fabric_cycles, legacy_compute)
-          << accel.name << " / " << config.name;
-      EXPECT_EQ(timeline.vector_cycles, legacy_vector)
-          << accel.name << " / " << config.name;
-      EXPECT_EQ(timeline.span_cycles, legacy_compute + legacy_vector)
-          << accel.name << " / " << config.name;
-      EXPECT_EQ(timeline.span_cycles, timeline.serial_cycles);
-      EXPECT_EQ(timeline.approx_ops, ops);
+          ExecutorConfig exec;
+          exec.choice = choice;
+          exec.overlap = false;
+          const auto timeline = PipelineExecutor(accel, exec).execute(graph);
+          EXPECT_EQ(timeline.fabric_cycles, legacy_compute) << where;
+          EXPECT_EQ(timeline.vector_cycles, legacy_vector) << where;
+          EXPECT_EQ(timeline.span_cycles, legacy_compute + legacy_vector)
+              << where;
+          EXPECT_EQ(timeline.span_cycles, timeline.serial_cycles) << where;
+          EXPECT_EQ(timeline.approx_ops, ops) << where;
 
-      const auto flat = accel::evaluate_inference(
-          accel, wl, accel::ApproximatorChoice{hw::UnitKind::kNovaNoc, 16});
-      EXPECT_EQ(flat.compute_cycles, legacy_compute)
-          << accel.name << " / " << config.name;
-      EXPECT_EQ(flat.approx_cycles, legacy_vector)
-          << accel.name << " / " << config.name;
-      EXPECT_EQ(flat.approx_ops, ops);
+          const auto flat = accel::evaluate_inference(accel, wl, choice);
+          const auto want = evaluate_pipeline(accel, graph, choice).flat;
+          EXPECT_EQ(flat.compute_cycles, legacy_compute) << where;
+          EXPECT_EQ(flat.approx_cycles, legacy_vector) << where;
+          EXPECT_EQ(flat.compute_cycles, want.compute_cycles) << where;
+          EXPECT_EQ(flat.approx_ops, want.approx_ops) << where;
+          EXPECT_EQ(flat.approx_cycles, want.approx_cycles) << where;
+          EXPECT_EQ(bits(flat.runtime_ms), bits(want.runtime_ms)) << where;
+          EXPECT_EQ(bits(flat.base_energy_mj), bits(want.base_energy_mj))
+              << where;
+          EXPECT_EQ(bits(flat.approx_energy_mj), bits(want.approx_energy_mj))
+              << where;
+        }
+      }
     }
   }
 }
@@ -388,9 +392,8 @@ TEST(Executor, SingleQueryGemmTilesAndSingleRowSoftmaxAreWellFormed) {
 }
 
 TEST(Executor, LegacyApproxCycleFormulaStillHolds) {
-  // evaluate_inference now consumes a timeline; pin that its numbers still
-  // obey the original closed forms (ceil over the paper throughput, +1
-  // pipeline fill).
+  // evaluate_inference's numbers obey the original closed forms (ceil over
+  // the paper throughput, +1 pipeline fill).
   const auto accel = accel::make_accelerator(hw::AcceleratorKind::kTpuV4);
   const auto wl = workload::model_workload(workload::bert_mini(1024));
   const auto result = accel::evaluate_inference(
@@ -510,12 +513,18 @@ TEST(Executor, MeasuredVectorRateScalesVectorCycles) {
 TEST(Executor, GemmOnlyGraphHasNoVectorCycles) {
   // No non-linear nodes -> no pipeline fill charged, matching the legacy
   // "0 when ops == 0" contract.
-  workload::ModelWorkload wl;
-  wl.gemms.push_back({"only", 64, 64, 64, 2});
+  OpGraph graph;
+  OpNode gemm;
+  gemm.label = "only";
+  gemm.m = 64;
+  gemm.k = 64;
+  gemm.n = 64;
+  gemm.repeat = 2;
+  graph.nodes.push_back(gemm);
   const auto accel = accel::make_accelerator(hw::AcceleratorKind::kTpuV4);
   ExecutorConfig exec;
   exec.choice = accel::ApproximatorChoice{hw::UnitKind::kNovaNoc, 16};
-  const auto timeline = PipelineExecutor(accel, exec).execute(graph_of(wl));
+  const auto timeline = PipelineExecutor(accel, exec).execute(graph);
   EXPECT_EQ(timeline.vector_cycles, 0u);
   EXPECT_EQ(timeline.approx_ops, 0u);
   EXPECT_EQ(timeline.span_cycles, timeline.fabric_cycles);

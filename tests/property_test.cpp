@@ -46,8 +46,7 @@ TEST_P(NocProperties, ObservationScheduleMatchesSmartFormula) {
     const int hops = 1 + static_cast<int>(rng.next_below(12));
     const int flits = 1 + static_cast<int>(rng.next_below(5));
 
-    sim::StatRegistry stats;
-    noc::LineNoc line(noc::LineNocConfig{routers, hops}, &stats);
+    noc::LineNoc line(noc::LineNocConfig{routers, hops});
     ScheduleSink sink;
     line.set_sink(&sink);
     auto& seen = sink.seen;

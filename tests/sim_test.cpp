@@ -17,13 +17,13 @@ namespace {
 
 TEST(Stats, CounterIdInterningIsIdempotent) {
   StatRegistry stats;
-  const StatId a = stats.counter_id("noc.observations");
-  const StatId b = stats.counter_id("noc.observations");
+  const StatId a = stats.counter_id("serve.steps");
+  const StatId b = stats.counter_id("serve.steps");
   EXPECT_EQ(a, b);
-  const StatId other = stats.counter_id("noc.flits_injected");
+  const StatId other = stats.counter_id("serve.retries");
   EXPECT_FALSE(a == other);
   // Interleaved interning does not disturb earlier handles.
-  EXPECT_EQ(stats.counter_id("noc.observations"), a);
+  EXPECT_EQ(stats.counter_id("serve.steps"), a);
 }
 
 TEST(Stats, CountersAccumulate) {
@@ -31,7 +31,6 @@ TEST(Stats, CountersAccumulate) {
   const StatId flits = stats.counter_id("flits");
   stats.bump(flits);
   stats.bump(flits, 4);
-  EXPECT_EQ(stats.counter(flits), 5u);
   EXPECT_EQ(stats.counter("flits"), 5u);
   EXPECT_EQ(stats.counter("missing"), 0u);
 }
