@@ -26,31 +26,6 @@ namespace {
   std::abort();
 }
 
-const std::vector<FaultWindow> kNoWindows;
-
-// A plan's windows are sorted and non-overlapping, so their ends ascend as
-// well as their starts: the windows ending at or before t form a prefix,
-// and so do those opening at or before t. Each query starts its walk past
-// the prefix whose windows it would skip without effect, which keeps it
-// O(log w) in the instance's w windows however late in simulated time it
-// asks.
-
-/// The first window that ends after t.
-std::vector<FaultWindow>::const_iterator first_ending_after(
-    const std::vector<FaultWindow>& windows, double t) {
-  return std::partition_point(
-      windows.begin(), windows.end(),
-      [t](const FaultWindow& window) { return window.end_us <= t; });
-}
-
-/// The first window that opens after t.
-std::vector<FaultWindow>::const_iterator first_opening_after(
-    const std::vector<FaultWindow>& windows, double t) {
-  return std::partition_point(
-      windows.begin(), windows.end(),
-      [t](const FaultWindow& window) { return window.start_us <= t; });
-}
-
 }  // namespace
 
 FaultPlan FaultPlan::make(std::vector<std::vector<FaultWindow>> windows) {
@@ -79,33 +54,6 @@ FaultPlan FaultPlan::make(std::vector<std::vector<FaultWindow>> windows) {
 bool FaultPlan::empty() const {
   return std::all_of(windows_.begin(), windows_.end(),
                      [](const auto& w) { return w.empty(); });
-}
-
-const std::vector<FaultWindow>& FaultPlan::windows(int instance) const {
-  NOVA_EXPECTS(instance >= 0);
-  if (static_cast<std::size_t>(instance) >= windows_.size()) {
-    return kNoWindows;
-  }
-  return windows_[static_cast<std::size_t>(instance)];
-}
-
-double FaultPlan::next_up_us(int instance, double t) const {
-  // Walking forward once suffices: each outage covering t pushes t to its
-  // end, where the next window may open.
-  const auto& plan = windows(instance);
-  for (auto it = first_ending_after(plan, t); it != plan.end(); ++it) {
-    if (it->start_us > t) break;  // t is up before this window opens
-    t = it->end_us;
-  }
-  return t;
-}
-
-std::optional<double> FaultPlan::outage_in(int instance, double start,
-                                           double finish) const {
-  const auto& plan = windows(instance);
-  const auto it = first_opening_after(plan, start);
-  if (it == plan.end() || it->start_us >= finish) return std::nullopt;
-  return it->start_us;
 }
 
 double FaultPlan::downtime_in(int instance, double start,

@@ -15,11 +15,21 @@
 // instances, or pool size -- so instance i's windows are byte-identical
 // whether the pool holds 1 instance or 100, and reports stay byte-identical
 // across --threads like everything else in the serve stack.
+//
+// The two queries dispatch makes on every iteration, next_up_us and
+// outage_in, are defined here in the header, so a fault-free dispatch makes
+// no call into another translation unit for them. Each starts at a binary-
+// searched partition point of its instance's windows, so it stays O(log w)
+// in the instance's w windows however late in simulated time it asks.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
+
+#include "common/assert.hpp"
 
 namespace nova::serve {
 
@@ -53,7 +63,11 @@ class FaultPlan {
   [[nodiscard]] bool empty() const;
 
   /// Windows of `instance` (empty past the plan's instance count).
-  [[nodiscard]] const std::vector<FaultWindow>& windows(int instance) const;
+  [[nodiscard]] const std::vector<FaultWindow>& windows(int instance) const {
+    NOVA_EXPECTS(instance >= 0);
+    const auto index = static_cast<std::size_t>(instance);
+    return index < windows_.size() ? windows_[index] : kNoWindows;
+  }
 
   /// Instances the plan carries windows for.
   [[nodiscard]] int instances() const {
@@ -62,12 +76,26 @@ class FaultPlan {
 
   /// Earliest time >= t at which `instance` is outside every outage
   /// window.
-  [[nodiscard]] double next_up_us(int instance, double t) const;
+  [[nodiscard]] double next_up_us(int instance, double t) const {
+    // Walking forward once suffices: each outage covering t pushes t to its
+    // end, where the next window may open.
+    const auto& plan = windows(instance);
+    for (auto it = first_ending_after(plan, t); it != plan.end(); ++it) {
+      if (it->start_us > t) break;  // t is up before this window opens
+      t = it->end_us;
+    }
+    return t;
+  }
 
   /// Start of the first outage window opening inside (start, finish), if
   /// any: the instant a batch in flight over that interval fails.
   [[nodiscard]] std::optional<double> outage_in(int instance, double start,
-                                                double finish) const;
+                                                double finish) const {
+    const auto& plan = windows(instance);
+    const auto it = first_opening_after(plan, start);
+    if (it == plan.end() || it->start_us >= finish) return std::nullopt;
+    return it->start_us;
+  }
 
   /// Total outage time of `instance` inside [start, finish]; the
   /// availability numerator's complement.
@@ -75,6 +103,30 @@ class FaultPlan {
                                    double finish) const;
 
  private:
+  // A plan's windows are sorted and non-overlapping, so their ends ascend
+  // as well as their starts: the windows ending at or before t form a
+  // prefix, and so do those opening at or before t. Each query starts its
+  // walk past the prefix whose windows it would skip without effect.
+
+  /// The first window that ends after t.
+  static std::vector<FaultWindow>::const_iterator first_ending_after(
+      const std::vector<FaultWindow>& windows, double t) {
+    return std::partition_point(
+        windows.begin(), windows.end(),
+        [t](const FaultWindow& window) { return window.end_us <= t; });
+  }
+
+  /// The first window that opens after t.
+  static std::vector<FaultWindow>::const_iterator first_opening_after(
+      const std::vector<FaultWindow>& windows, double t) {
+    return std::partition_point(
+        windows.begin(), windows.end(),
+        [t](const FaultWindow& window) { return window.start_us <= t; });
+  }
+
+  /// The windows of every instance past the plan's instance count.
+  static inline const std::vector<FaultWindow> kNoWindows;
+
   std::vector<std::vector<FaultWindow>> windows_;
 };
 

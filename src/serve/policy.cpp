@@ -17,8 +17,6 @@ constexpr double kBackoffBaseUs = 50.0;
 constexpr double kBackoffCapUs = 5000.0;
 /// Deterministic jitter span as a fraction of the capped backoff.
 constexpr double kBackoffJitter = 0.25;
-/// Multiple of overload_queue_us past which best-effort work is shed.
-constexpr double kOverloadShedFactor = 4.0;
 
 [[noreturn]] void fail_policy(const char* what) {
   std::fprintf(stderr,
@@ -70,24 +68,6 @@ double retry_backoff_us(int attempt, int request_id, std::uint64_t seed) {
           (0x9E3779B97F4A7C15ULL *
            (static_cast<std::uint64_t>(static_cast<unsigned>(attempt)) + 1)));
   return backoff * (1.0 + kBackoffJitter * rng.next_double());
-}
-
-int degraded_max_batch(const FailurePolicy& policy, int max_batch,
-                       double projected_wait_us) {
-  if (policy.overload_queue_us <= 0.0 ||
-      projected_wait_us <= policy.overload_queue_us) {
-    return max_batch;
-  }
-  const double scale = policy.overload_queue_us / projected_wait_us;
-  return std::max(1, static_cast<int>(max_batch * scale));
-}
-
-bool should_shed_overload(const FailurePolicy& policy,
-                          double projected_wait_us, bool has_deadline,
-                          int attempt) {
-  if (policy.overload_queue_us <= 0.0) return false;
-  if (has_deadline || attempt > 1) return false;
-  return projected_wait_us > kOverloadShedFactor * policy.overload_queue_us;
 }
 
 }  // namespace nova::serve

@@ -9,9 +9,11 @@
 // stream keyed by (seed, request id, attempt), not from time or thread
 // interleaving, so two retries of the same request always back off by the
 // same amount while distinct requests still de-synchronize (no retry
-// stampede against a recovering instance).
+// stampede against a recovering instance). The two overload predicates
+// dispatch evaluates on every iteration are defined here in the header.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace nova::serve {
@@ -74,17 +76,31 @@ void validate(const FailurePolicy& policy);
 /// over its wait budget fuses quarter-size batches -- smaller dispatches
 /// finish sooner and cut the wait of everything behind them before any
 /// request is dropped. Returns max_batch when the policy is disabled.
-[[nodiscard]] int degraded_max_batch(const FailurePolicy& policy,
-                                     int max_batch,
-                                     double projected_wait_us);
+[[nodiscard]] inline int degraded_max_batch(const FailurePolicy& policy,
+                                            int max_batch,
+                                            double projected_wait_us) {
+  if (policy.overload_queue_us <= 0.0 ||
+      projected_wait_us <= policy.overload_queue_us) {
+    return max_batch;
+  }
+  const double scale = policy.overload_queue_us / projected_wait_us;
+  return std::max(1, static_cast<int>(max_batch * scale));
+}
 
 /// The shedding half of the overload policy: true when a first-attempt,
 /// deadline-free request facing `projected_wait_us` of queue wait should
 /// be dropped (wait past 4 * overload_queue_us).
 /// Deadline-carrying work is never overload-shed (it has its own policy),
 /// and retries are never overload-shed (they already paid for service).
-[[nodiscard]] bool should_shed_overload(const FailurePolicy& policy,
-                                        double projected_wait_us,
-                                        bool has_deadline, int attempt);
+[[nodiscard]] inline bool should_shed_overload(const FailurePolicy& policy,
+                                               double projected_wait_us,
+                                               bool has_deadline,
+                                               int attempt) {
+  // Multiple of overload_queue_us past which best-effort work is shed.
+  constexpr double kOverloadShedFactor = 4.0;
+  if (policy.overload_queue_us <= 0.0) return false;
+  if (has_deadline || attempt > 1) return false;
+  return projected_wait_us > kOverloadShedFactor * policy.overload_queue_us;
+}
 
 }  // namespace nova::serve

@@ -4,10 +4,11 @@
 // Dispatch consumes this queue in (ready_us, id) order. The request array
 // already is that order -- the stream contract (sorted by arrival_us, ids
 // 0..n-1 in stream order) makes (arrival_us, id) ascending -- so it needs
-// no copy in a tree: a cursor over the array is its front. Only retries,
-// which re-enter at a backoff time, need an ordered container, and that
-// set is empty in a fault-free run. The queue's front is the smaller of the
-// two fronts.
+// no copy in a tree: a cursor over the array is its front, and the cursor
+// builds each arrival's entry, fusion key included, from its request. Only
+// retries, which re-enter at a backoff time, need an ordered container, and
+// that set is empty in a fault-free run. The queue's front is the smaller
+// of the two fronts.
 //
 // Whole-request fusion takes a PREFIX of this order (its FIFO run stops at
 // the first mismatch), so taking a batch only advances the cursor.
@@ -20,8 +21,11 @@
 // reference.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -29,11 +33,51 @@
 
 namespace nova::serve {
 
+/// What dispatch units fuse on: the PWL table (function and breakpoints)
+/// and the phase of the plan step a unit dispatches. Fused units reuse one
+/// broadcast flit train, so they must share its table; prefill and decode
+/// steps share no wave shape, so they never fuse. The three fields pack into
+/// one 4-byte word with no padding, which is how operator== compares them:
+/// the fusion scan tests one word per candidate.
+struct FusionKey {
+  approx::NonLinearFn function = approx::NonLinearFn::kGelu;
+  pipeline::Phase phase = pipeline::Phase::kPrefill;
+  /// At most kMaxBreakpoints, which fits 16 bits.
+  std::uint16_t breakpoints = 0;
+
+  friend bool operator==(FusionKey a, FusionKey b) {
+    return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+  }
+};
+static_assert(sizeof(FusionKey) == 4 &&
+              std::has_unique_object_representations_v<FusionKey>);
+static_assert(kMaxBreakpoints <= 0xffff);
+
+/// The fusion key of step `step` of `req`'s session, whose prefill splits
+/// into `chunks` chunks (SessionLayout::chunks, SessionCost::prefill_chunks;
+/// 0 for a decode request): a step below that count is a prefill chunk,
+/// every later one a decode step.
+[[nodiscard]] inline FusionKey fusion_key(const InferenceRequest& req,
+                                          int chunks, int step) {
+  return FusionKey{req.function,
+                   step < chunks ? pipeline::Phase::kPrefill
+                                 : pipeline::Phase::kDecode,
+                   static_cast<std::uint16_t>(req.breakpoints)};
+}
+
+/// The fusion key of the first step of `req`'s session: the request's own
+/// phase, since a prefill has at least one chunk and a decode request none.
+[[nodiscard]] inline FusionKey fusion_key(const InferenceRequest& req) {
+  return FusionKey{req.function, req.phase,
+                   static_cast<std::uint16_t>(req.breakpoints)};
+}
+
 /// One queued dispatch unit: a session's next plan step waiting to be
 /// (re)dispatched. Ordered by (ready time, id) so the initial queue replays
 /// arrival order exactly and retries merge back deterministically. A
 /// session has exactly one Pending entry alive at a time, so id doubles as
-/// the session identity.
+/// the session identity. Trivially copyable and 24 bytes: the 4-byte fusion
+/// key sits where (ready_us, id, attempt, step) would pad to 8 bytes.
 struct Pending {
   double ready_us = 0.0;
   int id = 0;
@@ -44,6 +88,9 @@ struct Pending {
   /// steps. A whole-request unit is every step of its session and always
   /// starts at 0, as does every not-yet-started session.
   int step = 0;
+  /// fusion_key of that step, so the fusion scan reads no request, class or
+  /// shape to match a candidate. A retry keeps its unit's key.
+  FusionKey key;
 
   friend bool operator<(const Pending& a, const Pending& b) {
     if (a.ready_us != b.ready_us) return a.ready_us < b.ready_us;
@@ -55,10 +102,10 @@ struct Pending {
 /// The (ready_us, id)-ordered queue of not-yet-started sessions: every
 /// request of the stream as a first attempt at its arrival, plus the
 /// retries pushed back. Behaves exactly like a std::set<Pending> seeded
-/// with Pending{arrival_us, id, 1, 0} for every request (the differential
-/// test holds it to that). A request id is in the queue at most once --
-/// its retry is pushed only after its arrival entry was taken -- so no two
-/// entries compare equal.
+/// with Pending{arrival_us, id, 1, 0, fusion_key(request)} for every
+/// request (the differential test holds it to that). A request id is in
+/// the queue at most once -- its retry is pushed only after its arrival
+/// entry was taken -- so no two entries compare equal.
 class ReadyQueue {
  public:
   /// `requests` must satisfy the stream contract (validated by
@@ -150,8 +197,9 @@ class ReadyQueue {
 
  private:
   [[nodiscard]] Pending arrival(std::size_t index) const {
-    return Pending{(*requests_)[index].arrival_us, static_cast<int>(index),
-                   1, 0};
+    const InferenceRequest& req = (*requests_)[index];
+    return Pending{req.arrival_us, static_cast<int>(index), 1, 0,
+                   fusion_key(req)};
   }
   /// True once request `index`'s arrival entry has left the queue.
   [[nodiscard]] bool taken(std::size_t index) const {

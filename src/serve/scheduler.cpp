@@ -270,7 +270,6 @@ std::vector<ShapeCost> BatchScheduler::price_requests(
 }
 
 double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
-                                const std::vector<ShapeKey>& shapes,
                                 const std::vector<ShapeCost>& costs,
                                 std::uint64_t total_steps,
                                 ServeReport& report) const {
@@ -321,9 +320,15 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   std::vector<std::vector<Pending>> pinned_q(
       static_cast<std::size_t>(config_.instances));
   ReadyQueue new_q(requests);
+  // A unit goes in at its upper bound, found from the back: a next step is
+  // ready when its dispatch finishes, after most of its queue, so the scan
+  // is usually one comparison, and it visits exactly the entries the
+  // insert then shifts.
   const auto enqueue_pinned = [&](std::size_t j, const Pending& unit) {
     auto& queue = pinned_q[j];
-    queue.insert(std::upper_bound(queue.begin(), queue.end(), unit), unit);
+    auto at = queue.end();
+    while (at != queue.begin() && unit < *(at - 1)) --at;
+    queue.insert(at, unit);
   };
 
   // Two tournament trees over the instances pick the dispatch candidates.
@@ -356,18 +361,13 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
   };
   for (int j = 0; j < config_.instances; ++j) refresh(j);
 
-  // The session class of a unit's request, and the slot of the first plan
-  // step the unit dispatches, from its class's two slots and chunk count
-  // (one record): the slot's shape is the unit's fusion key, and its wave
-  // latency the unit's overlap credit.
+  // The session class of a unit's request: one record holding its costs,
+  // chunk count and plan slots. A continuous step's slot, from its class's
+  // two slots and chunk count, holds its shape's cost and wave latency.
   const std::vector<SessionClass>& classes = report.classes;
   const auto class_of = [&](int id) -> const SessionClass& {
     return classes[report.outcomes[static_cast<std::size_t>(id)]
                        .session_class];
-  };
-  const auto slot_of = [&](const Pending& unit) {
-    const SessionClass& session = class_of(unit.id);
-    return session.slots.slot(session.cost.prefill_chunks, unit.step);
   };
 
   std::vector<Pending> batch;  // reused by every dispatch
@@ -428,7 +428,8 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
 
     // Fuse ready units behind the head: merge-scan both queues in
     // (ready_us, id) order, taking units whose first step shares the
-    // head's PWL table AND phase, up to the (possibly overload-degraded)
+    // head's PWL table AND phase -- whose fusion keys, carried in the
+    // queued entries, are equal -- up to the (possibly overload-degraded)
     // batch cap. Prefill and decode never fuse: they share no wave shape,
     // so a mixed dispatch could not reuse the broadcast flit train the
     // overlap credit models. On a mismatch the whole-request FIFO run
@@ -441,7 +442,6 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // overload new_q holds the whole backlog, and walking it on every
     // dispatch would make the loop quadratic in the backlog.
     const int cap = degraded_max_batch(policy, config_.max_batch, wait_us);
-    const ShapeKey& head_shape = shapes[slot_of(head)];
     batch.assign(1, head);
     // A new head claims its slot on success.
     int free_slots = slot_cap - slots_used[instance] - (use_new ? 1 : 0);
@@ -465,10 +465,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
       } else {
         ++nit;
       }
-      const ShapeKey& cshape = shapes[slot_of(cand)];
-      if (cshape.function != head_shape.function ||
-          cshape.breakpoints != head_shape.breakpoints ||
-          cshape.phase != head_shape.phase) {
+      if (cand.key != head.key) {
         if (continuous) continue;
         break;
       }
@@ -505,18 +502,27 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
     // first wave (wave_latency - 1 accelerator cycles). A whole-request unit
     // costs its class's folded service_us and starts at its plan's first
     // step, whose wave latency pricing recorded in the class; a step costs
-    // its share of its shape's cycles, clock-converted.
+    // its share of its shape's cycles, clock-converted. A decode step's
+    // share is exactly 1.0 (SessionLayout::share), so only a prefill chunk
+    // reads its request to build the layout.
     double service_us = 0.0;
     for (std::size_t k = 0; k < batch.size(); ++k) {
-      const auto i = static_cast<std::size_t>(batch[k].id);
-      const SessionCost& session = class_of(batch[k].id).cost;
+      const Pending& member = batch[k];
+      const SessionClass& session_class = class_of(member.id);
+      const SessionCost& session = session_class.cost;
       int wave_latency = session.wave_latency_cycles;
       if (continuous) {
-        const ShapeCost& cost = costs[slot_of(batch[k])];
-        service_us +=
-            session_layout(requests[i], continuous, config_.chunk_tokens)
-                .share(batch[k].step) *
-            cost.service_cycles / freq;
+        const int chunks = session.prefill_chunks;
+        const ShapeCost& cost =
+            costs[session_class.slots.slot(chunks, member.step)];
+        const double share =
+            member.step < chunks
+                ? session_layout(
+                      requests[static_cast<std::size_t>(member.id)],
+                      continuous, config_.chunk_tokens)
+                      .share(member.step)
+                : 1.0;
+        service_us += share * cost.service_cycles / freq;
         wave_latency = cost.wave_latency_cycles;
       } else {
         service_us += session.service_us;
@@ -552,7 +558,7 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
           backoff_acc.add(backoff_us);
           report.stats.bump(id_retries);
           const Pending retry{*failed_at + backoff_us, member.id,
-                              member.attempt + 1, member.step};
+                              member.attempt + 1, member.step, member.key};
           if (outcome.instance >= 0) {
             enqueue_pinned(instance, retry);
           } else {
@@ -588,9 +594,11 @@ double BatchScheduler::dispatch(const std::vector<InferenceRequest>& requests,
         report.stats.bump(id_steps);
         // The next step becomes ready the instant this one finishes.
         const int next_step = member.step + 1;
-        if (next_step < classes[outcome.session_class].cost.prefill_chunks +
-                            decode_steps(req)) {
-          enqueue_pinned(instance, Pending{finish, member.id, 1, next_step});
+        const int chunks = classes[outcome.session_class].cost.prefill_chunks;
+        if (next_step < chunks + decode_steps(req)) {
+          enqueue_pinned(instance,
+                         Pending{finish, member.id, 1, next_step,
+                                 fusion_key(req, chunks, next_step)});
           continue;
         }
       }
@@ -631,13 +639,13 @@ ServeReport BatchScheduler::run(
   report.surrogate.tolerance = config_.surrogate_tol;
   if (requests.empty()) return report;
 
-  // The distinct shapes and their costs live in this block alone, so the
-  // latency samples the aggregate pass reserves never share the peak with
-  // them; the class grouping and the index's plans (copied into
-  // report.classes) go before dispatch.
+  // The shape costs live in this block alone, so the latency samples the
+  // aggregate pass reserves never share the peak with them; the class
+  // grouping and the plan index, its distinct shapes included (its plans
+  // are copied into report.classes, and each queued unit carries its
+  // step's fusion key), go before dispatch.
   double last_finish = 0.0;
   {
-    std::vector<ShapeKey> shapes;
     std::vector<ShapeCost> costs;
     std::uint64_t total_steps = 0;
     {
@@ -648,13 +656,12 @@ ServeReport BatchScheduler::run(
           requests, [&report](std::size_t i, std::uint32_t id) {
             report.outcomes[i].session_class = id;
           });
-      PlanIndex index = build_plan_index(requests, classes.first);
+      const PlanIndex index = build_plan_index(requests, classes.first);
       costs = price_requests(requests, classes, index, report, total_steps);
-      shapes = std::move(index.shapes);
     }
 
     // Phase 2: serial deterministic dispatch, whole-request or step-clocked.
-    last_finish = dispatch(requests, shapes, costs, total_steps, report);
+    last_finish = dispatch(requests, costs, total_steps, report);
   }
 
   // Aggregates, in request order for determinism. Latency and service

@@ -50,8 +50,9 @@
 //      (ServeReport::classes) that dispatch and every reader
 //      (ServeReport::cost) share. Nothing is stored per step, and once the
 //      index is built the only per-request state is the request and its
-//      outcome: the index and the shape costs are freed when dispatch
-//      returns, before the aggregate pass records its latency samples.
+//      outcome: the index, its distinct shapes included, is freed before
+//      dispatch, and the shape costs when dispatch returns, before the
+//      aggregate pass records its latency samples.
 //
 //   2. Dispatch (serial, deterministic): one step-clocked event loop
 //      serves both modes. Every session has one pending dispatch unit at a
@@ -72,7 +73,13 @@
 //      breakpoints) AND phase fuse in, up to max_batch: fused waves reuse
 //      the broadcast flit train back-to-back, so each extra member saves
 //      the pipeline-fill latency of its first wave (the overlap credit).
-//      Prefill and decode never fuse -- they share no wave shape.
+//      Prefill and decode never fuse -- they share no wave shape. Each
+//      queued unit carries that (function, breakpoints, phase) as its
+//      4-byte fusion key (serve::FusionKey, built from the request when it
+//      arrives or its next step is queued, copied by a retry), so the
+//      fusion scan compares one word per candidate and reads no request,
+//      class or shape. In continuous mode a unit's shape cost is read
+//      through its class's plan slots only once it is in a batch.
 //      Admission control (deadline/overload shedding) runs once per
 //      session, on its first unit.
 //
@@ -209,9 +216,9 @@ struct SessionCost {
 /// the same plan at the same cost.
 struct SessionClass {
   /// Where the class's steps sat among the distinct shapes the run priced
-  /// (its PlanIndex, freed when the run returns). Dispatch reads them
-  /// beside cost.prefill_chunks, so a unit's fusion key takes one load
-  /// through its outcome's class id.
+  /// (its PlanIndex, freed before dispatch). Continuous dispatch reads them
+  /// beside cost.prefill_chunks to find a step's shape cost, through one
+  /// load of its outcome's class id.
   PlanSlots slots;
   SessionCost cost;
 };
@@ -372,7 +379,6 @@ class BatchScheduler {
   /// step-clocked continuous batching) over sessions of `total_steps`
   /// steps in all. Returns the last finish time.
   double dispatch(const std::vector<InferenceRequest>& requests,
-                  const std::vector<ShapeKey>& shapes,
                   const std::vector<ShapeCost>& costs,
                   std::uint64_t total_steps, ServeReport& report) const;
 

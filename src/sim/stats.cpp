@@ -8,11 +8,6 @@
 
 namespace nova::sim {
 
-void Histogram::record(double value) {
-  samples_.push_back(value);
-  sum_ += value;
-}
-
 double Histogram::mean() const {
   if (samples_.empty()) return 0.0;
   return sum_ / static_cast<double>(samples_.size());

@@ -25,7 +25,12 @@ namespace nova::sim {
 /// a histogram that was registered but never recorded.
 class Histogram {
  public:
-  void record(double value);
+  /// Defined here, not in stats.cpp: the serve loop records a sample per
+  /// dispatch and per served request.
+  void record(double value) {
+    samples_.push_back(value);
+    sum_ += value;
+  }
 
   [[nodiscard]] std::uint64_t count() const {
     return static_cast<std::uint64_t>(samples_.size());

@@ -107,6 +107,7 @@ std::vector<FaultWindow> draw_timeline(Rng& rng) {
 TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
   int chained = 0;  // next_up answers pushed through two or more outages
   int opened = 0;   // outage_in answers that found an outage
+  int past_plan = 0;  // instances queried past the plan's instance count
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
     std::vector<std::vector<FaultWindow>> timelines(1 + rng.next_below(4));
@@ -122,10 +123,14 @@ TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
         times.push_back(0.5 * (window.start_us + window.end_us));
       }
     }
-    // Two instances past the plan's end answer like the empty plan.
+    // Two instances past the plan's end answer like the empty plan: the
+    // reference reads the drawn timelines, and no windows past them.
+    const std::vector<FaultWindow> none;
     const int instances = plan.instances() + 2;
     for (int i = 0; i < instances; ++i) {
-      const auto& windows = plan.windows(i);
+      const auto index = static_cast<std::size_t>(i);
+      const auto& windows = index < timelines.size() ? timelines[index] : none;
+      if (index >= timelines.size()) ++past_plan;
       for (const double t : times) {
         const double up = plan.next_up_us(i, t);
         ASSERT_EQ(up, reference_next_up_us(windows, t))
@@ -149,6 +154,7 @@ TEST(FaultPlan, QueriesMatchTheLinearWalksOnRandomPlans) {
   }
   EXPECT_GT(chained, 1000);
   EXPECT_GT(opened, 1000);
+  EXPECT_EQ(past_plan, 400);
 }
 
 TEST(FaultPlan, DrawIsDeterministicAndStableUnderPoolResizing) {

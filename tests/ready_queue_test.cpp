@@ -3,36 +3,50 @@
 // not-yet-started sessions replaced.
 //
 // The queue's claim is "the same entries in the same (ready_us, id) order
-// as a std::set<Pending> seeded with every request's first attempt", under
-// the dispatch loop's access pattern: read the front, shed it, walk the
-// queue, take a batch -- a FIFO prefix (whole-request fusion) or any
-// subset of the ready entries (continuous fusion skips mismatches, so it
-// takes arrivals from behind the front and tombstones them) -- and push
-// retries back, including retries of tombstoned arrivals. The test drives
+// as a std::set<Pending> seeded with every request's first attempt", fusion
+// keys included, under the dispatch loop's access pattern: read the front,
+// shed it, walk the queue, take a batch -- a FIFO prefix (whole-request
+// fusion) or any subset of the ready entries (continuous fusion skips
+// mismatches, so it takes arrivals from behind the front and tombstones
+// them) -- and push retries back, including retries of tombstoned arrivals. The test drives
 // both through seeded streams with tied arrivals and retries whose ready
 // times tie arrivals and each other, and requires the same front and the
-// same full walk at every step.
+// same full walk at every step. Pending compares every field, so a walk
+// matches only when each entry also carries its request's function,
+// breakpoints and phase as its fusion key, and a retry its unit's key.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <vector>
 
+#include "approx/functions.hpp"
 #include "common/rng.hpp"
+#include "pipeline/op_graph.hpp"
 #include "serve/ready_queue.hpp"
 #include "serve/request.hpp"
 
 namespace {
 
 using nova::Rng;
+using nova::approx::NonLinearFn;
+using nova::pipeline::Phase;
+using nova::serve::FusionKey;
 using nova::serve::InferenceRequest;
+using nova::serve::kMaxBreakpoints;
 using nova::serve::Pending;
 using nova::serve::ReadyQueue;
 
 /// A stream obeying the scheduler's contract (ids 0..n-1, sorted arrivals)
 /// whose arrivals sit on a coarse integer grid, so runs of equal
-/// arrival_us are common and the id tie-break decides their order.
+/// arrival_us are common and the id tie-break decides their order. Each
+/// request draws its function, breakpoints (up to kMaxBreakpoints) and
+/// phase, the fields of its first step's fusion key.
 std::vector<InferenceRequest> tied_stream(Rng& rng, int n) {
+  constexpr NonLinearFn kFunctions[] = {NonLinearFn::kGelu, NonLinearFn::kExp,
+                                        NonLinearFn::kTanh};
+  constexpr int kBreakpoints[] = {2, 16, 255, 256, kMaxBreakpoints};
   std::vector<InferenceRequest> requests(static_cast<std::size_t>(n));
   double clock = 0.0;
   for (int i = 0; i < n; ++i) {
@@ -40,8 +54,22 @@ std::vector<InferenceRequest> tied_stream(Rng& rng, int n) {
     auto& req = requests[static_cast<std::size_t>(i)];
     req.id = i;
     req.arrival_us = clock;
+    req.function = kFunctions[rng.next_below(std::size(kFunctions))];
+    req.breakpoints = kBreakpoints[rng.next_below(std::size(kBreakpoints))];
+    if (rng.next_below(2) == 0) {
+      req.phase = Phase::kDecode;
+      req.kv_len = 1 + static_cast<int>(rng.next_below(64));
+    }
   }
   return requests;
+}
+
+/// Request `req`'s first attempt, keyed by its own function, phase and
+/// breakpoints: the entry the reference set is seeded with.
+Pending first_attempt(const InferenceRequest& req) {
+  return Pending{req.arrival_us, req.id, 1, 0,
+                 FusionKey{req.function, req.phase,
+                           static_cast<std::uint16_t>(req.breakpoints)}};
 }
 
 /// Every entry of `queue`, in walk order.
@@ -61,6 +89,7 @@ struct Coverage {
   int retries = 0;
   int tombstones = 0;         ///< arrivals taken from behind the front
   int tombstone_retries = 0;  ///< retries of a tombstoned arrival
+  int foreign_keys = 0;       ///< batch members keyed unlike their head
 };
 
 /// One randomized episode, accumulating into `seen`.
@@ -71,9 +100,7 @@ void run_episode(std::uint64_t seed, Coverage& seen) {
 
   ReadyQueue queue(requests);
   std::set<Pending> reference;
-  for (const auto& req : requests) {
-    reference.insert(Pending{req.arrival_us, req.id, 1, 0});
-  }
+  for (const auto& req : requests) reference.insert(first_attempt(req));
 
   for (int step = 0; !reference.empty(); ++step) {
     ASSERT_FALSE(queue.empty()) << "step " << step;
@@ -101,6 +128,9 @@ void run_episode(std::uint64_t seed, Coverage& seen) {
     ++it;
     for (std::size_t k = 0; k < scan && !it.done(); ++k, ++it) {
       if (prefix || rng.next_below(2) == 0) batch.push_back(*it);
+    }
+    for (const auto& member : batch) {
+      if (!(member.key == head.key)) ++seen.foreign_keys;
     }
     // An arrival taken while it is not the front is tombstoned.
     std::vector<bool> tombstoned;
@@ -132,7 +162,8 @@ void run_episode(std::uint64_t seed, Coverage& seen) {
           rng.next_below(2) == 0
               ? other.arrival_us
               : head.ready_us + static_cast<double>(rng.next_below(6));
-      const Pending retry{ready, member.id, member.attempt + 1, 0};
+      const Pending retry{ready, member.id, member.attempt + 1, 0,
+                          member.key};
       queue.push(retry);
       reference.insert(retry);
       ++seen.retries;
@@ -158,7 +189,11 @@ TEST(ReadyQueue, MatchesOrderedSetOnRandomTraffic) {
   EXPECT_GT(seen.retries, 1000);
   EXPECT_GT(seen.tombstones, 1000);
   EXPECT_GT(seen.tombstone_retries, 100);
+  EXPECT_GT(seen.foreign_keys, 1000);
 }
+
+/// The default request's fusion key: GELU at 16 breakpoints, prefill.
+constexpr FusionKey kGelu16{NonLinearFn::kGelu, Phase::kPrefill, 16};
 
 TEST(ReadyQueue, RetryTyingAnArrivalOrdersById) {
   std::vector<InferenceRequest> requests(4);
@@ -169,18 +204,20 @@ TEST(ReadyQueue, RetryTyingAnArrivalOrdersById) {
         arrivals[static_cast<std::size_t>(i)];
   }
   ReadyQueue queue(requests);
-  EXPECT_EQ(*queue.walk(), (Pending{0.0, 0, 1, 0}));
+  EXPECT_EQ(*queue.walk(), (Pending{0.0, 0, 1, 0, kGelu16}));
   queue.erase(*queue.walk());
   // Request 0 retries at 5.0: it ties requests 1 and 2 and wins on id.
-  queue.push(Pending{5.0, 0, 2, 0});
-  const std::vector<Pending> want{
-      {5.0, 0, 2, 0}, {5.0, 1, 1, 0}, {5.0, 2, 1, 0}, {10.0, 3, 1, 0}};
+  queue.push(Pending{5.0, 0, 2, 0, kGelu16});
+  const std::vector<Pending> want{{5.0, 0, 2, 0, kGelu16},
+                                  {5.0, 1, 1, 0, kGelu16},
+                                  {5.0, 2, 1, 0, kGelu16},
+                                  {10.0, 3, 1, 0, kGelu16}};
   EXPECT_EQ(walk_all(queue), want);
   // Taking entries consumes from both sources.
   queue.erase(want[0]);
   queue.erase(want[1]);
   queue.erase(want[2]);
-  EXPECT_EQ(*queue.walk(), (Pending{10.0, 3, 1, 0}));
+  EXPECT_EQ(*queue.walk(), (Pending{10.0, 3, 1, 0, kGelu16}));
 }
 
 TEST(ReadyQueue, TombstonedArrivalsAreSkippedAndMayRetry) {
@@ -191,21 +228,42 @@ TEST(ReadyQueue, TombstonedArrivalsAreSkippedAndMayRetry) {
   }
   ReadyQueue queue(requests);
   // Take arrivals 1 and 2 from behind the front: the walk skips them.
-  queue.erase(Pending{1.0, 2, 1, 0});
-  queue.erase(Pending{1.0, 1, 1, 0});
+  queue.erase(Pending{1.0, 2, 1, 0, kGelu16});
+  queue.erase(Pending{1.0, 1, 1, 0, kGelu16});
   EXPECT_EQ(walk_all(queue),
-            (std::vector<Pending>{{1.0, 0, 1, 0}, {1.0, 3, 1, 0},
-                                  {1.0, 4, 1, 0}}));
+            (std::vector<Pending>{{1.0, 0, 1, 0, kGelu16},
+                                  {1.0, 3, 1, 0, kGelu16},
+                                  {1.0, 4, 1, 0, kGelu16}}));
   // Taking the front moves the cursor past both tombstones at once.
   queue.erase(*queue.walk());
-  EXPECT_EQ(*queue.walk(), (Pending{1.0, 3, 1, 0}));
+  EXPECT_EQ(*queue.walk(), (Pending{1.0, 3, 1, 0, kGelu16}));
   // A tombstoned arrival's retry is pushable, and orders by (ready, id).
-  queue.push(Pending{1.0, 2, 2, 0});
-  EXPECT_EQ(*queue.walk(), (Pending{1.0, 2, 2, 0}));
-  queue.erase(Pending{1.0, 4, 1, 0});
-  queue.erase(Pending{1.0, 3, 1, 0});
-  queue.erase(Pending{1.0, 2, 2, 0});
+  queue.push(Pending{1.0, 2, 2, 0, kGelu16});
+  EXPECT_EQ(*queue.walk(), (Pending{1.0, 2, 2, 0, kGelu16}));
+  queue.erase(Pending{1.0, 4, 1, 0, kGelu16});
+  queue.erase(Pending{1.0, 3, 1, 0, kGelu16});
+  queue.erase(Pending{1.0, 2, 2, 0, kGelu16});
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(ReadyQueue, ArrivalsCarryTheirRequestsFirstStepKey) {
+  // Each arrival's key is its request's table and own phase: a decode
+  // request's first step is a decode step, a prefill's a chunk.
+  std::vector<InferenceRequest> requests(3);
+  for (int i = 0; i < 3; ++i) {
+    requests[static_cast<std::size_t>(i)].id = i;
+    requests[static_cast<std::size_t>(i)].arrival_us = 2.0 * i;
+  }
+  requests[1].function = NonLinearFn::kExp;
+  requests[1].breakpoints = kMaxBreakpoints;
+  requests[2].phase = Phase::kDecode;
+  requests[2].kv_len = 7;
+  const ReadyQueue queue(requests);
+  EXPECT_EQ(walk_all(queue),
+            (std::vector<Pending>{
+                {0.0, 0, 1, 0, kGelu16},
+                {2.0, 1, 1, 0, {NonLinearFn::kExp, Phase::kPrefill, 4096}},
+                {4.0, 2, 1, 0, {NonLinearFn::kGelu, Phase::kDecode, 16}}}));
 }
 
 TEST(ReadyQueue, EmptyStreamIsEmpty) {

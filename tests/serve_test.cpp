@@ -15,6 +15,7 @@
 #include "accel/accelerator.hpp"
 #include "approx/mlp_fitter.hpp"
 #include "core/overlay.hpp"
+#include "serve/ready_queue.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/surrogate.hpp"
@@ -1065,6 +1066,15 @@ TEST(RequestRecords, AreCompactAndTriviallyCopyable) {
   EXPECT_TRUE(std::is_trivially_copyable_v<InferenceRequest>);
   EXPECT_TRUE(std::is_trivially_copyable_v<ShapeKey>);
   EXPECT_TRUE(std::is_trivially_copyable_v<RequestOutcome>);
+}
+
+TEST(RequestRecords, QueuedUnitsAreCompactAndTriviallyCopyable) {
+  // Every fusion-scan candidate is a queued unit, and a pinned queue shifts
+  // units on insert: the step's 4-byte fusion key fills the tail padding
+  // of (ready_us, id, attempt, step).
+  EXPECT_EQ(sizeof(FusionKey), 4u);
+  EXPECT_EQ(sizeof(Pending), 24u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<Pending>);
 }
 
 TEST(RequestGeneratorDeathTest, RejectsNonPositiveRate) {

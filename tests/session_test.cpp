@@ -14,7 +14,9 @@
 // not use must read 0. Also pins the size of the per-plan record, the
 // index and the session classes of the exact-decode benchmark stream, how
 // closely chunk shares sum to 1, and that a session's steps are its chunks
-// plus decode_steps of its request for every generation length.
+// plus decode_steps of its request for every generation length; and holds
+// the fusion key dispatch carries in each queued unit (serve::fusion_key)
+// to the function, breakpoints and phase of the listed plan's step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "serve/ready_queue.hpp"
 #include "serve/request.hpp"
 #include "serve/session.hpp"
 
@@ -537,6 +540,57 @@ TEST(SessionSteps, AreTheChunksPlusTheRequestsDecodeSteps) {
   EXPECT_GT(prefills, 40);
   EXPECT_GT(decodes, 40);
   EXPECT_EQ(longest, kMaxGenSteps);
+}
+
+TEST(FusionKeys, AreTheListedStepsTablesAndPhases) {
+  // Dispatch keys each queued unit by fusion_key: an arrival by its
+  // request's first step, a next step by the request and its class's chunk
+  // count (session_layout's), and a retry copies its unit's key. Seeded
+  // requests of both phases, every function, breakpoints up to
+  // kMaxBreakpoints, generations up to 64 steps and random chunk sizes, in
+  // both dispatch modes: every step's key must be the function, breakpoints
+  // and phase of that step's shape in the listed plan.
+  Rng rng(35);
+  const auto& functions = approx::all_functions();
+  int later_chunks = 0;     // prefill chunks after the first
+  int first_decodes = 0;    // the first decode step after a prefill's chunks
+  int decode_steps_seen = 0;
+  for (int draw = 0; draw < 400; ++draw) {
+    const int chunk_tokens = 1 + static_cast<int>(rng.next_below(160));
+    InferenceRequest req;
+    req.function = functions[rng.next_below(functions.size())];
+    req.breakpoints =
+        2 + static_cast<int>(rng.next_below(kMaxBreakpoints - 1));
+    req.gen_steps = static_cast<int>(rng.next_below(65));
+    if (rng.next_below(2) == 0) {
+      req.phase = pipeline::Phase::kDecode;
+      req.seq_len = 1 + static_cast<int>(rng.next_below(4));
+      req.kv_len = 1 + static_cast<int>(rng.next_below(4096));
+    } else {
+      req.seq_len = 1 + static_cast<int>(rng.next_below(2048));
+    }
+    for (const bool continuous : {false, true}) {
+      const std::string label = "draw " + std::to_string(draw) +
+                                (continuous ? " continuous" : " whole");
+      const int chunks = session_layout(req, continuous, chunk_tokens).chunks;
+      const SessionPlan plan =
+          build_session_plan(req, continuous, chunk_tokens);
+      ASSERT_EQ(fusion_key(req), fusion_key(req, chunks, 0)) << label;
+      for (int s = 0; s < plan.total_steps(); ++s) {
+        const ShapeKey& shape = plan.steps[static_cast<std::size_t>(s)].shape;
+        const FusionKey want{shape.function, shape.phase,
+                             static_cast<std::uint16_t>(shape.breakpoints)};
+        ASSERT_EQ(fusion_key(req, chunks, s), want)
+            << label << " step " << s;
+        if (shape.phase == pipeline::Phase::kDecode) ++decode_steps_seen;
+        if (s > 0 && s < chunks) ++later_chunks;
+        if (s > 0 && s == chunks) ++first_decodes;
+      }
+    }
+  }
+  EXPECT_GT(later_chunks, 1000);
+  EXPECT_GT(first_decodes, 100);
+  EXPECT_GT(decode_steps_seen, 10000);
 }
 
 TEST(ChunkShares, SumToOneWithinRounding) {
